@@ -30,6 +30,7 @@ from .datasets import (
     SubjectData,
     SubjectHoldout,
     TimestepFraction,
+    _common_length,
     center_subjects,
     half_moons,
     load_dataset,
@@ -41,6 +42,7 @@ from .datasets import (
 )
 from .errors import ConfigError, SubjmapError
 from .evaluation import (
+    _heldout_mse,
     circle_fit,
     circular_correlation,
     polar_angles,
@@ -50,11 +52,10 @@ from .evaluation import (
 )
 from .linalg import SeededRng
 from .maps import ParamRegime, param_count
-from .models import ModelSpec, build_model, decode, encode
+from .models import ModelSpec, build_model, encode, loss
 from .stats import group_difference_pipeline
 from .training import (
     TrainConfig,
-    accuracy,
     canonical_digest,
     evaluate_loss,
     finetune_subjects,
@@ -378,10 +379,11 @@ def _cmd_train(config: dict, out_dir: Path, config_dir: Path, workers: int) -> d
     metrics["epochs_run"] = history.n_epochs
     metrics["best_epoch"] = history.best_epoch
     if test_set is not None:
-        if spec.objective == "classifier":
-            metrics["test_accuracy"] = accuracy(model, test_set)
+        test_loss, test_accuracy = evaluate_loss(model, test_set)
+        if test_accuracy is None:
+            metrics["test_loss"] = test_loss
         else:
-            metrics["test_loss"], _ = evaluate_loss(model, test_set)
+            metrics["test_accuracy"] = test_accuracy
     return _write_results(out_dir, "train", config, metrics,
                           ["model.ckpt", "history.csv", "history.json"], started)
 
@@ -423,17 +425,6 @@ def _cmd_sweep(config: dict, out_dir: Path, config_dir: Path, workers: int) -> d
     return _write_results(out_dir, "sweep", config, metrics, ["sweep.csv"], started)
 
 
-def _heldout_mse(model, dataset, rows) -> float:
-    total, count = 0.0, 0
-    for rec in dataset.subjects:
-        x = rec.data[rows]
-        idx = model.index_of([rec.subject_id]).repeat(x.shape[0])
-        xhat = decode(model, encode(model, x, idx).z, idx)
-        total += float(((xhat - x) ** 2).sum())
-        count += x.size
-    return total / count
-
-
 def _cmd_finetune(config: dict, out_dir: Path, config_dir: Path, workers: int) -> dict:
     started = time.time()
     root = SeededRng(config["seed"])
@@ -441,7 +432,7 @@ def _cmd_finetune(config: dict, out_dir: Path, config_dir: Path, workers: int) -
     model, _ = checkpoint.load_model(_relative(config, config_dir, "checkpoint"))
     section = config["finetune"]
 
-    total = dataset.subjects[0].n_timesteps
+    total = _common_length(dataset)
     holdout_start = total - int(round(section["holdout_fraction"] * total))
     fit_window = MultiSubjectDataset(
         [rec.take(np.arange(holdout_start)) for rec in dataset.subjects],
@@ -491,20 +482,18 @@ def _cmd_evaluate(config: dict, out_dir: Path, config_dir: Path, workers: int) -
 
     metrics: dict = {}
     files: list[str] = []
-    if section["recon"] and model.spec.objective != "classifier":
+    if section["recon"] and model.spec.objective == "classifier":
+        _, metrics["test_accuracy"] = evaluate_loss(model, eval_set)
+    elif section["recon"]:
         x, idx, _ = stacked(eval_set, model)
-        xhat = decode(model, encode(model, x, idx).z, idx)
-        metrics["test_mse"] = float(((xhat - x) ** 2).mean())
+        metrics["test_mse"] = loss(model, x, idx)[1]["mse"]
         if section["baseline_checkpoint"]:
             baseline, _ = checkpoint.load_model(
                 _relative(section, config_dir, "baseline_checkpoint"))
-            xb, idxb, _ = stacked(eval_set, baseline)
-            bhat = decode(baseline, encode(baseline, xb, idxb).z, idxb)
-            metrics["baseline_mse"] = float(((bhat - xb) ** 2).mean())
+            x, idx, _ = stacked(eval_set, baseline)
+            metrics["baseline_mse"] = loss(baseline, x, idx)[1]["mse"]
             metrics["improvement_pct"] = recon_improvement(metrics["test_mse"],
                                                            metrics["baseline_mse"])
-    if section["recon"] and model.spec.objective == "classifier":
-        metrics["test_accuracy"] = accuracy(model, eval_set)
 
     if section["probe_embeddings"]:
         x, idx, labels = stacked(eval_set, model)

@@ -394,7 +394,10 @@ def _load_binary(path) -> MultiSubjectDataset:
     subjects = []
     for _ in range(n_subjects):
         (id_len,) = reader.unpack("<I", "id length")
-        subject_id = reader.read(id_len, "subject id").decode("utf-8")
+        try:
+            subject_id = reader.read(id_len, "subject id").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"subject id is not valid UTF-8: {exc}") from exc
         (group,) = reader.unpack("<i", "group")
         (n_t,) = reader.unpack("<I", "timestep count")
         raw = reader.read(8 * n_t * n_features, f"data of subject {subject_id!r}")
@@ -428,6 +431,8 @@ def _load_csv(manifest_path) -> MultiSubjectDataset:
                 rows = [[float(cell) for cell in row] for row in csv.reader(fh) if row]
             except ValueError as exc:
                 raise ParseError(f"{csv_path}: {exc}") from exc
+        if len({len(row) for row in rows}) > 1:
+            raise ParseError(f"{csv_path}: rows differ in length")
         data = np.asarray(rows, dtype=np.float64)
         if expect_n is not None and data.shape[1] != expect_n:
             raise ShapeMismatch(

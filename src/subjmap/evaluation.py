@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import DegenerateFold, DegenerateGeometry, DimensionError
 from .linalg import SeededRng, as_matrix, pca, svd_small
+from .models import decode, encode
 
 
 @dataclass(frozen=True)
@@ -91,6 +92,21 @@ def probe_classify(embeddings, labels, n_folds: int = 5, kernel_gamma="auto",
     acc = np.asarray(accuracies)
     return ProbeResult(fold_accuracies=tuple(accuracies), mean=float(acc.mean()),
                        std=float(acc.std()), n_folds=n_folds, label_name=label_name)
+
+
+def _heldout_mse(model, dataset, rows) -> float:
+    """Reconstruction MSE over timesteps ``rows`` of every subject.
+
+    Squared errors are summed one subject at a time, in dataset order.
+    """
+    total, count = 0.0, 0
+    for rec in dataset.subjects:
+        x = rec.data[rows]
+        idx = model.index_of([rec.subject_id]).repeat(x.shape[0])
+        xhat = decode(model, encode(model, x, idx).z, idx)
+        total += float(((xhat - x) ** 2).sum())
+        count += x.size
+    return total / count
 
 
 def recon_improvement(model_mse: float, baseline_mse: float) -> float:

@@ -278,7 +278,12 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def loss(model: Model, x, subject_idx, labels=None, rng: SeededRng | None = None):
-    """Objective value and per-term breakdown for one batch."""
+    """Objective value and per-term breakdown for one batch.
+
+    The classifier breakdown also carries the batch ``accuracy``; for the
+    VAE, ``mse`` is the reconstruction error of the posterior mean when no
+    ``rng`` is given.
+    """
     value, breakdown, _ = _loss_impl(model, x, subject_idx, labels, rng, need_grads=False)
     return value, breakdown
 
@@ -310,6 +315,7 @@ def _loss_impl(model: Model, x, subject_idx, labels, rng, need_grads: bool):
         value = float(-np.log(picked).mean())
         breakdown = {"cross_entropy": value}
         if not need_grads:
+            breakdown["accuracy"] = float((np.argmax(probs, axis=1) == y).mean())
             return value, breakdown, None
         grad_head = probs.copy()
         grad_head[np.arange(batch), y] -= 1.0

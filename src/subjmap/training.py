@@ -1,14 +1,16 @@
 """Optimizers, the training loop, subject fine-tuning and the gradient gate.
 
-The loop is deliberately plain: seeded shuffling, mini-batches that may mix
-subjects, SGD or Adam, optional gradient clipping, QR re-projection of every
-decomposed map's square factor after each ``orth_every`` steps, early
-stopping on validation loss, and a best-validation snapshot.  Everything is
-deterministic given the config seed.
+One mini-batch loop (``_fit``) does all optimization: seeded shuffling,
+mini-batches that may mix subjects, SGD or Adam, optional gradient clipping
+and a divergence check.  Everything is deterministic given the config seed.
+``train`` runs it over every parameter, re-projects each decomposed map's
+square factor by QR after each ``orth_every`` steps, stops early on
+validation loss and keeps a best-validation snapshot.
 
-``finetune_subjects`` implements generalization to unseen subjects: new
-per-subject rows are appended to the maps and are the only parameters the
-optimizer ever touches, so nothing previously learned can be forgotten.
+``finetune_subjects`` implements generalization to unseen subjects: it runs
+the same loop on new per-subject rows appended to the maps, which are the
+only parameters the optimizer ever touches, so nothing previously learned
+can be forgotten.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import hashlib
 import json
 import math
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict, replace
 
@@ -27,7 +30,7 @@ from .datasets import MultiSubjectDataset, stacked
 from .errors import DivergenceError, EmptySubset, InvalidFraction, ShapeError
 from .linalg import SeededRng, qr_orthonormalize
 from .maps import DecomposedMap, SubjectMap
-from .models import Model, ModelSpec, build_model, encode, loss, loss_and_grads, softmax
+from .models import Model, ModelSpec, build_model, loss, loss_and_grads
 
 
 def canonical_digest(obj) -> str:
@@ -157,21 +160,42 @@ def _reproject(model: Model) -> None:
 
 
 def evaluate_loss(model: Model, dataset: MultiSubjectDataset) -> tuple[float, float | None]:
-    """Full-batch loss plus accuracy for classifier objectives."""
+    """Full-batch loss plus accuracy for classifier objectives, from one forward pass."""
     x, idx, labels = stacked(dataset, model)
-    value, _ = loss(model, x, idx, labels)
-    metric = None
-    if model.spec.objective == "classifier":
-        lat = encode(model, x, idx)
-        pred = np.argmax(softmax(lat.z), axis=1)
-        metric = float((pred == labels).mean())
-    return value, metric
+    value, terms = loss(model, x, idx, labels)
+    return value, terms.get("accuracy")
 
 
-def accuracy(model: Model, dataset: MultiSubjectDataset) -> float:
-    x, idx, labels = stacked(dataset, model)
-    lat = encode(model, x, idx)
-    return float((np.argmax(softmax(lat.z), axis=1) == labels).mean())
+def _fit(model: Model, x, idx, labels, config: TrainConfig, params: dict[str, np.ndarray],
+         start: int, after_step):
+    """The mini-batch loop; yields (mean training loss, steps so far) after each epoch.
+
+    ``params`` are the trainable arrays: for each name, rows ``start:`` of
+    the model parameter of that name (``start=0`` trains whole arrays).
+    ``after_step(step, loss)`` runs after every optimizer step.  The caller
+    decides when to stop by leaving the loop.  Raises DivergenceError with
+    the offending step index if the loss leaves the finite range.
+    """
+    rng = SeededRng(config.seed)
+    optimizer = make_optimizer(config)
+    noise = rng if model.spec.objective == "vae" else None
+    step = 0
+    for _epoch in range(config.epochs):
+        order = rng.permutation(x.shape[0])
+        epoch_loss = 0.0
+        for begin in range(0, x.shape[0], config.batch_size):
+            rows = order[begin:begin + config.batch_size]
+            batch_labels = labels[rows] if labels is not None else None
+            value, _, grads = loss_and_grads(model, x[rows], idx[rows], batch_labels, noise)
+            if not math.isfinite(value):
+                raise DivergenceError(step)
+            if config.grad_clip is not None:
+                clip_gradients(grads, config.grad_clip)
+            optimizer.step(params, {name: grads[name][start:] for name in params})
+            step += 1
+            after_step(step, value)
+            epoch_loss += value * len(rows)
+        yield epoch_loss / x.shape[0], step
 
 
 def train(model: Model, train_set: MultiSubjectDataset, val_set: MultiSubjectDataset,
@@ -183,46 +207,25 @@ def train(model: Model, train_set: MultiSubjectDataset, val_set: MultiSubjectDat
     index if the loss leaves the finite range.
     """
     started = time.perf_counter()
-    rng = SeededRng(config.seed)
     x, idx, labels = stacked(train_set, model)
     if x.shape[0] == 0:
         raise EmptySubset("training set has no timesteps")
 
-    params = model.params()
-    optimizer = make_optimizer(config)
-    needs_noise = model.spec.objective == "vae"
+    def reproject(step, _value):
+        if config.orth_every and step % config.orth_every == 0:
+            _reproject(model)
 
     history = TrainHistory(config_hash=config.digest())
     best_val = math.inf
     best_snap = model.snapshot()
-    history.best_epoch = -1
-    step = 0
     since_best = 0
-
-    for epoch in range(config.epochs):
-        order = rng.permutation(x.shape[0])
-        epoch_loss = 0.0
-        seen = 0
-        for start in range(0, x.shape[0], config.batch_size):
-            rows = order[start:start + config.batch_size]
-            batch_labels = labels[rows] if labels is not None else None
-            noise = rng if needs_noise else None
-            value, _, grads = loss_and_grads(model, x[rows], idx[rows], batch_labels, noise)
-            if not math.isfinite(value):
-                raise DivergenceError(step)
-            if config.grad_clip is not None:
-                clip_gradients(grads, config.grad_clip)
-            optimizer.step(params, {k: grads[k] for k in params})
-            step += 1
-            if config.orth_every and step % config.orth_every == 0:
-                _reproject(model)
-            epoch_loss += value * len(rows)
-            seen += len(rows)
-
+    epochs = _fit(model, x, idx, labels, config, model.params(), 0, reproject)
+    for epoch, (train_loss, step) in enumerate(epochs):
+        history.n_steps = step
         val_loss, val_metric = evaluate_loss(model, val_set)
         if not math.isfinite(val_loss):
             raise DivergenceError(step, f"non-finite validation loss after step {step}")
-        history.train_losses.append(epoch_loss / seen)
+        history.train_losses.append(train_loss)
         history.val_losses.append(val_loss)
         history.val_metrics.append(val_metric)
 
@@ -238,7 +241,6 @@ def train(model: Model, train_set: MultiSubjectDataset, val_set: MultiSubjectDat
 
     if history.best_epoch >= 0:
         model.restore(best_snap)
-    history.n_steps = step
     history.wall_clock_seconds = time.perf_counter() - started
     if history.val_losses:
         history.final_metrics = {"val_loss": history.val_losses[history.best_epoch]}
@@ -347,7 +349,9 @@ def finetune_subjects(model: Model, new_data: MultiSubjectDataset, fraction: flo
     """
     if not 0.0 < fraction <= 1.0:
         raise InvalidFraction(f"fraction must be in (0, 1], got {fraction}")
-
+    if new_data.n_features != model.spec.input_size:
+        raise ShapeError(f"new subjects have width {new_data.n_features}, "
+                         f"model expects {model.spec.input_size}")
     subset_subjects = []
     for rec in new_data.subjects:
         count = math.ceil(fraction * rec.data.shape[0])
@@ -356,57 +360,30 @@ def finetune_subjects(model: Model, new_data: MultiSubjectDataset, fraction: flo
         subset_subjects.append(rec.take(np.arange(count)))
     subset = MultiSubjectDataset(subset_subjects, dict(new_data.metadata))
 
+    started = time.perf_counter()
     new_idx = add_subjects(model, [rec.subject_id for rec in new_data.subjects])
     start = int(new_idx[0])
     views = _per_subject_views(model, start)
-
     x, idx, labels = stacked(subset, model)
-    rng = SeededRng(config.seed)
-    optimizer = make_optimizer(config)
-    needs_noise = model.spec.objective == "vae"
-
+    window: deque[float] = deque(maxlen=10)
     history = TrainHistory(config_hash=config.digest())
-    window: list[float] = []
-    step = 0
-    started = time.perf_counter()
-    for _epoch in range(config.epochs):
-        order = rng.permutation(x.shape[0])
-        epoch_loss = 0.0
-        for begin in range(0, x.shape[0], config.batch_size):
-            rows = order[begin:begin + config.batch_size]
-            batch_labels = labels[rows] if labels is not None else None
-            noise = rng if needs_noise else None
-            value, _, grads = loss_and_grads(model, x[rows], idx[rows], batch_labels, noise)
-            if not math.isfinite(value):
-                raise DivergenceError(step)
-            if config.grad_clip is not None:
-                clip_gradients(grads, config.grad_clip)
-            optimizer.step(views, {name: grads[name][start:] for name in views})
-            epoch_loss += value * len(rows)
-            step += 1
-            window.append(value)
-            if len(window) > 10:
-                window.pop(0)
-        history.train_losses.append(epoch_loss / x.shape[0])
-        history.val_losses.append(history.train_losses[-1])
+    epochs = _fit(model, x, idx, labels, config, views, start,
+                  lambda _step, value: window.append(value))
+    for train_loss, step in epochs:
+        history.n_steps = step
+        history.train_losses.append(train_loss)
+        history.val_losses.append(train_loss)
         history.val_metrics.append(None)
         if len(window) == 10 and window[0] > 0:
             if abs(window[0] - window[-1]) / abs(window[0]) < 1e-5:
                 break
-    history.n_steps = step
     history.best_epoch = history.n_epochs - 1
     history.wall_clock_seconds = time.perf_counter() - started
 
-    enc_rows = (model.enc_map.s[start:].copy() if isinstance(model.enc_map, DecomposedMap)
-                else model.enc_map.w[start:].copy())
-    dec_rows = None
-    if isinstance(model.dec_map, DecomposedMap):
-        dec_rows = model.dec_map.s[start:].copy()
-    elif isinstance(model.dec_map, SubjectMap):
-        dec_rows = model.dec_map.w[start:].copy()
+    enc_rows, *dec_rows = [view.copy() for view in views.values()]
     return FinetuneResult(model=model, new_subject_ids=tuple(r.subject_id for r in new_data.subjects),
-                          new_indices=new_idx, enc_rows=enc_rows, dec_rows=dec_rows,
-                          history=history)
+                          new_indices=new_idx, enc_rows=enc_rows,
+                          dec_rows=dec_rows[0] if dec_rows else None, history=history)
 
 
 # --- hyperparameter sweep -------------------------------------------------
@@ -443,10 +420,8 @@ def _sweep_cell(args):
         row["val_metric"] = history.final_metrics.get(
             "val_accuracy", row["val_loss"])
         if test_set is not None:
-            if cell_spec.objective == "classifier":
-                row["test_metric"] = accuracy(model, test_set)
-            else:
-                row["test_metric"], _ = evaluate_loss(model, test_set)
+            test_loss, test_accuracy = evaluate_loss(model, test_set)
+            row["test_metric"] = test_loss if test_accuracy is None else test_accuracy
     except Exception as exc:  # cell failures must not abort the sweep
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
@@ -487,11 +462,11 @@ def hyperparameter_sweep(base_spec: ModelSpec, base_config: TrainConfig, setting
     from the means.  Results are merged in (setting, seed) order regardless
     of worker scheduling.
     """
-    if not settings or not len(list(seeds)):
+    seeds = list(seeds)
+    if not settings or not seeds:
         raise ValueError("sweep needs at least one setting and one seed")
     if metric not in ("val_loss", "val_accuracy"):
         raise ValueError(f"unknown sweep metric {metric!r}")
-    seeds = list(seeds)
     jobs = [(i, setting, seed, base_spec, base_config, train_set, val_set, test_set)
             for i, setting in enumerate(settings) for seed in seeds]
 

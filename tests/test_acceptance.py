@@ -29,6 +29,7 @@ from subjmap.datasets import (
     synth_group_dataset,
 )
 from subjmap.evaluation import (
+    _heldout_mse,
     circle_fit,
     circular_correlation,
     polar_angles,
@@ -37,7 +38,7 @@ from subjmap.evaluation import (
 )
 from subjmap.linalg import SeededRng
 from subjmap.maps import ParamRegime, param_count
-from subjmap.models import Model, ModelSpec, build_model, decode, encode
+from subjmap.models import Model, ModelSpec, build_model
 from subjmap.maps import GroupMap
 from subjmap.models import DenseLayer
 from subjmap.stats import bh_fdr, group_difference_pipeline, welch_t_test
@@ -139,17 +140,6 @@ def finetune_study():
                 digests = (before, after)
         per_seed.append({"baseline": baseline, "mses": mses, "digests": digests})
     return fractions, per_seed
-
-
-def _heldout_mse(model, dataset, rows):
-    total, count = 0.0, 0
-    for rec in dataset.subjects:
-        x = rec.data[rows]
-        idx = model.index_of([rec.subject_id]).repeat(x.shape[0])
-        xhat = decode(model, encode(model, x, idx).z, idx)
-        total += float(((xhat - x) ** 2).sum())
-        count += x.size
-    return total / count
 
 
 def _train_decomposed_autoencoder(data, width, seed):

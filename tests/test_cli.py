@@ -288,3 +288,26 @@ class TestEvaluateAnalyzeFinetune:
         assert metrics["frozen_digest_unchanged"] is True
         assert metrics["n_new_subjects"] == 4
         assert "baseline_mse" in metrics
+
+    def test_finetune_ragged_subject_lengths_exit_two(self, tmp_path, capsys):
+        data, _ = synth_group_dataset(6, 40, 8, 3, 1.0, seed=2)
+        data_path = tmp_path / "data.smds"
+        save_dataset(data, data_path)
+        cfg = write_config(tmp_path / "train.json", train_config(data_path, epochs=1))
+        model_dir = tmp_path / "model"
+        assert main(["train", "--config", cfg, "--out", str(model_dir)]) == 0
+
+        new_data, _ = synth_group_dataset(2, 40, 8, 3, 1.0, seed=3)
+        for rec in new_data.subjects:
+            rec.subject_id = "new_" + rec.subject_id
+        new_data.subjects[1] = new_data.subjects[1].take(np.arange(30))
+        new_path = tmp_path / "new.smds"
+        save_dataset(new_data, new_path)
+        cfgf = write_config(tmp_path / "ft.json", {
+            "data": {"path": str(new_path)},
+            "checkpoint": str(model_dir / "model.ckpt"),
+            "finetune": {"epochs": 1},
+        })
+        capsys.readouterr()
+        assert main(["finetune", "--config", cfgf, "--out", str(tmp_path / "ft")]) == 2
+        assert "ShapeMismatch" in capsys.readouterr().err

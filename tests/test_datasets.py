@@ -241,6 +241,13 @@ class TestSerialization:
         with pytest.raises(ParseError):
             load_dataset(path)
 
+    def test_non_utf8_subject_id(self, tmp_path):
+        path = tmp_path / "data.smds"
+        save_dataset(self.make(), path)
+        path.write_bytes(path.read_bytes().replace(b"alpha", b"\xff\xfeaph", 1))
+        with pytest.raises(ParseError, match="UTF-8"):
+            load_dataset(path)
+
     def test_csv_manifest_roundtrip(self, tmp_path):
         rng = SeededRng(5)
         data = rng.normal((4, 3))
@@ -265,6 +272,13 @@ class TestSerialization:
         with pytest.raises(ShapeMismatch) as err:
             load_dataset(tmp_path / "manifest.json", fmt="csv")
         assert "oddball" in str(err.value)
+
+    def test_manifest_ragged_csv(self, tmp_path):
+        (tmp_path / "subj.csv").write_text("1,2,3\n4,5\n")
+        manifest = {"subjects": [{"subject_id": "x", "csv_path": "subj.csv"}]}
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ParseError, match="subj.csv"):
+            load_dataset(tmp_path / "manifest.json", fmt="csv")
 
     def test_manifest_missing_field(self, tmp_path):
         (tmp_path / "manifest.json").write_text(json.dumps({"subjects": [{"group": 1}]}))

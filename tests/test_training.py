@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from subjmap.datasets import MultiSubjectDataset, SubjectData, synth_group_dataset, split, FirstSecondHalf
-from subjmap.errors import DivergenceError, EmptySubset, InvalidFraction
+from subjmap.errors import DivergenceError, EmptySubset, InvalidFraction, ShapeError
 from subjmap.linalg import SeededRng
 from subjmap.models import Model, ModelSpec, build_model, decode, encode
 from subjmap.maps import GroupMap
@@ -199,6 +199,15 @@ class TestFinetune:
         with pytest.raises(InvalidFraction):
             finetune_subjects(model, unseen, 1.5, TrainConfig(epochs=1))
 
+    def test_wrong_width_leaves_model_untouched(self):
+        model, _, _, _ = self.setup_trained(seed=3)
+        ids, digest = model.subject_ids, parameter_digest(model)
+        wide = toy_dataset(n=21, labelled=False)
+        with pytest.raises(ShapeError):
+            finetune_subjects(model, wide, 0.5, TrainConfig(epochs=1))
+        assert model.subject_ids == ids
+        assert parameter_digest(model) == digest
+
     def test_group_model_rejected(self):
         data = toy_dataset(labelled=False)
         model = build_model(toy_spec(variant="group"), seed=0, subject_ids=data.subject_ids)
@@ -214,6 +223,16 @@ class TestSweep:
             settings=[{"lr": 0.01}], seeds=[1],
             train_set=data, val_set=data, metric="val_loss")
         assert len(res.rows) == 1 and res.winner_index == 0
+
+    def test_seed_generator_runs_every_cell(self):
+        data = toy_dataset(labelled=False, t=30)
+        res = hyperparameter_sweep(
+            toy_spec(), TrainConfig(epochs=2, batch_size=16),
+            settings=[{"lr": 0.01}, {"lr": 0.03}], seeds=(s for s in (1, 2)),
+            train_set=data, val_set=data, metric="val_loss")
+        assert [(r["setting_index"], r["seed"]) for r in res.rows] == [
+            (0, 1), (0, 2), (1, 1), (1, 2)]
+        assert not any(math.isnan(m) for m in res.setting_means)
 
     def test_identical_settings_identical_means(self):
         data = toy_dataset(labelled=False, t=30)
