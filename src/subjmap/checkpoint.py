@@ -74,32 +74,41 @@ def load_model(path, expect_variant: str | None = None) -> tuple[Model, str]:
         header = json.loads(blob[8:header_end].decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"unreadable checkpoint header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ParseError("checkpoint header is not a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
         raise VersionUnsupported(f"checkpoint version {header.get('format_version')}")
 
-    spec = ModelSpec.from_dict(header["spec"])
+    try:
+        spec = ModelSpec.from_dict(header["spec"])
+        init_seed = int(header.get("init_seed", 0))
+        subject_ids = list(header["subject_ids"])
+        # name -> (shape, offset, crc32)
+        stored = {b["name"]: (tuple(b["shape"]), int(b["offset"]), int(b["crc32"]))
+                  for b in header["blobs"]}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed checkpoint header: {exc!r}") from exc
     if expect_variant is not None and spec.variant != expect_variant:
         raise ShapeMismatch(
             f"checkpoint holds a {spec.variant!r} model, expected {expect_variant!r}")
-    model = build_model(spec, header.get("init_seed", 0), header["subject_ids"])
+    model = build_model(spec, init_seed, subject_ids)
     params = model.params()
     data_start = header_end + ((-header_end) % 8)
 
-    stored = {b["name"]: b for b in header["blobs"]}
     if set(stored) != set(params):
         raise ShapeMismatch(
             f"blob names {sorted(stored)} do not match model parameters {sorted(params)}")
     for name, arr in params.items():
-        entry = stored[name]
-        if tuple(entry["shape"]) != arr.shape:
+        shape, offset, crc32 = stored[name]
+        if shape != arr.shape:
             raise ShapeMismatch(
-                f"blob {name!r} has shape {entry['shape']}, model expects {list(arr.shape)}")
-        begin = data_start + entry["offset"]
+                f"blob {name!r} has shape {list(shape)}, model expects {list(arr.shape)}")
+        begin = data_start + offset
         end = begin + arr.size * 8
         if end > len(blob):
             raise ParseError(f"truncated blob {name!r} at byte {len(blob)}")
         raw = blob[begin:end]
-        if zlib.crc32(raw) != entry["crc32"]:
+        if zlib.crc32(raw) != crc32:
             raise ChecksumMismatch(f"blob {name!r} failed its checksum")
         arr[...] = np.frombuffer(raw, dtype="<f8").reshape(arr.shape)
     return model, header.get("config_hash", "")

@@ -442,7 +442,9 @@ def _load_csv(manifest_path) -> MultiSubjectDataset:
             label_text = (manifest_path.parent / entry["label_path"]).read_text(encoding="utf-8")
             labels = np.array([int(v) for v in label_text.split()], dtype=np.int64)
         subjects.append(SubjectData(entry["subject_id"], data, labels, entry.get("group")))
-    return MultiSubjectDataset(subjects, {"n_features": subjects[0].data.shape[1]})
+    dataset = MultiSubjectDataset(subjects)
+    dataset.metadata["n_features"] = dataset.n_features
+    return dataset
 
 
 def load_dataset(path, fmt: str = "binary") -> MultiSubjectDataset:

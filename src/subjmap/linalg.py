@@ -1,10 +1,11 @@
 """Dense linear algebra kernels and the seeded randomness substrate.
 
-Everything operates on float64 numpy arrays.  The three factorization
-routines are self-contained so their behaviour is identical on every
-platform: QR orthonormalization uses Householder reflections with the
-R-diagonal forced positive, the SVD is a one-sided Jacobi iteration, and
-PCA diagonalizes the sample covariance with that SVD.
+Everything operates on float64 numpy arrays.  QR orthonormalization is
+hand-written: Householder reflections with the R-diagonal forced
+positive.  The SVD is LAPACK's (``numpy.linalg.svd``), and PCA
+diagonalizes the sample covariance with it.  Across LAPACK builds their
+results agree to roundoff, not bit for bit, and a singular vector may come
+back with the opposite sign.
 
 Randomness is drawn from numpy's Philox bit generator, a counter-based
 generator whose full stream is determined by a 64-bit key.  Component
@@ -21,8 +22,6 @@ import math
 import numpy as np
 
 from .errors import ConvergenceError, DimensionError, RankDeficient, ShapeError
-
-SVD_MAX_SIDE = 512
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -107,98 +106,19 @@ def qr_orthonormalize(m) -> np.ndarray:
     return q * signs
 
 
-def _onesided_jacobi(a: np.ndarray, max_sweeps: int, tol: float):
-    """One-sided Jacobi on a (r x c, r >= c): rotate column pairs until mutually orthogonal."""
-    work = a.copy()
-    c = work.shape[1]
-    v = np.eye(c)
-    worst = 0.0
-    for _ in range(max_sweeps):
-        worst = 0.0
-        for i in range(c - 1):
-            for j in range(i + 1, c):
-                col_i = work[:, i]
-                col_j = work[:, j]
-                alpha = float(col_i @ col_i)
-                beta = float(col_j @ col_j)
-                gamma = float(col_i @ col_j)
-                denom = math.sqrt(alpha * beta)
-                if denom == 0.0 or abs(gamma) <= tol * denom:
-                    continue
-                worst = max(worst, abs(gamma) / denom)
-                zeta = (beta - alpha) / (2.0 * gamma)
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
-                cs = 1.0 / math.hypot(1.0, t)
-                sn = cs * t
-                rot = np.array([[cs, sn], [-sn, cs]])
-                work[:, [i, j]] = work[:, [i, j]] @ rot
-                v[:, [i, j]] = v[:, [i, j]] @ rot
-        if worst == 0.0:
-            return work, v
-    raise ConvergenceError(
-        f"jacobi SVD: {max_sweeps} sweeps exhausted, residual coherence {worst:.3e}"
-    )
+def svd_small(m):
+    """Thin SVD of a dense matrix: M = U @ diag(s) @ Vt, via LAPACK.
 
-
-def _orthonormal_completion(u: np.ndarray, known: int) -> np.ndarray:
-    """Fill columns known.. of u with vectors orthonormal to the first ``known``."""
-    r, c = u.shape
-    col = known
-    for basis in range(r):
-        if col >= c:
-            break
-        w = np.zeros(r)
-        w[basis] = 1.0
-        w -= u[:, :col] @ (u[:, :col].T @ w)
-        norm = math.sqrt(float(w @ w))
-        if norm > 0.5:
-            u[:, col] = w / norm
-            col += 1
-    return u
-
-
-def svd_small(m, *, max_sweeps: int = 60, tol: float = 1e-13):
-    """Full SVD of a small dense matrix: M = U @ diag(s) @ Vt.
-
-    One-sided Jacobi with pairwise rotations; sides are capped at 512 (the
-    sweep cost grows cubically).  Singular values come back non-negative
-    and non-increasing; U and V have orthonormal columns, with zero
-    singular directions completed deterministically from the standard
-    basis.
+    For an r x c input with k = min(r, c), returns U (r x k), s (k) and
+    Vt (k x c).  Singular values are non-negative and non-increasing; U has
+    orthonormal columns and Vt orthonormal rows, zero singular directions
+    included.  A LAPACK convergence failure raises ConvergenceError.
     """
     a = as_matrix(m, "m")
-    r, c = a.shape
-    if max(r, c) > SVD_MAX_SIDE:
-        raise DimensionError(f"svd_small caps sides at {SVD_MAX_SIDE}, got {r}x{c}")
-
-    transposed = r < c
-    if transposed:
-        a = a.T
-        r, c = c, r
-
-    rotated, v = _onesided_jacobi(a, max_sweeps, tol)
-    s = np.sqrt(np.einsum("ij,ij->j", rotated, rotated))
-    order = np.argsort(-s, kind="stable")
-    s = s[order]
-    rotated = rotated[:, order]
-    v = v[:, order]
-
-    cutoff = max(r, c) * np.finfo(np.float64).eps * (s[0] if s.size else 0.0)
-    u = np.zeros((r, c))
-    known = 0
-    for j in range(c):
-        if s[j] > cutoff:
-            u[:, j] = rotated[:, j] / s[j]
-            known += 1
-        else:
-            break
-    if known < c:
-        s[known:] = 0.0
-        u = _orthonormal_completion(u, known)
-
-    if transposed:
-        return v, s, u.T
-    return u, s, v.T
+    try:
+        return np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"SVD of a {a.shape[0]}x{a.shape[1]} matrix: {exc}") from exc
 
 
 def pca(x, k: int):
@@ -206,9 +126,10 @@ def pca(x, k: int):
 
     Returns ``(components, scores, explained_variance)`` where components
     is d x k with orthonormal columns, scores = (x - mean) @ components and
-    explained_variance holds the top-k covariance eigenvalues (ddof=1).
-    The sign of each component is fixed so its largest-magnitude entry is
-    positive.
+    explained_variance holds the top-k covariance eigenvalues (ddof=1),
+    taken from the SVD of the d x d covariance.  The sign of each component
+    is fixed so its largest-magnitude entry is positive, whatever sign
+    LAPACK returned.
     """
     xm = as_matrix(x, "x")
     n, d = xm.shape

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InvalidP, ShapeError
-from .linalg import SVD_MAX_SIDE, SeededRng, as_matrix, svd_small
+from .linalg import SeededRng, as_matrix, svd_small
 from .models import Model, latent_traversal
 
 DEFAULT_TRAVERSAL_GRID = tuple(np.linspace(-3.0, 3.0, 11))
@@ -58,8 +58,6 @@ def fastica(x, k: int, seed: int = 0, max_iter: int = 500, tol: float = 1e-6) ->
     n, width = xm.shape
     if not 1 <= k <= min(n, width):
         raise DimensionError(f"k={k} out of range for {n}x{width} input")
-    if min(n, width) > SVD_MAX_SIDE:
-        raise DimensionError(f"whitening needs one side <= {SVD_MAX_SIDE}, got {n}x{width}")
 
     centered = xm - xm.mean(axis=1, keepdims=True)
     # eigendecompose whichever Gram is small; both carry the singular spectrum

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, asdict, replace
 import numpy as np
 
 from .datasets import MultiSubjectDataset, stacked
-from .errors import DivergenceError, EmptySubset, InvalidFraction, ShapeError
+from .errors import DivergenceError, EmptySubset, InvalidFraction, MissingLabels, ShapeError
 from .linalg import SeededRng, qr_orthonormalize
 from .maps import DecomposedMap, SubjectMap
 from .models import Model, ModelSpec, build_model, loss, loss_and_grads
@@ -352,6 +352,9 @@ def finetune_subjects(model: Model, new_data: MultiSubjectDataset, fraction: flo
     if new_data.n_features != model.spec.input_size:
         raise ShapeError(f"new subjects have width {new_data.n_features}, "
                          f"model expects {model.spec.input_size}")
+    if (model.spec.objective == "classifier"
+            and any(rec.labels is None for rec in new_data.subjects)):
+        raise MissingLabels("fine-tuning a classifier needs labels for every new subject")
     subset_subjects = []
     for rec in new_data.subjects:
         count = math.ceil(fraction * rec.data.shape[0])

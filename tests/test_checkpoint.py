@@ -95,6 +95,33 @@ class TestCorruption:
         with pytest.raises(VersionUnsupported):
             load_model(path)
 
+    @pytest.mark.parametrize("old,new", [
+        (b'"variant":"decomposed"', b'"variant":"decomposee"'),
+        (b'"spec":', b'"spex":'),
+        (b'"first_layer_width":4', b'"first_layer_width":0'),
+        (b'"blobs":', b'"blobz":'),
+    ])
+    def test_malformed_header_field(self, tmp_path, old, new):
+        model = make_model()
+        path = tmp_path / "m.ckpt"
+        save_model(model, path)
+        raw = path.read_bytes()
+        patched = raw.replace(old, new, 1)
+        assert patched != raw and len(patched) == len(raw)
+        path.write_bytes(patched)
+        with pytest.raises(ParseError, match="malformed checkpoint header"):
+            load_model(path)
+
+    def test_header_not_an_object(self, tmp_path):
+        model = make_model()
+        path = tmp_path / "m.ckpt"
+        save_model(model, path)
+        raw = path.read_bytes()
+        header_len = int.from_bytes(raw[4:8], "little")
+        path.write_bytes(raw[:8] + b"[" + b" " * (header_len - 2) + b"]" + raw[8 + header_len:])
+        with pytest.raises(ParseError, match="not a JSON object"):
+            load_model(path)
+
     def test_variant_expectation_enforced(self, tmp_path):
         model = make_model(variant="subject")
         path = tmp_path / "m.ckpt"

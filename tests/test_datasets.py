@@ -24,6 +24,7 @@ from subjmap.errors import (
     InvalidFraction,
     MissingManifestField,
     ParseError,
+    ShapeError,
     ShapeMismatch,
 )
 from subjmap.linalg import SeededRng
@@ -278,6 +279,11 @@ class TestSerialization:
         manifest = {"subjects": [{"subject_id": "x", "csv_path": "subj.csv"}]}
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ParseError, match="subj.csv"):
+            load_dataset(tmp_path / "manifest.json", fmt="csv")
+
+    def test_manifest_without_subjects(self, tmp_path):
+        (tmp_path / "manifest.json").write_text(json.dumps({"subjects": []}))
+        with pytest.raises(ShapeError, match="at least one subject"):
             load_dataset(tmp_path / "manifest.json", fmt="csv")
 
     def test_manifest_missing_field(self, tmp_path):

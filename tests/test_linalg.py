@@ -98,9 +98,21 @@ class TestSvdSmall:
         assert np.all(np.diff(s) <= 1e-12)
         assert np.all(s >= 0)
 
-    def test_side_cap(self):
-        with pytest.raises(DimensionError):
-            svd_small(np.zeros((513, 2)))
+    def test_tall_input_above_512_rows(self):
+        m = SeededRng(29).normal((513, 2))
+        u, s, vt = svd_small(m)
+        assert u.shape == (513, 2) and s.shape == (2,) and vt.shape == (2, 2)
+        np.testing.assert_allclose(u.T @ u, np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(vt @ vt.T, np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(u @ np.diag(s) @ vt, m, atol=1e-10)
+
+    def test_lapack_failure_is_convergence_error(self, monkeypatch):
+        def failing_svd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        with pytest.raises(ConvergenceError):
+            svd_small(np.eye(3))
 
 
 class TestPca:

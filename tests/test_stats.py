@@ -138,6 +138,15 @@ class TestFastica:
         best = np.abs(corr).max(axis=1)
         assert np.all(best > 0.95)
 
+    def test_both_sides_above_512(self):
+        rng = SeededRng(13)
+        sources = rng.uniform(-math.sqrt(3), math.sqrt(3), (2, 700))
+        x = rng.normal((600, 2)) @ sources
+        result = fastica(x, k=2, seed=1)
+        assert result.sources.shape == (2, 700) and result.mixing.shape == (600, 2)
+        corr = np.corrcoef(np.vstack([result.sources, sources]))[:2, 2:]
+        assert np.all(np.abs(corr).max(axis=1) > 0.95)
+
     def test_independent_rows_fixed_point(self):
         rng = SeededRng(8)
         rows = rng.uniform(-1, 1, (3, 5000))

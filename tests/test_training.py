@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from subjmap.datasets import MultiSubjectDataset, SubjectData, synth_group_dataset, split, FirstSecondHalf
-from subjmap.errors import DivergenceError, EmptySubset, InvalidFraction, ShapeError
+from subjmap.errors import (DivergenceError, EmptySubset, InvalidFraction, MissingLabels,
+                            ShapeError)
 from subjmap.linalg import SeededRng
 from subjmap.models import Model, ModelSpec, build_model, decode, encode
 from subjmap.maps import GroupMap
@@ -205,6 +206,16 @@ class TestFinetune:
         wide = toy_dataset(n=21, labelled=False)
         with pytest.raises(ShapeError):
             finetune_subjects(model, wide, 0.5, TrainConfig(epochs=1))
+        assert model.subject_ids == ids
+        assert parameter_digest(model) == digest
+
+    def test_unlabelled_classifier_data_leaves_model_untouched(self):
+        data = toy_dataset()
+        model = build_model(toy_spec(objective="classifier"), seed=0, subject_ids=data.subject_ids)
+        ids, digest = model.subject_ids, parameter_digest(model)
+        new = MultiSubjectDataset([SubjectData("new", SeededRng(1).normal((40, 6)))])
+        with pytest.raises(MissingLabels):
+            finetune_subjects(model, new, 0.5, TrainConfig(epochs=1))
         assert model.subject_ids == ids
         assert parameter_digest(model) == digest
 
