@@ -262,22 +262,17 @@ def _model_spec(section: dict, dataset: MultiSubjectDataset) -> ModelSpec:
         variant=section["variant"],
         objective=section["objective"],
         input_size=dataset.n_features,
-        first_layer_width=int(section["first_layer_width"]),
-        latent_size=int(section["latent_size"]),
+        first_layer_width=section["first_layer_width"],
+        latent_size=section["latent_size"],
         n_subjects=dataset.n_subjects,
-        trunk_widths=tuple(section["trunk_widths"]),
+        trunk_widths=section["trunk_widths"],
         n_classes=section["n_classes"],
         beta=section["beta"],
     )
 
 
 def _train_config(section: dict, seed: int) -> TrainConfig:
-    return TrainConfig(
-        lr=section["lr"], optimizer=section["optimizer"], beta1=section["beta1"],
-        beta2=section["beta2"], eps=section["eps"], epochs=int(section["epochs"]),
-        batch_size=int(section["batch_size"]), seed=seed, orth_every=section["orth_every"],
-        early_stop_patience=section["early_stop_patience"], grad_clip=section["grad_clip"],
-    )
+    return TrainConfig(**section, seed=seed)
 
 
 def config_hash(config: dict) -> str:
@@ -440,7 +435,7 @@ def _cmd_finetune(config: dict, out_dir: Path, config_dir: Path, workers: int) -
     digest_before = parameter_digest(model)
 
     ft_cfg = TrainConfig(lr=section["lr"], optimizer=section["optimizer"],
-                         epochs=int(section["epochs"]), batch_size=int(section["batch_size"]),
+                         epochs=section["epochs"], batch_size=section["batch_size"],
                          seed=root.derive("finetune").seed, early_stop_patience=None)
     # fraction is taken of the full timeseries but fitted inside the lead window
     lead_fraction = min(1.0, section["fraction"] * total / max(holdout_start, 1))

@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    ConfigError,
     InvalidFraction,
     MissingManifestField,
     ParseError,
@@ -453,4 +454,4 @@ def load_dataset(path, fmt: str = "binary") -> MultiSubjectDataset:
         return _load_binary(path)
     if fmt == "csv":
         return _load_csv(path)
-    raise ValueError(f"unknown dataset format {fmt!r}")
+    raise ConfigError(f"unknown dataset format {fmt!r}; expected 'binary' or 'csv'")

@@ -29,6 +29,18 @@ class MissingLabels(SubjmapError, ValueError):
     """A classifier objective was evaluated without labels."""
 
 
+class DuplicateSubject(SubjmapError, ValueError):
+    """A subject id to register is already registered on the model."""
+
+
+class NoSubjectWeights(SubjmapError, ValueError):
+    """A per-subject operation was asked of a group model, which has no per-subject weights."""
+
+
+class GroupCountError(SubjmapError, ValueError):
+    """A group comparison found other than exactly two groups."""
+
+
 class DivergenceError(SubjmapError, RuntimeError):
     """Training produced a non-finite loss."""
 
@@ -78,4 +90,4 @@ class VersionUnsupported(SubjmapError, ValueError):
 
 
 class ConfigError(SubjmapError, ValueError):
-    """An experiment config is malformed (unknown or missing key)."""
+    """An experiment config or spec is malformed: an unknown or missing key, or a bad value."""

@@ -9,9 +9,12 @@ and the network's first hidden width L:
   by the training loop) with one scaling vector per subject, so a subject's
   effective matrix is V @ diag(s_i) @ U.T.
 
-All maps take a batch plus one integer subject index per row, and expose an
-exact analytic ``backward``.  Bias vectors are shared across subjects in
-every family, so subject differences live purely in the linear part.
+All maps take a batch plus one integer subject index per row.  ``forward``
+validates both and returns ``(out, cache)``; the exact analytic
+``backward(grad_out, cache, need_input_grad=True)`` reads only that cache and
+returns ``(grad_x, grads)``, with ``grad_x`` None when not needed.  Bias
+vectors are shared across subjects in every family, so subject differences
+live purely in the linear part.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, UnknownSubject
+from .errors import ConfigError, ShapeError, UnknownSubject
 from .linalg import SeededRng, qr_orthonormalize
 
 VARIANTS = ("group", "subject", "decomposed")
@@ -79,15 +82,13 @@ class GroupMap:
     def params(self) -> dict[str, np.ndarray]:
         return {"w": self.w, "bias": self.bias}
 
-    def forward(self, x, subject_idx=None) -> np.ndarray:
+    def forward(self, x, subject_idx=None):
         xb = _check_batch(x, self.n_in)
-        return xb @ self.w + self.bias
+        return xb @ self.w + self.bias, xb
 
-    def backward(self, x, subject_idx, grad_out):
-        xb = _check_batch(x, self.n_in)
-        g = np.asarray(grad_out, dtype=np.float64)
-        grads = {"w": xb.T @ g, "bias": g.sum(axis=0)}
-        return g @ self.w.T, grads
+    def backward(self, grad_out, cache, need_input_grad: bool = True):
+        grads = {"w": cache.T @ grad_out, "bias": grad_out.sum(axis=0)}
+        return (grad_out @ self.w.T if need_input_grad else None), grads
 
 
 class SubjectMap:
@@ -126,19 +127,18 @@ class SubjectMap:
         mean_w = self.w.mean(axis=0)
         self.w = np.concatenate([self.w, np.repeat(mean_w[None], count, axis=0)])
 
-    def forward(self, x, subject_idx) -> np.ndarray:
+    def forward(self, x, subject_idx):
         xb = _check_batch(x, self.n_in)
         idx = _check_idx(subject_idx, xb.shape[0], self.n_subjects)
-        return np.einsum("bi,bio->bo", xb, self.w[idx]) + self.bias
+        # the cache keeps idx, not the B x N x L gather w[idx], to bound peak memory
+        return np.einsum("bi,bio->bo", xb, self.w[idx]) + self.bias, (xb, idx)
 
-    def backward(self, x, subject_idx, grad_out):
-        xb = _check_batch(x, self.n_in)
-        idx = _check_idx(subject_idx, xb.shape[0], self.n_subjects)
-        g = np.asarray(grad_out, dtype=np.float64)
+    def backward(self, grad_out, cache, need_input_grad: bool = True):
+        (xb, idx), g = cache, grad_out
         grad_w = np.zeros_like(self.w)
         np.add.at(grad_w, idx, np.einsum("bi,bo->bio", xb, g))
         grads = {"w": grad_w, "bias": g.sum(axis=0)}
-        grad_x = np.einsum("bo,bio->bi", g, self.w[idx])
+        grad_x = np.einsum("bo,bio->bi", g, self.w[idx]) if need_input_grad else None
         return grad_x, grads
 
 
@@ -215,29 +215,25 @@ class DecomposedMap:
         w = self.v @ np.diag(np.asarray(row, dtype=np.float64)) @ self.u.T
         return w if self.direction == "reduce" else w.T
 
-    def forward(self, x, subject_idx) -> np.ndarray:
+    def forward(self, x, subject_idx):
         xb = _check_batch(x, self.n_in)
         idx = _check_idx(subject_idx, xb.shape[0], self.n_subjects)
-        first = self.v if self.direction == "reduce" else self.u
-        second = self.u if self.direction == "reduce" else self.v
-        return ((xb @ first) * self.s[idx]) @ second.T + self.bias
-
-    def backward(self, x, subject_idx, grad_out):
-        xb = _check_batch(x, self.n_in)
-        idx = _check_idx(subject_idx, xb.shape[0], self.n_subjects)
-        g = np.asarray(grad_out, dtype=np.float64)
-        first = self.v if self.direction == "reduce" else self.u
-        second = self.u if self.direction == "reduce" else self.v
-
+        first, second = (self.v, self.u) if self.direction == "reduce" else (self.u, self.v)
         proj = xb @ first                  # B x L
-        scaled = proj * self.s[idx]        # B x L
+        s_rows = self.s[idx]               # B x L
+        scaled = proj * s_rows
+        return scaled @ second.T + self.bias, (xb, idx, proj, s_rows, scaled)
+
+    def backward(self, grad_out, cache, need_input_grad: bool = True):
+        (xb, idx, proj, s_rows, scaled), g = cache, grad_out
+        first, second = (self.v, self.u) if self.direction == "reduce" else (self.u, self.v)
         grad_second = g.T @ scaled         # out x L
         grad_scaled = g @ second           # B x L
         grad_s = np.zeros_like(self.s)
         np.add.at(grad_s, idx, grad_scaled * proj)
-        grad_proj = grad_scaled * self.s[idx]
+        grad_proj = grad_scaled * s_rows
         grad_first = xb.T @ grad_proj      # in x L
-        grad_x = grad_proj @ first.T
+        grad_x = grad_proj @ first.T if need_input_grad else None
 
         if self.direction == "reduce":
             grads = {"v": grad_first, "u": grad_second, "s": grad_s, "bias": g.sum(axis=0)}
@@ -258,7 +254,7 @@ class ParamRegime:
         for field in ("input_size", "hidden_size", "n_subjects"):
             value = getattr(self, field)
             if not isinstance(value, int) or value <= 0:
-                raise ValueError(f"{field} must be a positive integer, got {value!r}")
+                raise ConfigError(f"{field} must be a positive integer, got {value!r}")
 
 
 def param_count(variant: str, regime: ParamRegime, *, both_sides: bool = False) -> int:

@@ -11,8 +11,11 @@ Losses:
   vae          MSE reconstruction plus beta * KL(N(mu, sigma^2) || N(0, I)),
                with log-variances clamped to [-20, 20]
 
-``loss_and_grads`` returns exact analytic gradients for every parameter;
-see ``training.grad_check`` for the finite-difference gate.
+Every map and dense layer returns from ``forward`` the cache its ``backward``
+consumes.  ``encode``, ``decode`` and the loss share one encoder pass and one
+decoder pass, so the loss sees what they return, the same ``eps`` draw
+included.  ``loss_and_grads`` returns exact analytic gradients for every
+parameter; see ``training.grad_check`` for the finite-difference gate.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .errors import DimensionError, MissingLabels, ShapeError, UnknownSubject
+from .errors import ConfigError, DimensionError, MissingLabels, ShapeError, UnknownSubject
 from .linalg import SeededRng
 from .maps import VARIANTS, DecomposedMap, GroupMap, SubjectMap, glorot_uniform
 
@@ -29,6 +32,11 @@ OBJECTIVES = ("classifier", "autoencoder", "vae")
 
 LOGVAR_MIN = -20.0
 LOGVAR_MAX = 20.0
+
+
+def is_count(value, minimum: int) -> bool:
+    """True for an int of at least ``minimum``; a bool, float or string is never one."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
 
 
 @dataclass(frozen=True)
@@ -47,22 +55,24 @@ class ModelSpec:
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+            raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.objective not in OBJECTIVES:
-            raise ValueError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
+            raise ConfigError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
         for name in ("input_size", "first_layer_width", "latent_size", "n_subjects"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        object.__setattr__(self, "trunk_widths", tuple(int(w) for w in self.trunk_widths))
-        if any(w < 1 for w in self.trunk_widths):
-            raise ValueError("trunk widths must be positive")
+            value = getattr(self, name)
+            if not is_count(value, 1):
+                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+        if not isinstance(self.trunk_widths, (list, tuple)) or not all(
+                is_count(w, 1) for w in self.trunk_widths):
+            raise ConfigError(f"trunk_widths must be positive integers, got {self.trunk_widths!r}")
+        object.__setattr__(self, "trunk_widths", tuple(self.trunk_widths))
         if self.objective == "classifier":
-            if self.n_classes is None or self.n_classes < 2:
-                raise ValueError("classifier objective needs n_classes >= 2")
+            if not is_count(self.n_classes, 2):
+                raise ConfigError(f"a classifier needs n_classes >= 2, got {self.n_classes!r}")
             if self.latent_size != self.n_classes:
-                raise ValueError("classifier latent_size must equal n_classes (logit width)")
+                raise ConfigError("classifier latent_size must equal n_classes (logit width)")
         if self.beta < 0:
-            raise ValueError("beta must be non-negative")
+            raise ConfigError("beta must be non-negative")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -71,8 +81,6 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
-        d = dict(d)
-        d["trunk_widths"] = tuple(d.get("trunk_widths", ()))
         return cls(**d)
 
 
@@ -90,11 +98,13 @@ class DenseLayer:
     def initialize(cls, n_in: int, n_out: int, rng: SeededRng, activation: str) -> "DenseLayer":
         return cls(glorot_uniform(rng, n_in, n_out), np.zeros(n_out), activation)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray):
         y = x @ self.w + self.b
-        return np.tanh(y) if self.activation == "tanh" else y
+        y = np.tanh(y) if self.activation == "tanh" else y
+        return y, (x, y)
 
-    def backward(self, x: np.ndarray, y: np.ndarray, grad_y: np.ndarray):
+    def backward(self, grad_y: np.ndarray, cache):
+        x, y = cache
         pre = grad_y * (1.0 - y * y) if self.activation == "tanh" else grad_y
         return pre @ self.w.T, {"w": x.T @ pre, "b": pre.sum(axis=0)}
 
@@ -164,18 +174,19 @@ class Model:
 
 
 def _make_map(spec: ModelSpec, rng: SeededRng, direction: str):
+    wide, hidden = spec.input_size, spec.first_layer_width
+    n_in, n_out = (wide, hidden) if direction == "reduce" else (hidden, wide)
     if spec.variant == "group":
-        if direction == "reduce":
-            return GroupMap.initialize(spec.input_size, spec.first_layer_width, rng)
-        return GroupMap.initialize(spec.first_layer_width, spec.input_size, rng)
+        return GroupMap.initialize(n_in, n_out, rng)
     if spec.variant == "subject":
-        if direction == "reduce":
-            return SubjectMap.initialize(spec.input_size, spec.first_layer_width,
-                                         spec.n_subjects, rng)
-        return SubjectMap.initialize(spec.first_layer_width, spec.input_size,
-                                     spec.n_subjects, rng)
-    return DecomposedMap.initialize(spec.input_size, spec.first_layer_width,
-                                    spec.n_subjects, rng, direction)
+        return SubjectMap.initialize(n_in, n_out, spec.n_subjects, rng)
+    return DecomposedMap.initialize(wide, hidden, spec.n_subjects, rng, direction)
+
+
+def _make_trunk(widths: list[int], rng: SeededRng) -> list[DenseLayer]:
+    """Dense layers between consecutive widths: tanh, except the last, which is linear."""
+    return [DenseLayer.initialize(n_in, n_out, rng, "tanh" if i + 2 < len(widths) else "linear")
+            for i, (n_in, n_out) in enumerate(zip(widths, widths[1:]))]
 
 
 def build_model(spec: ModelSpec, seed: int, subject_ids=None) -> Model:
@@ -193,24 +204,15 @@ def build_model(spec: ModelSpec, seed: int, subject_ids=None) -> Model:
 
     head = spec.n_classes if spec.objective == "classifier" else (
         2 * spec.latent_size if spec.objective == "vae" else spec.latent_size)
-    enc_widths = [spec.first_layer_width, *spec.trunk_widths, head]
-    enc_rng = rng.derive("enc_trunk")
-    enc_layers = [
-        DenseLayer.initialize(enc_widths[i], enc_widths[i + 1], enc_rng,
-                              "tanh" if i + 2 < len(enc_widths) else "linear")
-        for i in range(len(enc_widths) - 1)
-    ]
+    enc_layers = _make_trunk([spec.first_layer_width, *spec.trunk_widths, head],
+                             rng.derive("enc_trunk"))
 
     dec_layers: list[DenseLayer] = []
     dec_map = None
     if spec.objective != "classifier":
-        dec_widths = [spec.latent_size, *reversed(spec.trunk_widths), spec.first_layer_width]
-        dec_rng = rng.derive("dec_trunk")
-        dec_layers = [
-            DenseLayer.initialize(dec_widths[i], dec_widths[i + 1], dec_rng,
-                                  "tanh" if i + 2 < len(dec_widths) else "linear")
-            for i in range(len(dec_widths) - 1)
-        ]
+        dec_layers = _make_trunk(
+            [spec.latent_size, *reversed(spec.trunk_widths), spec.first_layer_width],
+            rng.derive("dec_trunk"))
         dec_map = _make_map(spec, rng.derive("dec_map"), "expand")
 
     return Model(spec=spec, subject_ids=subject_ids, enc_map=enc_map,
@@ -221,16 +223,14 @@ def build_model(spec: ModelSpec, seed: int, subject_ids=None) -> Model:
 def _run_layers(layers: list[DenseLayer], h: np.ndarray):
     caches = []
     for layer in layers:
-        out = layer.forward(h)
-        caches.append((h, out))
-        h = out
+        h, cache = layer.forward(h)
+        caches.append(cache)
     return h, caches
 
 
 def _back_layers(layers, caches, grad, grads_out: dict, prefix: str):
     for i in range(len(layers) - 1, -1, -1):
-        inp, out = caches[i]
-        grad, layer_grads = layers[i].backward(inp, out, grad)
+        grad, layer_grads = layers[i].backward(grad, caches[i])
         grads_out[f"{prefix}.{i}.w"] = layer_grads["w"]
         grads_out[f"{prefix}.{i}.b"] = layer_grads["b"]
     return grad
@@ -244,31 +244,48 @@ def _split_head(head: np.ndarray, d: int):
     return mu, logvar, mask
 
 
+def _encoder_forward(model: Model, x, subject_idx, rng, keep_cache: bool = False):
+    """Encoder pass behind ``encode`` and the loss: (latent, xb, cache).
+
+    cache is (map_cache, layer_caches, eps, clip_mask).  map_cache is None
+    unless ``keep_cache``, so passes without gradients free it before the
+    trunk runs; eps and clip_mask are set only for the VAE, eps only with rng.
+    """
+    spec = model.spec
+    xb = np.asarray(x, dtype=np.float64)
+    if xb.ndim != 2 or xb.shape[1] != spec.input_size:
+        raise ShapeError(f"expected batch of width {spec.input_size}, got {xb.shape}")
+    h0, map_cache = model.enc_map.forward(xb, subject_idx)
+    map_cache = map_cache if keep_cache else None
+    head, layer_caches = _run_layers(model.enc_layers, h0)
+    if spec.objective != "vae":
+        return LatentBatch(z=head), xb, (map_cache, layer_caches, None, None)
+    mu, logvar, clip_mask = _split_head(head, spec.latent_size)
+    eps = None if rng is None else rng.normal(mu.shape)
+    z = mu.copy() if eps is None else mu + np.exp(0.5 * logvar) * eps
+    return LatentBatch(z=z, mu=mu, logvar=logvar), xb, (map_cache, layer_caches, eps, clip_mask)
+
+
+def _decoder_forward(model: Model, z, subject_idx):
+    """The decoder pass behind ``decode`` and the loss: (xhat, (layer_caches, map_cache))."""
+    if model.dec_map is None:
+        raise ValueError("classifier models have no decoder")
+    h, layer_caches = _run_layers(model.dec_layers, np.asarray(z, dtype=np.float64))
+    xhat, map_cache = model.dec_map.forward(h, subject_idx)
+    return xhat, (layer_caches, map_cache)
+
+
 def encode(model: Model, x, subject_idx, rng: SeededRng | None = None) -> LatentBatch:
     """Map a batch to latents.
 
     For the VAE objective the latent is sampled via the reparameterization
     trick when ``rng`` is supplied and is the posterior mean otherwise.
     """
-    if np.asarray(x).shape[-1] != model.spec.input_size:
-        raise ShapeError(f"input width {np.asarray(x).shape[-1]} != {model.spec.input_size}")
-    h = model.enc_map.forward(x, subject_idx)
-    h, _ = _run_layers(model.enc_layers, h)
-    if model.spec.objective != "vae":
-        return LatentBatch(z=h)
-    mu, logvar, _ = _split_head(h, model.spec.latent_size)
-    if rng is None:
-        z = mu.copy()
-    else:
-        z = mu + np.exp(0.5 * logvar) * rng.normal(mu.shape)
-    return LatentBatch(z=z, mu=mu, logvar=logvar)
+    return _encoder_forward(model, x, subject_idx, rng)[0]
 
 
 def decode(model: Model, z, subject_idx) -> np.ndarray:
-    if model.dec_map is None:
-        raise ValueError("classifier models have no decoder")
-    h, _ = _run_layers(model.dec_layers, np.asarray(z, dtype=np.float64))
-    return model.dec_map.forward(h, subject_idx)
+    return _decoder_forward(model, z, subject_idx)[0]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -295,13 +312,9 @@ def loss_and_grads(model: Model, x, subject_idx, labels=None, rng: SeededRng | N
 
 def _loss_impl(model: Model, x, subject_idx, labels, rng, need_grads: bool):
     spec = model.spec
-    xb = np.asarray(x, dtype=np.float64)
-    if xb.ndim != 2 or xb.shape[1] != spec.input_size:
-        raise ShapeError(f"expected batch of width {spec.input_size}, got {xb.shape}")
+    latent, xb, (emap_cache, enc_caches, eps, clip_mask) = _encoder_forward(
+        model, x, subject_idx, rng, keep_cache=need_grads)
     batch = xb.shape[0]
-
-    h0 = model.enc_map.forward(xb, subject_idx)
-    head, enc_caches = _run_layers(model.enc_layers, h0)
     grads: dict[str, np.ndarray] = {}
 
     if spec.objective == "classifier":
@@ -310,7 +323,7 @@ def _loss_impl(model: Model, x, subject_idx, labels, rng, need_grads: bool):
         y = np.asarray(labels, dtype=np.int64).ravel()
         if y.shape[0] != batch:
             raise ShapeError(f"{y.shape[0]} labels for batch of {batch}")
-        probs = softmax(head)
+        probs = softmax(latent.z)
         picked = np.clip(probs[np.arange(batch), y], 1e-300, None)
         value = float(-np.log(picked).mean())
         breakdown = {"cross_entropy": value}
@@ -320,58 +333,38 @@ def _loss_impl(model: Model, x, subject_idx, labels, rng, need_grads: bool):
         grad_head = probs.copy()
         grad_head[np.arange(batch), y] -= 1.0
         grad_head /= batch
-        grad_h0 = _back_layers(model.enc_layers, enc_caches, grad_head, grads, "enc")
-        _, map_grads = model.enc_map.backward(xb, subject_idx, grad_h0)
-        for name, g in map_grads.items():
-            grads[f"enc_map.{name}"] = g
-        return value, breakdown, grads
-
-    # autoencoding objectives
-    d = spec.latent_size
-    eps = None
-    if spec.objective == "vae":
-        mu, logvar, clip_mask = _split_head(head, d)
-        if rng is not None:
-            eps = rng.normal(mu.shape)
-            z = mu + np.exp(0.5 * logvar) * eps
+    else:
+        xhat, (dec_caches, dmap_cache) = _decoder_forward(model, latent.z, subject_idx)
+        resid = np.subtract(xhat, xb, out=xhat)  # xhat is dead: one fewer B x N array at peak
+        mse = float((resid * resid).mean())
+        mu, logvar = latent.mu, latent.logvar
+        if spec.objective == "vae":
+            kl_terms = mu * mu + np.exp(logvar) - 1.0 - logvar
+            kl = float(0.5 * kl_terms.sum(axis=1).mean())
+            value = mse + spec.beta * kl
+            breakdown = {"mse": mse, "kl": kl}
         else:
-            z = mu
-    else:
-        z = head
+            value = mse
+            breakdown = {"mse": mse}
+        if not need_grads:
+            return value, breakdown, None
 
-    hdec, dec_caches = _run_layers(model.dec_layers, z)
-    xhat = model.dec_map.forward(hdec, subject_idx)
-    resid = xhat - xb
-    mse = float((resid * resid).mean())
-
-    if spec.objective == "vae":
-        kl_terms = mu * mu + np.exp(logvar) - 1.0 - logvar
-        kl = float(0.5 * kl_terms.sum(axis=1).mean())
-        value = mse + spec.beta * kl
-        breakdown = {"mse": mse, "kl": kl}
-    else:
-        value = mse
-        breakdown = {"mse": mse}
-    if not need_grads:
-        return value, breakdown, None
-
-    grad_xhat = (2.0 / resid.size) * resid
-    grad_hdec, dmap_grads = model.dec_map.backward(hdec, subject_idx, grad_xhat)
-    for name, g in dmap_grads.items():
-        grads[f"dec_map.{name}"] = g
-    grad_z = _back_layers(model.dec_layers, dec_caches, grad_hdec, grads, "dec")
-
-    if spec.objective == "vae":
-        grad_mu = grad_z + spec.beta * mu / batch
-        grad_logvar = spec.beta * 0.5 * (np.exp(logvar) - 1.0) / batch
-        if eps is not None:
-            grad_logvar = grad_logvar + grad_z * eps * 0.5 * np.exp(0.5 * logvar)
-        grad_head = np.concatenate([grad_mu, grad_logvar * clip_mask], axis=1)
-    else:
-        grad_head = grad_z
+        grad_xhat = (2.0 / resid.size) * resid
+        grad_hdec, dmap_grads = model.dec_map.backward(grad_xhat, dmap_cache)
+        for name, g in dmap_grads.items():
+            grads[f"dec_map.{name}"] = g
+        grad_z = _back_layers(model.dec_layers, dec_caches, grad_hdec, grads, "dec")
+        if spec.objective == "vae":
+            grad_mu = grad_z + spec.beta * mu / batch
+            grad_logvar = spec.beta * 0.5 * (np.exp(logvar) - 1.0) / batch
+            if eps is not None:
+                grad_logvar = grad_logvar + grad_z * eps * 0.5 * np.exp(0.5 * logvar)
+            grad_head = np.concatenate([grad_mu, grad_logvar * clip_mask], axis=1)
+        else:
+            grad_head = grad_z
 
     grad_h0 = _back_layers(model.enc_layers, enc_caches, grad_head, grads, "enc")
-    _, emap_grads = model.enc_map.backward(xb, subject_idx, grad_h0)
+    _, emap_grads = model.enc_map.backward(grad_h0, emap_cache, need_input_grad=False)
     for name, g in emap_grads.items():
         grads[f"enc_map.{name}"] = g
     return value, breakdown, grads

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InvalidP, ShapeError
+from .errors import DimensionError, GroupCountError, InvalidP, ShapeError
 from .linalg import SeededRng, as_matrix, svd_small
 from .models import Model, latent_traversal
 
@@ -247,7 +247,7 @@ def group_difference_pipeline(model: Model, dataset, grid=None, k: int = 8,
     groups = dataset.groups()
     present = sorted(set(int(g) for g in groups if g >= 0))
     if len(present) != 2:
-        raise ValueError(f"need exactly two groups, found {present}")
+        raise GroupCountError(f"need exactly two groups, found {present}")
     if grid is None:
         grid = DEFAULT_TRAVERSAL_GRID
     grid = np.asarray(grid, dtype=np.float64)

@@ -27,10 +27,11 @@ from dataclasses import dataclass, field, asdict, replace
 import numpy as np
 
 from .datasets import MultiSubjectDataset, stacked
-from .errors import DivergenceError, EmptySubset, InvalidFraction, MissingLabels, ShapeError
+from .errors import (ConfigError, DivergenceError, DuplicateSubject, EmptySubset,
+                     InvalidFraction, MissingLabels, NoSubjectWeights, ShapeError)
 from .linalg import SeededRng, qr_orthonormalize
 from .maps import DecomposedMap, SubjectMap
-from .models import Model, ModelSpec, build_model, loss, loss_and_grads
+from .models import Model, ModelSpec, build_model, is_count, loss, loss_and_grads
 
 
 def canonical_digest(obj) -> str:
@@ -55,13 +56,13 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.lr <= 0:
-            raise ValueError("lr must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise ConfigError("lr must be positive")
+        if not is_count(self.batch_size, 1):
+            raise ConfigError(f"batch_size must be an integer >= 1, got {self.batch_size!r}")
         if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+            raise ConfigError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
+        if not is_count(self.epochs, 0):
+            raise ConfigError(f"epochs must be an integer >= 0, got {self.epochs!r}")
 
     def digest(self) -> str:
         return canonical_digest(asdict(self))
@@ -324,10 +325,10 @@ def add_subjects(model: Model, new_ids) -> np.ndarray:
     """
     new_ids = tuple(new_ids)
     if model.spec.variant == "group":
-        raise ValueError("group models have no per-subject weights to add")
+        raise NoSubjectWeights("group models have no per-subject weights to add")
     clash = set(new_ids) & set(model.subject_ids)
     if clash:
-        raise ValueError(f"subjects already registered: {sorted(clash)}")
+        raise DuplicateSubject(f"subjects already registered: {sorted(clash)}")
     count = len(new_ids)
     for m in (model.enc_map, model.dec_map):
         if isinstance(m, (DecomposedMap, SubjectMap)):

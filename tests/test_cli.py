@@ -62,6 +62,45 @@ class TestConfigStrictness:
         assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
 
+class TestConfigValues:
+    @pytest.mark.parametrize("command,section,key,value", [
+        # integer fields were truncated: trunk (1, 6), 3 epochs, width 8
+        ("train", "model", "trunk_widths", "16"),
+        ("train", "train", "epochs", 3.5),
+        ("train", "model", "first_layer_width", 8.9),
+        # values the constructors reject used to exit 2 with a raw ValueError
+        ("train", "model", "variant", "foo"),
+        ("train", "train", "optimizer", "rmsprop"),
+        ("finetune", "finetune", "optimizer", "rmsprop"),
+        ("train", "train", "lr", -1),
+        ("train", "train", "epochs", "ten"),
+        ("train", "model", "first_layer_width", 0),
+        ("train", "data", "format", "xml"),
+    ])
+    def test_bad_value_is_config_error(self, tmp_path, synth_file, capsys,
+                                       command, section, key, value):
+        payload = train_config(synth_file, epochs=1)
+        if command == "finetune":
+            cfg = write_config(tmp_path / "train.json", payload)
+            assert main(["train", "--config", cfg, "--out", str(tmp_path / "model")]) == 0
+            payload = {"data": {"path": str(synth_file)},
+                       "checkpoint": str(tmp_path / "model" / "model.ckpt"),
+                       "finetune": {"epochs": 1}}
+        payload[section][key] = value
+        cfg = write_config(tmp_path / "c.json", payload)
+        capsys.readouterr()
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert not (tmp_path / "out" / "model.ckpt").exists()
+
+    def test_corrupt_data_file_still_exits_two(self, tmp_path, synth_file, capsys):
+        synth_file.write_bytes(synth_file.read_bytes()[:40])
+        cfg = write_config(tmp_path / "c.json", train_config(synth_file, epochs=1))
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "ParseError" in capsys.readouterr().err
+
+
 class TestSimulate:
     def test_half_moons_simulation_outputs(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {
@@ -288,6 +327,18 @@ class TestEvaluateAnalyzeFinetune:
         assert metrics["frozen_digest_unchanged"] is True
         assert metrics["n_new_subjects"] == 4
         assert "baseline_mse" in metrics
+
+    def test_finetune_on_registered_subjects_is_named_error(self, tmp_path, synth_file, capsys):
+        cfg = write_config(tmp_path / "train.json", train_config(synth_file, epochs=1))
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "model")]) == 0
+        cfgf = write_config(tmp_path / "ft.json", {
+            "data": {"path": str(synth_file)},
+            "checkpoint": str(tmp_path / "model" / "model.ckpt"),
+            "finetune": {"epochs": 1},
+        })
+        capsys.readouterr()
+        assert main(["finetune", "--config", cfgf, "--out", str(tmp_path / "ft")]) == 2
+        assert "DuplicateSubject: subjects already registered" in capsys.readouterr().err
 
     def test_finetune_ragged_subject_lengths_exit_two(self, tmp_path, capsys):
         data, _ = synth_group_dataset(6, 40, 8, 3, 1.0, seed=2)

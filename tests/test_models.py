@@ -15,6 +15,7 @@ from subjmap.models import (
     encode,
     latent_traversal,
     loss,
+    loss_and_grads,
     softmax,
 )
 
@@ -83,6 +84,26 @@ class TestEncodeDecode:
         b = decode(model, z, np.ones(3, dtype=int))
         assert not np.allclose(a, b)
         assert np.all(np.isfinite(a)) and a.shape == (3, 5)
+
+    @pytest.mark.parametrize("variant", ["group", "subject", "decomposed"])
+    @pytest.mark.parametrize("objective", ["autoencoder", "vae"])
+    def test_loss_sees_what_encode_and_decode_return(self, variant, objective):
+        spec = ModelSpec(variant=variant, objective=objective, input_size=5,
+                         first_layer_width=4, latent_size=2, n_subjects=3, trunk_widths=(6,))
+        model = build_model(spec, seed=12)
+        x = SeededRng(6).normal((7, 5))
+        ids = np.array([0, 1, 2, 0, 1, 2, 0])
+
+        def mse_of(lat):
+            resid = decode(model, lat.z, ids) - x
+            return float((resid * resid).mean())
+
+        assert loss(model, x, ids)[1]["mse"] == mse_of(encode(model, x, ids))
+        # the same seeded stream must draw the same eps in encode and in the loss
+        sampled = loss_and_grads(model, x, ids, rng=SeededRng(31))[1]["mse"]
+        assert sampled == mse_of(encode(model, x, ids, rng=SeededRng(31)))
+        if objective == "vae":
+            assert sampled != loss(model, x, ids)[1]["mse"]
 
     def test_wrong_width_raises(self):
         model = identity_autoencoder()
