@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .datasets import atomic_write
 from .errors import ChecksumMismatch, ParseError, ShapeMismatch, VersionUnsupported
 from .models import Model, ModelSpec, build_model
 
@@ -50,7 +51,7 @@ def save_model(model: Model, path, config_hash: str = "") -> None:
     prefix_len = len(MAGIC) + 4 + len(header_bytes)
     padding = (-prefix_len) % 8
 
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(header_bytes)))
         fh.write(header_bytes)
@@ -86,7 +87,7 @@ def load_model(path, expect_variant: str | None = None) -> tuple[Model, str]:
         # name -> (shape, offset, crc32)
         stored = {b["name"]: (tuple(b["shape"]), int(b["offset"]), int(b["crc32"]))
                   for b in header["blobs"]}
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed checkpoint header: {exc!r}") from exc
     if expect_variant is not None and spec.variant != expect_variant:
         raise ShapeMismatch(

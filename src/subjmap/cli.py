@@ -1,10 +1,11 @@
 """Config-driven experiment runner.
 
 Commands: simulate, train, sweep, finetune, evaluate, analyze, paramcount.
-Each reads a strict JSON config (unknown keys are rejected with their full
-path), resolves defaults, derives every random stream from the single global
-seed via tagged SHA-256 derivation, and writes a results.json whose metrics
-block reproduces bit-for-bit on re-runs with the same config and seed.
+Each reads a strict JSON config (unknown keys and values of the wrong JSON type
+are rejected with their full path), resolves defaults, derives every random
+stream from the single global seed via tagged SHA-256 derivation, and writes a
+results.json whose metrics block reproduces bit-for-bit on re-runs with the
+same config and seed.
 
 Exit codes: 0 success, 1 config error, 2 runtime error.
 """
@@ -18,7 +19,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,8 @@ from .datasets import (
     SubjectHoldout,
     TimestepFraction,
     _common_length,
+    _take_all,
+    atomic_write,
     center_subjects,
     half_moons,
     load_dataset,
@@ -65,149 +68,175 @@ from .training import (
 )
 
 _REQUIRED = object()
+_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str, "object": dict,
+               "null": type(None)}
 
 
-def _resolve(user, defaults, path=""):
-    """Merge a user config section over defaults, rejecting unknown keys."""
+def _is(value, kind: str) -> bool:
+    """True if ``value`` has the JSON type ``kind``.
+
+    ``kind`` is a key of ``_JSON_TYPES``, ``[kind]`` for a list of such
+    values, or alternatives joined by ``|``.  A bool is never a number, and
+    an int passes for a float.
+    """
+    if kind.startswith("[") and kind.endswith("]"):
+        return isinstance(value, list) and all(_is(item, kind[1:-1]) for item in value)
+    if "|" in kind:
+        return any(_is(value, alt) for alt in kind.split("|"))
+    return isinstance(value, _JSON_TYPES[kind]) and isinstance(value, bool) == (kind == "bool")
+
+
+def _check(value, kind: str, where: str) -> None:
+    if not _is(value, kind):
+        raise ConfigError(f"{where} must be of type {kind}, got {value!r}")
+
+
+def _resolve(user, schema, path=""):
+    """Merge a user config section over the schema's defaults.
+
+    Each schema leaf is a ``(type, default)`` pair.  Unknown keys, missing
+    required keys and values of the wrong type are rejected by full key path.
+    """
     if not isinstance(user, dict):
         raise ConfigError(f"config section {path or '<root>'} must be an object")
     for key in user:
-        if key not in defaults:
+        if key not in schema:
             raise ConfigError(f"unknown config key {path + '.' if path else ''}{key}")
     out = {}
-    for key, default in defaults.items():
+    for key, leaf in schema.items():
         where = f"{path}.{key}" if path else key
-        if isinstance(default, dict):
-            out[key] = _resolve(user.get(key, {}), default, where)
-        else:
-            value = user.get(key, default)
-            if value is _REQUIRED:
-                raise ConfigError(f"missing required config key {where}")
-            out[key] = value
+        if isinstance(leaf, dict):
+            out[key] = _resolve(user.get(key, {}), leaf, where)
+            continue
+        kind, default = leaf
+        value = user.get(key, default)
+        if value is _REQUIRED:
+            raise ConfigError(f"missing required config key {where}")
+        _check(value, kind, where)
+        out[key] = value
     return out
 
 
+_DATA_FILE = {"path": ("str", _REQUIRED), "format": ("str", "binary"), "center": ("bool", False)}
+
 _DATA_SECTION = {
-    "path": _REQUIRED,
-    "format": "binary",
-    "center": False,
+    **_DATA_FILE,
     "split": {
-        "scheme": "timestep_fraction",
-        "test_fraction": 0.8,
-        "val_fraction": 0.1,
-        "n_holdout": 0,
+        "scheme": ("str", "timestep_fraction"),
+        "test_fraction": ("float", 0.8),
+        "val_fraction": ("float", 0.1),
+        "n_holdout": ("int", 0),
     },
 }
 
 _MODEL_SECTION = {
-    "variant": _REQUIRED,
-    "objective": _REQUIRED,
-    "first_layer_width": _REQUIRED,
-    "latent_size": _REQUIRED,
-    "trunk_widths": [16],
-    "n_classes": None,
-    "beta": 1.0,
+    "variant": ("str", _REQUIRED),
+    "objective": ("str", _REQUIRED),
+    "first_layer_width": ("int", _REQUIRED),
+    "latent_size": ("int", _REQUIRED),
+    "trunk_widths": ("[int]", [16]),
+    "n_classes": ("int|null", None),
+    "beta": ("float", 1.0),
 }
 
 _TRAIN_SECTION = {
-    "lr": 1e-3,
-    "optimizer": "adam",
-    "beta1": 0.9,
-    "beta2": 0.999,
-    "eps": 1e-8,
-    "epochs": 100,
-    "batch_size": 64,
-    "orth_every": 1,
-    "early_stop_patience": 20,
-    "grad_clip": None,
+    "lr": ("float", 1e-3),
+    "optimizer": ("str", "adam"),
+    "beta1": ("float", 0.9),
+    "beta2": ("float", 0.999),
+    "eps": ("float", 1e-8),
+    "epochs": ("int", 100),
+    "batch_size": ("int", 64),
+    "orth_every": ("int", 1),
+    "early_stop_patience": ("int|null", 20),
+    "grad_clip": ("float|null", None),
 }
 
 SCHEMAS = {
     "simulate": {
-        "seed": 0,
+        "seed": ("int", 0),
         "data": {
-            "generator": "rotated_half_moons",
-            "n_samples": 1000,
-            "noise": 0.1,
-            "sample_seed": 42,
-            "n_subjects": 100,
-            "center": True,
-            "n_timesteps": 200,
-            "n_features": 60,
-            "latent_dim": 6,
-            "group_effect": 0.0,
-            "noise_level": 0.05,
-            "subject_scale": 0.3,
-            "trajectory_rank": 2,
+            "generator": ("str", "rotated_half_moons"),
+            "n_samples": ("int", 1000),
+            "noise": ("float", 0.1),
+            "sample_seed": ("int", 42),
+            "n_subjects": ("int", 100),
+            "center": ("bool", True),
+            "n_timesteps": ("int", 200),
+            "n_features": ("int", 60),
+            "latent_dim": ("int", 6),
+            "group_effect": ("float", 0.0),
+            "noise_level": ("float", 0.05),
+            "subject_scale": ("float", 0.3),
+            "trajectory_rank": ("int", 2),
         },
     },
     "train": {
-        "seed": 0,
+        "seed": ("int", 0),
         "data": _DATA_SECTION,
         "model": _MODEL_SECTION,
         "train": _TRAIN_SECTION,
     },
     "sweep": {
-        "seed": 0,
+        "seed": ("int", 0),
         "data": _DATA_SECTION,
         "model": _MODEL_SECTION,
         "train": _TRAIN_SECTION,
         "sweep": {
-            "axes": _REQUIRED,
-            "seeds": [11, 12, 13, 14],
-            "metric": "val_accuracy",
-            "workers": 0,
+            "axes": ("object", _REQUIRED),
+            "seeds": ("[int]", [11, 12, 13, 14]),
+            "metric": ("str", "val_accuracy"),
         },
     },
     "finetune": {
-        "seed": 0,
-        "data": {"path": _REQUIRED, "format": "binary", "center": False},
-        "checkpoint": _REQUIRED,
-        "baseline_checkpoint": None,
+        "seed": ("int", 0),
+        "data": _DATA_FILE,
+        "checkpoint": ("str", _REQUIRED),
+        "baseline_checkpoint": ("str|null", None),
         "finetune": {
-            "fraction": 0.01,
-            "lr": 5e-3,
-            "optimizer": "adam",
-            "epochs": 200,
-            "batch_size": 64,
-            "holdout_fraction": 0.5,
+            "fraction": ("float", 0.01),
+            "lr": ("float", 5e-3),
+            "optimizer": ("str", "adam"),
+            "epochs": ("int", 200),
+            "batch_size": ("int", 64),
+            "holdout_fraction": ("float", 0.5),
         },
     },
     "evaluate": {
-        "seed": 0,
+        "seed": ("int", 0),
         "data": _DATA_SECTION,
-        "checkpoint": _REQUIRED,
+        "checkpoint": ("str", _REQUIRED),
         "eval": {
-            "recon": True,
-            "baseline_checkpoint": None,
-            "probe_embeddings": False,
-            "probe_subject_weights": False,
-            "probe_folds": 5,
-            "subject_circle": False,
-            "angles_path": None,
+            "recon": ("bool", True),
+            "baseline_checkpoint": ("str|null", None),
+            "probe_embeddings": ("bool", False),
+            "probe_subject_weights": ("bool", False),
+            "probe_folds": ("int", 5),
+            "subject_circle": ("bool", False),
+            "angles_path": ("str|null", None),
         },
     },
     "analyze": {
-        "seed": 0,
-        "data": {"path": _REQUIRED, "format": "binary", "center": False},
-        "checkpoint": _REQUIRED,
+        "seed": ("int", 0),
+        "data": _DATA_FILE,
+        "checkpoint": ("str", _REQUIRED),
         "analysis": {
-            "k": 8,
-            "q": 0.05,
-            "grid_min": -3.0,
-            "grid_max": 3.0,
-            "grid_points": 11,
-            "max_iter": 500,
-            "tol": 1e-6,
+            "k": ("int", 8),
+            "q": ("float", 0.05),
+            "grid_min": ("float", -3.0),
+            "grid_max": ("float", 3.0),
+            "grid_points": ("int", 11),
+            "max_iter": ("int", 500),
+            "tol": ("float", 1e-6),
         },
     },
     "paramcount": {
-        "seed": 0,
+        "seed": ("int", 0),
         "paramcount": {
-            "input_size": _REQUIRED,
-            "hidden_size": _REQUIRED,
-            "n_subjects": _REQUIRED,
-            "both_sides": True,
+            "input_size": ("int", _REQUIRED),
+            "hidden_size": ("int", _REQUIRED),
+            "n_subjects": ("int", _REQUIRED),
+            "both_sides": ("bool", True),
         },
     },
 }
@@ -220,9 +249,7 @@ def _load_config(path: str, command: str, seed_override, out_override) -> tuple[
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
-    schema = dict(SCHEMAS[command])
-    schema["out_dir"] = "."
-    resolved = _resolve(raw, schema)
+    resolved = _resolve(raw, {**SCHEMAS[command], "out_dir": ("str", ".")})
     if seed_override is not None:
         resolved["seed"] = seed_override
     out_dir = out_override or os.environ.get("SUBJMAP_OUT") or resolved["out_dir"]
@@ -231,14 +258,13 @@ def _load_config(path: str, command: str, seed_override, out_override) -> tuple[
 
 
 def _relative(section: dict, config_dir: Path, key: str) -> Path:
-    value = section[key]
-    p = Path(value)
+    p = Path(section[key])
     return p if p.is_absolute() else config_dir / p
 
 
 def _load_data(section: dict, config_dir: Path) -> MultiSubjectDataset:
     dataset = load_dataset(_relative(section, config_dir, "path"), section["format"])
-    if section.get("center"):
+    if section["center"]:
         dataset = center_subjects(dataset)
     return dataset
 
@@ -257,34 +283,19 @@ def _split_from_config(dataset, section: dict, root: SeededRng):
     raise ConfigError(f"unknown split scheme {scheme!r}")
 
 
-def _model_spec(section: dict, dataset: MultiSubjectDataset) -> ModelSpec:
-    return ModelSpec(
-        variant=section["variant"],
-        objective=section["objective"],
-        input_size=dataset.n_features,
-        first_layer_width=section["first_layer_width"],
-        latent_size=section["latent_size"],
-        n_subjects=dataset.n_subjects,
-        trunk_widths=section["trunk_widths"],
-        n_classes=section["n_classes"],
-        beta=section["beta"],
-    )
-
-
-def _train_config(section: dict, seed: int) -> TrainConfig:
-    return TrainConfig(**section, seed=seed)
-
-
 def config_hash(config: dict) -> str:
     """Digest of the semantically meaningful config (output location excluded)."""
     return canonical_digest({k: v for k, v in config.items() if k != "out_dir"})
 
 
+def _write_json(path: Path, obj, indent: int | None = 2) -> None:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(obj, indent=indent, sort_keys=True))
+
+
 def _write_results(out_dir: Path, command: str, config: dict, metrics: dict,
                    files: list[str], started: float) -> dict:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    resolved_path = out_dir / "resolved_config.json"
-    resolved_path.write_text(json.dumps(config, indent=2, sort_keys=True), encoding="utf-8")
+    _write_json(out_dir / "resolved_config.json", config)
     payload = {
         "command": command,
         "config_hash": config_hash(config),
@@ -293,17 +304,17 @@ def _write_results(out_dir: Path, command: str, config: dict, metrics: dict,
         "metrics": metrics,
         "files": sorted(set(files + ["resolved_config.json"])),
     }
-    (out_dir / "results.json").write_text(json.dumps(payload, indent=2, sort_keys=True),
-                                          encoding="utf-8")
+    _write_json(out_dir / "results.json", payload)
     for name in payload["files"]:
         if not (out_dir / name).exists():
             raise SubjmapError(f"declared output file missing: {name}")
     return payload
 
 
-def _cmd_simulate(config: dict, out_dir: Path, config_dir: Path, workers: int) -> dict:
-    started = time.time()
-    out_dir.mkdir(parents=True, exist_ok=True)
+_Outputs = tuple[dict, list[str]]  # a command's metrics and the names of the files it wrote
+
+
+def _cmd_simulate(config: dict, out_dir: Path, config_dir: Path, workers: int) -> _Outputs:
     root = SeededRng(config["seed"])
     section = config["data"]
     files = ["data.smds"]
@@ -314,7 +325,7 @@ def _cmd_simulate(config: dict, out_dir: Path, config_dir: Path, workers: int) -
                                          seed=root.derive("rotations").seed)
         if section["center"]:
             dataset = center_subjects(dataset)
-        with open(out_dir / "angles.csv", "w", encoding="utf-8") as fh:
+        with atomic_write(out_dir / "angles.csv", "w", encoding="utf-8") as fh:
             fh.write("subject_id,angle\n")
             for sid, angle in zip(dataset.subject_ids, truth.angles):
                 fh.write(f"{sid},{float(angle)!r}\n")
@@ -322,7 +333,7 @@ def _cmd_simulate(config: dict, out_dir: Path, config_dir: Path, workers: int) -
         metrics = {
             "generator": "rotated_half_moons",
             "n_subjects": dataset.n_subjects,
-            "n_samples": int(section["n_samples"]),
+            "n_samples": section["n_samples"],
             "class_counts": np.bincount(dataset.subjects[0].labels).tolist(),
         }
     elif section["generator"] == "synth_group":
@@ -337,39 +348,36 @@ def _cmd_simulate(config: dict, out_dir: Path, config_dir: Path, workers: int) -
             "scalings": truth.scalings.tolist(),
             "groups": truth.groups.tolist(),
         }
-        (out_dir / "ground_truth.json").write_text(json.dumps(ground, sort_keys=True),
-                                                   encoding="utf-8")
+        _write_json(out_dir / "ground_truth.json", ground, indent=None)
         files.append("ground_truth.json")
         metrics = {
             "generator": "synth_group",
             "n_subjects": dataset.n_subjects,
-            "n_timesteps": int(section["n_timesteps"]),
-            "n_features": int(section["n_features"]),
-            "group_effect": float(section["group_effect"]),
+            "n_timesteps": section["n_timesteps"],
+            "n_features": section["n_features"],
+            "group_effect": section["group_effect"],
         }
     else:
         raise ConfigError(f"unknown generator {section['generator']!r}")
     save_dataset(dataset, out_dir / "data.smds")
-    return _write_results(out_dir, "simulate", config, metrics, files, started)
+    return metrics, files
 
 
-def _cmd_train(config: dict, out_dir: Path, config_dir: Path, workers: int) -> dict:
-    started = time.time()
+def _cmd_train(config: dict, out_dir: Path, config_dir: Path, workers: int) -> _Outputs:
     root = SeededRng(config["seed"])
     dataset = _load_data(config["data"], config_dir)
     train_set, val_set, test_set = _split_from_config(dataset, config["data"]["split"], root)
     if val_set is None:
         val_set = test_set if test_set is not None else train_set
-    spec = _model_spec(config["model"], train_set)
+    spec = ModelSpec(**config["model"], input_size=train_set.n_features,
+                     n_subjects=train_set.n_subjects)
     model = build_model(spec, root.derive("init").seed, subject_ids=train_set.subject_ids)
-    train_cfg = _train_config(config["train"], root.derive("train").seed)
-    model, history = train(model, train_set, val_set, train_cfg)
+    model, history = train(model, train_set, val_set,
+                           TrainConfig(**config["train"], seed=root.derive("train").seed))
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     checkpoint.save_model(model, out_dir / "model.ckpt", config_hash(config))
     history.to_csv(out_dir / "history.csv")
-    (out_dir / "history.json").write_text(
-        json.dumps(history.to_json(), indent=2, sort_keys=True), encoding="utf-8")
+    _write_json(out_dir / "history.json", asdict(history))
     metrics = dict(history.final_metrics)
     metrics["epochs_run"] = history.n_epochs
     metrics["best_epoch"] = history.best_epoch
@@ -379,34 +387,36 @@ def _cmd_train(config: dict, out_dir: Path, config_dir: Path, workers: int) -> d
             metrics["test_loss"] = test_loss
         else:
             metrics["test_accuracy"] = test_accuracy
-    return _write_results(out_dir, "train", config, metrics,
-                          ["model.ckpt", "history.csv", "history.json"], started)
+    return metrics, ["model.ckpt", "history.csv", "history.json"]
 
 
-def _cmd_sweep(config: dict, out_dir: Path, config_dir: Path, workers: int) -> dict:
-    started = time.time()
+def _cmd_sweep(config: dict, out_dir: Path, config_dir: Path, workers: int) -> _Outputs:
+    axes = config["sweep"]["axes"]
+    leaves = {**_MODEL_SECTION, **_TRAIN_SECTION}
+    for key, values in axes.items():
+        if key not in leaves:
+            raise ConfigError(f"unknown sweep axis sweep.axes.{key}: not a model or train key")
+        _check(values, f"[{leaves[key][0]}]", f"sweep.axes.{key}")
+        if not values:
+            raise ConfigError(f"sweep.axes.{key} must list at least one value")
+
     root = SeededRng(config["seed"])
     dataset = _load_data(config["data"], config_dir)
     train_set, val_set, test_set = _split_from_config(dataset, config["data"]["split"], root)
     if val_set is None:
         raise ConfigError("sweep needs a split scheme that produces a validation set")
-    spec = _model_spec(config["model"], train_set)
-    base_cfg = _train_config(config["train"], 0)
-
-    axes = config["sweep"]["axes"]
-    if not isinstance(axes, dict) or not axes:
-        raise ConfigError("sweep.axes must be a non-empty object of key -> list")
+    spec = ModelSpec(**config["model"], input_size=train_set.n_features,
+                     n_subjects=train_set.n_subjects)
+    base_cfg = TrainConfig(**config["train"])
     keys = sorted(axes)
     settings = [dict(zip(keys, combo))
                 for combo in itertools.product(*(axes[k] for k in keys))]
     for setting in settings:
         if "trunk_widths" in setting:
             setting["trunk_widths"] = tuple(setting["trunk_widths"])
-    n_workers = config["sweep"]["workers"] or workers
     result = hyperparameter_sweep(spec, base_cfg, settings, config["sweep"]["seeds"],
                                   train_set, val_set, test_set,
-                                  metric=config["sweep"]["metric"], workers=n_workers)
-    out_dir.mkdir(parents=True, exist_ok=True)
+                                  metric=config["sweep"]["metric"], workers=workers)
     result.to_csv(out_dir / "sweep.csv")
     winner = {k: (list(v) if isinstance(v, tuple) else v)
               for k, v in settings[result.winner_index].items()}
@@ -417,11 +427,10 @@ def _cmd_sweep(config: dict, out_dir: Path, config_dir: Path, workers: int) -> d
         "winner_mean_val": result.setting_means[result.winner_index],
         "winner_test_mean": result.winner_test_mean(),
     }
-    return _write_results(out_dir, "sweep", config, metrics, ["sweep.csv"], started)
+    return metrics, ["sweep.csv"]
 
 
-def _cmd_finetune(config: dict, out_dir: Path, config_dir: Path, workers: int) -> dict:
-    started = time.time()
+def _cmd_finetune(config: dict, out_dir: Path, config_dir: Path, workers: int) -> _Outputs:
     root = SeededRng(config["seed"])
     dataset = _load_data(config["data"], config_dir)
     model, _ = checkpoint.load_model(_relative(config, config_dir, "checkpoint"))
@@ -429,9 +438,7 @@ def _cmd_finetune(config: dict, out_dir: Path, config_dir: Path, workers: int) -
 
     total = _common_length(dataset)
     holdout_start = total - int(round(section["holdout_fraction"] * total))
-    fit_window = MultiSubjectDataset(
-        [rec.take(np.arange(holdout_start)) for rec in dataset.subjects],
-        dict(dataset.metadata))
+    fit_window = _take_all(dataset, np.arange(holdout_start))
     digest_before = parameter_digest(model)
 
     ft_cfg = TrainConfig(lr=section["lr"], optimizer=section["optimizer"],
@@ -456,24 +463,19 @@ def _cmd_finetune(config: dict, out_dir: Path, config_dir: Path, workers: int) -
         metrics["baseline_mse"] = base_mse
         metrics["improvement_pct"] = recon_improvement(metrics["heldout_mse"], base_mse)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     checkpoint.save_model(model, out_dir / "model.ckpt", config_hash(config))
     result.history.to_csv(out_dir / "history.csv")
-    (out_dir / "history.json").write_text(
-        json.dumps(result.history.to_json(), indent=2, sort_keys=True), encoding="utf-8")
-    return _write_results(out_dir, "finetune", config, metrics,
-                          ["model.ckpt", "history.csv", "history.json"], started)
+    _write_json(out_dir / "history.json", asdict(result.history))
+    return metrics, ["model.ckpt", "history.csv", "history.json"]
 
 
-def _cmd_evaluate(config: dict, out_dir: Path, config_dir: Path, workers: int) -> dict:
-    started = time.time()
+def _cmd_evaluate(config: dict, out_dir: Path, config_dir: Path, workers: int) -> _Outputs:
     root = SeededRng(config["seed"])
     dataset = _load_data(config["data"], config_dir)
     _, _, test_set = _split_from_config(dataset, config["data"]["split"], root)
     eval_set = test_set if test_set is not None else dataset
     model, _ = checkpoint.load_model(_relative(config, config_dir, "checkpoint"))
     section = config["eval"]
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     metrics: dict = {}
     files: list[str] = []
@@ -516,37 +518,31 @@ def _cmd_evaluate(config: dict, out_dir: Path, config_dir: Path, workers: int) -
         coords = subject_weight_pca(model.enc_map.s)
         fit = circle_fit(coords)
         metrics["circle"] = fit.to_json()
-        with open(out_dir / "subject_pca.csv", "w", encoding="utf-8") as fh:
+        with atomic_write(out_dir / "subject_pca.csv", "w", encoding="utf-8") as fh:
             fh.write("subject_id,pc1,pc2\n")
             for sid, (a, b) in zip(model.subject_ids, coords):
                 fh.write(f"{sid},{float(a)!r},{float(b)!r}\n")
         files.append("subject_pca.csv")
         if section["angles_path"]:
-            angle_of = {}
-            lines = Path(_relative(section, config_dir, "angles_path")).read_text(
-                encoding="utf-8").splitlines()
-            for line in lines[1:]:
-                sid, angle = line.split(",")
-                angle_of[sid] = float(angle)
-            true_angles = np.array([angle_of[sid] for sid in model.subject_ids])
+            text = _relative(section, config_dir, "angles_path").read_text(encoding="utf-8")
+            angle_of = dict(line.split(",") for line in text.splitlines()[1:])
+            true_angles = np.array([float(angle_of[sid]) for sid in model.subject_ids])
             recovered = polar_angles(coords, fit.center)
             metrics["circle"]["angle_correlation"] = circular_correlation(recovered, true_angles)
 
-    return _write_results(out_dir, "evaluate", config, metrics, files, started)
+    return metrics, files
 
 
-def _cmd_analyze(config: dict, out_dir: Path, config_dir: Path, workers: int) -> dict:
-    started = time.time()
+def _cmd_analyze(config: dict, out_dir: Path, config_dir: Path, workers: int) -> _Outputs:
     dataset = _load_data(config["data"], config_dir)
     model, _ = checkpoint.load_model(_relative(config, config_dir, "checkpoint"))
     section = config["analysis"]
-    grid = np.linspace(section["grid_min"], section["grid_max"], int(section["grid_points"]))
+    grid = np.linspace(section["grid_min"], section["grid_max"], section["grid_points"])
     report, ica = group_difference_pipeline(
-        model, dataset, grid=grid, k=int(section["k"]), q=section["q"],
+        model, dataset, grid=grid, k=section["k"], q=section["q"],
         seed=SeededRng(config["seed"]).derive("ica").seed,
-        max_iter=int(section["max_iter"]), tol=section["tol"])
+        max_iter=section["max_iter"], tol=section["tol"])
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     report.to_csv(out_dir / "report.csv")
     # one "subject" per source, one timestep per map: reuses the packed format
     source_maps = MultiSubjectDataset(
@@ -555,23 +551,20 @@ def _cmd_analyze(config: dict, out_dir: Path, config_dir: Path, workers: int) ->
         {"generator": "ica_sources"})
     save_dataset(source_maps, out_dir / "sources.smds")
     metrics = {
-        "n_sources": int(section["k"]),
+        "n_sources": section["k"],
         "n_rejected": report.n_rejected,
         "ica_converged": ica.converged,
         "ica_iterations": ica.n_iter,
         "p_adjusted": report.p_adjusted.tolist(),
         "provenance": report.provenance,
     }
-    return _write_results(out_dir, "analyze", config, metrics,
-                          ["report.csv", "sources.smds"], started)
+    return metrics, ["report.csv", "sources.smds"]
 
 
-def _cmd_paramcount(config: dict, out_dir: Path, config_dir: Path, workers: int) -> dict:
-    started = time.time()
+def _cmd_paramcount(config: dict, out_dir: Path, config_dir: Path, workers: int) -> _Outputs:
     section = config["paramcount"]
-    regime = ParamRegime(int(section["input_size"]), int(section["hidden_size"]),
-                         int(section["n_subjects"]))
-    both = bool(section["both_sides"])
+    regime = ParamRegime(section["input_size"], section["hidden_size"], section["n_subjects"])
+    both = section["both_sides"]
     counts = {variant: param_count(variant, regime, both_sides=both)
               for variant in ("group", "subject", "decomposed")}
     side_note = "encoder+decoder (x2)" if both else "single layer"
@@ -580,7 +573,7 @@ def _cmd_paramcount(config: dict, out_dir: Path, config_dir: Path, workers: int)
     metrics = {"counts": counts, "both_sides": both,
                "regime": {"input_size": regime.input_size, "hidden_size": regime.hidden_size,
                           "n_subjects": regime.n_subjects}}
-    return _write_results(out_dir, "paramcount", config, metrics, [], started)
+    return metrics, []
 
 
 _COMMANDS = {
@@ -608,12 +601,10 @@ def main(argv=None) -> int:
     workers = args.workers if args.workers else (os.cpu_count() or 1)
     try:
         config, out_dir = _load_config(args.config, args.command, args.seed, args.out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        payload = _COMMANDS[args.command](config, out_dir, Path(args.config).resolve().parent,
-                                          workers)
+        started = time.time()
+        metrics, files = _COMMANDS[args.command](config, out_dir,
+                                                 Path(args.config).resolve().parent, workers)
+        payload = _write_results(out_dir, args.command, config, metrics, files, started)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

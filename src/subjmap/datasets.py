@@ -20,7 +20,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -351,8 +353,26 @@ def synth_group_dataset(n_subjects: int, n_timesteps: int, n_features: int, late
 
 # --- serialization -----------------------------------------------------------
 
+@contextmanager
+def atomic_write(path, mode: str = "w", **kwargs):
+    """``open(path, mode, **kwargs)`` through a sibling temp file, creating the directory.
+
+    The temp file replaces ``path`` only when the block completes, so a
+    failed write leaves the previous file (or none) and no partial one.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_dataset(dataset: MultiSubjectDataset, path) -> None:
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<HII", FORMAT_VERSION, dataset.n_features, dataset.n_subjects))
         for rec in dataset.subjects:

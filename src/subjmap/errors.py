@@ -13,6 +13,10 @@ class DimensionError(SubjmapError, ValueError):
     """A dimension argument is out of its valid range."""
 
 
+class NonFiniteError(SubjmapError, ValueError):
+    """An array holds NaN or infinite entries."""
+
+
 class RankDeficient(SubjmapError, ValueError):
     """A QR pivot collapsed below tolerance; the columns are dependent."""
 

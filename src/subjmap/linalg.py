@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError, RankDeficient, ShapeError
+from .errors import ConvergenceError, DimensionError, NonFiniteError, RankDeficient, ShapeError
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -30,7 +30,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if m.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise NonFiniteError(f"{name} contains non-finite entries")
     return m
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datasets import atomic_write
 from .errors import DimensionError, GroupCountError, InvalidP, ShapeError
 from .linalg import SeededRng, as_matrix, svd_small
 from .models import Model, latent_traversal
@@ -217,7 +218,7 @@ class GroupDiffReport:
         return int(self.rejected.sum())
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path, "w", encoding="utf-8") as fh:
             fh.write("source_id,t,p,p_adj,reject,group_mean_a,group_mean_b\n")
             for i in range(self.t_stats.size):
                 fh.write(f"{i},{float(self.t_stats[i])!r},{float(self.p_values[i])!r},"

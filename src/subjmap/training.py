@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
-from .datasets import MultiSubjectDataset, stacked
+from .datasets import MultiSubjectDataset, atomic_write, stacked
 from .errors import (ConfigError, DivergenceError, DuplicateSubject, EmptySubset,
                      InvalidFraction, MissingLabels, NoSubjectWeights, ShapeError)
 from .linalg import SeededRng, qr_orthonormalize
@@ -83,20 +83,8 @@ class TrainHistory:
     def n_epochs(self) -> int:
         return len(self.train_losses)
 
-    def to_json(self) -> dict:
-        return {
-            "train_losses": self.train_losses,
-            "val_losses": self.val_losses,
-            "val_metrics": self.val_metrics,
-            "best_epoch": self.best_epoch,
-            "n_steps": self.n_steps,
-            "wall_clock_seconds": self.wall_clock_seconds,
-            "config_hash": self.config_hash,
-            "final_metrics": self.final_metrics,
-        }
-
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path, "w", encoding="utf-8") as fh:
             fh.write("epoch,train_loss,val_loss,metric\n")
             for i in range(self.n_epochs):
                 metric = self.val_metrics[i]
@@ -283,11 +271,10 @@ def parameter_digest(model: Model, exclude_subject_rows: tuple[int, ...] = ()) -
     bit-identical.
     """
     excluded = set(exclude_subject_rows)
+    per_subject = _per_subject_views(model, 0)
     digest = hashlib.sha256()
     for name, arr in sorted(model.params().items()):
-        per_subject = name.endswith("_map.s") or (
-            name.endswith("_map.w") and arr.ndim == 3)
-        if per_subject and excluded:
+        if name in per_subject and excluded:
             keep = [i for i in range(arr.shape[0]) if i not in excluded]
             payload = arr[keep]
         else:
@@ -392,20 +379,8 @@ def finetune_subjects(model: Model, new_data: MultiSubjectDataset, fraction: flo
 
 # --- hyperparameter sweep -------------------------------------------------
 
-_SPEC_FIELDS = {f for f in ModelSpec.__dataclass_fields__}
-_CONFIG_FIELDS = {f for f in TrainConfig.__dataclass_fields__}
-
-
-def _split_setting(setting: dict) -> tuple[dict, dict]:
-    spec_part, config_part = {}, {}
-    for key, value in setting.items():
-        if key in _SPEC_FIELDS:
-            spec_part[key] = value
-        elif key in _CONFIG_FIELDS:
-            config_part[key] = value
-        else:
-            raise ValueError(f"unknown sweep setting key {key!r}")
-    return spec_part, config_part
+_SPEC_FIELDS = set(ModelSpec.__dataclass_fields__)
+_CONFIG_FIELDS = set(TrainConfig.__dataclass_fields__) - {"seed"}  # seeds are their own axis
 
 
 def _sweep_cell(args):
@@ -414,9 +389,9 @@ def _sweep_cell(args):
            "val_loss": math.nan, "val_metric": math.nan, "test_metric": math.nan}
     row.update(setting)
     try:
-        spec_part, config_part = _split_setting(setting)
-        cell_spec = replace(spec, **spec_part)
-        config = replace(base_config, seed=seed, **config_part)
+        cell_spec = replace(spec, **{k: v for k, v in setting.items() if k in _SPEC_FIELDS})
+        config = replace(base_config, seed=seed,
+                         **{k: v for k, v in setting.items() if k in _CONFIG_FIELDS})
         model = build_model(cell_spec, SeededRng(seed).derive("init").seed,
                             subject_ids=[r.subject_id for r in train_set.subjects])
         model, history = train(model, train_set, val_set, config)
@@ -448,7 +423,7 @@ class SweepResult:
 
     def to_csv(self, path) -> None:
         keys = sorted({k for r in self.rows for k in r})
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(keys)
             for row in self.rows:
@@ -462,15 +437,19 @@ def hyperparameter_sweep(base_spec: ModelSpec, base_config: TrainConfig, setting
     """Train every (setting, seed) cell and rank settings by mean validation metric.
 
     ``metric`` is ``"val_loss"`` (lower is better) or ``"val_accuracy"``
-    (higher is better).  Cell failures are recorded in their row and excluded
-    from the means.  Results are merged in (setting, seed) order regardless
-    of worker scheduling.
+    (higher is better).  Setting keys and the metric are checked before any
+    cell runs.  Cell failures are recorded in their row and excluded from the
+    means.  Results are merged in (setting, seed) order regardless of worker
+    scheduling.
     """
     seeds = list(seeds)
     if not settings or not seeds:
-        raise ValueError("sweep needs at least one setting and one seed")
+        raise ConfigError(f"sweep needs at least one setting and one seed, got seeds {seeds}")
     if metric not in ("val_loss", "val_accuracy"):
-        raise ValueError(f"unknown sweep metric {metric!r}")
+        raise ConfigError(f"unknown sweep.metric {metric!r}; expected 'val_loss' or 'val_accuracy'")
+    unknown = {key for setting in settings for key in setting} - _SPEC_FIELDS - _CONFIG_FIELDS
+    if unknown:
+        raise ConfigError(f"unknown sweep setting keys {sorted(unknown)}")
     jobs = [(i, setting, seed, base_spec, base_config, train_set, val_set, test_set)
             for i, setting in enumerate(settings) for seed in seeds]
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,17 @@ class TestCorruption:
         save_model(model, path)
         raw = path.read_bytes()
         patched = raw.replace(old, new, 1)
+        assert patched != raw and len(patched) == len(raw)
+        path.write_bytes(patched)
+        with pytest.raises(ParseError, match="malformed checkpoint header"):
+            load_model(path)
+
+    def test_overflowing_header_number(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_model(make_model(), path)
+        raw = path.read_bytes()
+        # "crc32":3094130263 -> "crc32":3e94130263, a float too large for int()
+        patched = re.sub(rb'("crc32":\d)\d', rb"\1e", raw, count=1)
         assert patched != raw and len(patched) == len(raw)
         path.write_bytes(patched)
         with pytest.raises(ParseError, match="malformed checkpoint header"):

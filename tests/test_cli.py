@@ -76,17 +76,46 @@ class TestConfigValues:
         ("train", "train", "epochs", "ten"),
         ("train", "model", "first_layer_width", 0),
         ("train", "data", "format", "xml"),
+        # values of the wrong JSON type: each used to run something other than
+        # what was written (a truncated count, a truthy "no"), or to exit 2
+        ("paramcount", "paramcount", "input_size", 3.7),
+        ("paramcount", "paramcount", "both_sides", "no"),
+        ("paramcount", None, "seed", "abc"),
+        ("simulate", None, "seed", "abc"),
+        ("simulate", "data", "n_samples", 50.5),
+        ("analyze", "analysis", "k", 3.7),
+        ("analyze", "analysis", "grid_points", 3.7),
+        ("analyze", "analysis", "max_iter", 3.7),
+        ("analyze", "data", "path", 5),
+        ("train", "data", "center", "no"),
+        ("train", "train", "lr", "abc"),
+        ("train", "train", "orth_every", 1.5),
+        ("train", "train", "early_stop_patience", 2.5),
+        ("train", "model", "n_classes", True),
+        ("sweep", "sweep", "seeds", 3),
+        ("sweep", "sweep", "seeds", []),
+        ("sweep", "sweep", "metric", "val_mse"),
+        ("sweep", "sweep", "axes", {"lr": 0.01}),
+        ("sweep", "sweep", "axes", {"learning_rate": [0.01]}),
+        ("sweep", "sweep", "axes", {"trunk_widths": [[16], ["8"]]}),
+        ("sweep", "sweep", "axes", {"early_stop_patience": [None, 2.5]}),
     ])
     def test_bad_value_is_config_error(self, tmp_path, synth_file, capsys,
                                        command, section, key, value):
-        payload = train_config(synth_file, epochs=1)
+        payload = {
+            "simulate": {"data": {"n_samples": 20, "n_subjects": 2}},
+            "paramcount": {"paramcount": {"input_size": 4, "hidden_size": 2, "n_subjects": 3}},
+            "analyze": {"data": {"path": str(synth_file)}, "checkpoint": "missing.ckpt"},
+            "sweep": dict(train_config(synth_file, epochs=1),
+                          sweep={"axes": {"lr": [0.01]}, "seeds": [1]}),
+        }.get(command, train_config(synth_file, epochs=1))
         if command == "finetune":
             cfg = write_config(tmp_path / "train.json", payload)
             assert main(["train", "--config", cfg, "--out", str(tmp_path / "model")]) == 0
             payload = {"data": {"path": str(synth_file)},
                        "checkpoint": str(tmp_path / "model" / "model.ckpt"),
                        "finetune": {"epochs": 1}}
-        payload[section][key] = value
+        (payload.setdefault(section, {}) if section else payload)[key] = value
         cfg = write_config(tmp_path / "c.json", payload)
         capsys.readouterr()
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
@@ -209,7 +238,8 @@ class TestTrainCommand:
 class TestSweepCommand:
     def test_sweep_outputs_table_and_winner(self, tmp_path, synth_file):
         payload = train_config(synth_file, epochs=2)
-        payload["sweep"] = {"axes": {"lr": [0.01, 0.003]}, "seeds": [1, 2]}
+        payload["sweep"] = {"axes": {"lr": [0.01, 0.003], "early_stop_patience": [None]},
+                            "seeds": [1, 2]}
         cfg = write_config(tmp_path / "c.json", payload)
         out = tmp_path / "out"
         assert main(["sweep", "--config", cfg, "--out", str(out), "--workers", "1"]) == 0

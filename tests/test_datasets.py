@@ -23,6 +23,7 @@ from subjmap.datasets import (
 from subjmap.errors import (
     InvalidFraction,
     MissingManifestField,
+    NonFiniteError,
     ParseError,
     ShapeError,
     ShapeMismatch,
@@ -235,6 +236,25 @@ class TestSerialization:
         with pytest.raises(ParseError) as err:
             load_dataset(path)
         assert "byte" in str(err.value)
+
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "data.smds"
+        save_dataset(self.make(), path)
+        before = path.read_bytes()
+        broken = self.make()
+        broken.subjects[1].labels = np.array(["x"])  # fails after both subjects' data
+        with pytest.raises(ValueError):
+            save_dataset(broken, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["data.smds"]
+
+    def test_non_finite_data_is_named_error(self, tmp_path):
+        ds = self.make()
+        ds.subjects[0].data[0, 0] = np.nan
+        path = tmp_path / "data.smds"
+        save_dataset(ds, path)
+        with pytest.raises(NonFiniteError, match="alpha"):
+            load_dataset(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "data.smds"

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from subjmap.datasets import MultiSubjectDataset, SubjectData, synth_group_dataset, split, FirstSecondHalf
-from subjmap.errors import (DivergenceError, EmptySubset, InvalidFraction, MissingLabels,
-                            ShapeError)
+from subjmap import training
+from subjmap.errors import (ConfigError, DivergenceError, EmptySubset, InvalidFraction,
+                            MissingLabels, ShapeError)
 from subjmap.linalg import SeededRng
 from subjmap.models import Model, ModelSpec, build_model, decode, encode
 from subjmap.maps import GroupMap
@@ -264,13 +265,23 @@ class TestSweep:
         assert res.rows[1]["error"] is None
         assert res.winner_index == 1
 
-    def test_unknown_setting_key_recorded_as_error(self):
+    def test_unknown_setting_key_is_config_error(self, monkeypatch):
+        # checked before any cell runs: the valid first setting never trains
+        monkeypatch.setattr(training, "_sweep_cell", lambda job: pytest.fail("a cell ran"))
         data = toy_dataset(labelled=False, t=30)
-        res = hyperparameter_sweep(
-            toy_spec(), TrainConfig(epochs=1, batch_size=16),
-            settings=[{"learning_rate": 0.01}], seeds=[1],
-            train_set=data, val_set=data)
-        assert "learning_rate" in res.rows[0]["error"]
+        with pytest.raises(ConfigError, match="learning_rate"):
+            hyperparameter_sweep(
+                toy_spec(), TrainConfig(epochs=1, batch_size=16),
+                settings=[{"lr": 0.01}, {"learning_rate": 0.01}], seeds=[1],
+                train_set=data, val_set=data)
+
+    def test_unknown_metric_is_config_error(self):
+        data = toy_dataset(labelled=False, t=30)
+        with pytest.raises(ConfigError, match="val_mse"):
+            hyperparameter_sweep(
+                toy_spec(), TrainConfig(epochs=1, batch_size=16),
+                settings=[{"lr": 0.01}], seeds=[1],
+                train_set=data, val_set=data, metric="val_mse")
 
     def test_rows_sorted_and_deterministic(self):
         data = toy_dataset(labelled=False, t=30)
