@@ -242,6 +242,35 @@ SCHEMAS = {
 }
 
 
+def _schema(command: str) -> dict:
+    """The full config schema of ``command``: its ``SCHEMAS`` entry plus ``out_dir``."""
+    return {**SCHEMAS[command], "out_dir": ("str", ".")}
+
+
+def _schema_rows(schema: dict, path: str = ""):
+    for key, leaf in schema.items():
+        where = f"{path}.{key}" if path else key
+        if isinstance(leaf, dict):
+            yield from _schema_rows(leaf, where)
+        else:
+            kind, default = leaf
+            kind = kind.replace("|", "\\|")  # a bare | would end the table cell
+            shown = "required" if default is _REQUIRED else f"`{json.dumps(default)}`"
+            yield f"| `{where}` | `{kind}` | {shown} |"
+
+
+def config_tables() -> str:
+    """Markdown tables of every command's config keys, types and defaults, made from ``SCHEMAS``.
+
+    The README's config reference is this text; a test fails when the two differ.
+    """
+    parts = []
+    for command in SCHEMAS:
+        parts.append(f"#### `{command}`\n\n| key | type | default |\n| --- | --- | --- |\n"
+                     + "\n".join(_schema_rows(_schema(command))))
+    return "\n\n".join(parts) + "\n"
+
+
 def _load_config(path: str, command: str, seed_override, out_override) -> tuple[dict, Path]:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -249,7 +278,7 @@ def _load_config(path: str, command: str, seed_override, out_override) -> tuple[
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
-    resolved = _resolve(raw, {**SCHEMAS[command], "out_dir": ("str", ".")})
+    resolved = _resolve(raw, _schema(command))
     if seed_override is not None:
         resolved["seed"] = seed_override
     out_dir = out_override or os.environ.get("SUBJMAP_OUT") or resolved["out_dir"]
@@ -288,9 +317,22 @@ def config_hash(config: dict) -> str:
     return canonical_digest({k: v for k, v in config.items() if k != "out_dir"})
 
 
+def _finite_or_null(obj):
+    """``obj`` with every NaN or infinite float replaced by None, so it is strict JSON."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(value) for value in obj]
+    return obj
+
+
 def _write_json(path: Path, obj, indent: int | None = 2) -> None:
+    """Write ``obj`` as strict JSON: a non-finite number becomes null."""
+    text = json.dumps(_finite_or_null(obj), indent=indent, sort_keys=True, allow_nan=False)
     with atomic_write(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(obj, indent=indent, sort_keys=True))
+        fh.write(text)
 
 
 def _write_results(out_dir: Path, command: str, config: dict, metrics: dict,
@@ -365,8 +407,9 @@ def _cmd_simulate(config: dict, out_dir: Path, config_dir: Path, workers: int) -
 
 def _cmd_train(config: dict, out_dir: Path, config_dir: Path, workers: int) -> _Outputs:
     root = SeededRng(config["seed"])
-    dataset = _load_data(config["data"], config_dir)
-    train_set, val_set, test_set = _split_from_config(dataset, config["data"]["split"], root)
+    # no reference to the loaded dataset outlives the split: only the partitions stay in memory
+    train_set, val_set, test_set = _split_from_config(
+        _load_data(config["data"], config_dir), config["data"]["split"], root)
     if val_set is None:
         val_set = test_set if test_set is not None else train_set
     spec = ModelSpec(**config["model"], input_size=train_set.n_features,
@@ -401,8 +444,8 @@ def _cmd_sweep(config: dict, out_dir: Path, config_dir: Path, workers: int) -> _
             raise ConfigError(f"sweep.axes.{key} must list at least one value")
 
     root = SeededRng(config["seed"])
-    dataset = _load_data(config["data"], config_dir)
-    train_set, val_set, test_set = _split_from_config(dataset, config["data"]["split"], root)
+    train_set, val_set, test_set = _split_from_config(
+        _load_data(config["data"], config_dir), config["data"]["split"], root)
     if val_set is None:
         raise ConfigError("sweep needs a split scheme that produces a validation set")
     spec = ModelSpec(**config["model"], input_size=train_set.n_features,

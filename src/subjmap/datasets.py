@@ -10,6 +10,11 @@ shared orthonormal bases with per-subject scaling vectors, and a known group
 offset is planted in scaling space so recovery can be checked against ground
 truth.
 
+A dataset stores every subject's rows in one C-contiguous float64 block;
+each subject's ``data`` is a view of its rows.  Splits fill a new block
+once, ``stacked`` hands the block out without copying, and the loader reads
+a file straight into it.
+
 Binary container (all little-endian): magic ``SMDS``, version u16, N u32,
 M u32, then per subject: id length u32 + UTF-8 bytes, group i32 (-1 = none),
 T u32, T*N float64, label flag u8 (1 => T int32 labels follow).
@@ -23,7 +28,7 @@ import math
 import os
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +37,7 @@ from .errors import (
     ConfigError,
     InvalidFraction,
     MissingManifestField,
+    NonFiniteError,
     ParseError,
     ShapeError,
     ShapeMismatch,
@@ -44,13 +50,22 @@ FORMAT_VERSION = 1
 
 @dataclass
 class SubjectData:
+    """One subject's timeseries.
+
+    Inside a dataset, ``data`` (and ``labels``, when every subject has them)
+    are views of the dataset's storage; finiteness is checked per dataset.
+    """
+
     subject_id: str
     data: np.ndarray                    # T x N
     labels: np.ndarray | None = None    # T ints
     group: int | None = None
 
     def __post_init__(self):
-        self.data = as_matrix(self.data, f"subject {self.subject_id!r} data")
+        self.data = np.asarray(self.data, dtype=np.float64)
+        if self.data.ndim != 2:
+            raise ShapeError(
+                f"subject {self.subject_id!r} data must be 2-D, got shape {self.data.shape}")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64).ravel()
             if self.labels.shape[0] != self.data.shape[0]:
@@ -68,20 +83,73 @@ class SubjectData:
             None if self.labels is None else self.labels[rows], self.group)
 
 
-@dataclass
 class MultiSubjectDataset:
-    subjects: list[SubjectData]
-    metadata: dict = field(default_factory=dict)
+    """Subjects whose rows live in one C-contiguous T_total x N float64 ``block``.
 
-    def __post_init__(self):
-        if not self.subjects:
+    Subject i owns rows ``offsets[i]:offsets[i + 1]`` and its ``data`` is a
+    view of them.  ``labels`` is the T_total label vector when every subject
+    has labels (each subject's ``labels`` then views it) and None otherwise.
+    Building a dataset from records copies their rows into a new block once
+    and checks it for NaN and infinity once.  Replacing a record or its
+    arrays afterwards detaches it from the block, which ``stacked`` returns.
+    """
+
+    def __init__(self, subjects, metadata: dict | None = None):
+        subjects = list(subjects)
+        if not subjects:
             raise ShapeError("dataset needs at least one subject")
-        widths = {rec.data.shape[1] for rec in self.subjects}
+        widths = {rec.data.shape[1] for rec in subjects}
         if len(widths) != 1:
             raise ShapeMismatch(f"subjects disagree on feature width: {sorted(widths)}")
-        ids = [rec.subject_id for rec in self.subjects]
+        block = np.empty((sum(rec.n_timesteps for rec in subjects), widths.pop()))
+        views = np.split(block, np.cumsum([rec.n_timesteps for rec in subjects])[:-1])
+        for rec, view in zip(subjects, views):
+            view[...] = rec.data
+        self._bind(block, [SubjectData(rec.subject_id, view, rec.labels, rec.group)
+                           for rec, view in zip(subjects, views)], metadata)
+        self._check_finite()
+
+    @classmethod
+    def _of_block(cls, block: np.ndarray, subjects: list[SubjectData], metadata: dict | None,
+                  check_finite: bool = True) -> "MultiSubjectDataset":
+        """Adopt ``block`` without copying; ``subjects`` view consecutive rows of it."""
+        dataset = cls.__new__(cls)
+        dataset._bind(block, subjects, metadata)
+        if check_finite:
+            dataset._check_finite()
+        return dataset
+
+    def _bind(self, block, subjects, metadata) -> None:
+        if not subjects:
+            raise ShapeError("dataset needs at least one subject")
+        ids = [rec.subject_id for rec in subjects]
         if len(set(ids)) != len(ids):
             raise ShapeError("duplicate subject ids")
+        self.block = block
+        self.subjects = subjects
+        self.metadata = {} if metadata is None else metadata
+        self.offsets = np.zeros(len(subjects) + 1, dtype=np.int64)
+        np.cumsum([rec.n_timesteps for rec in subjects], out=self.offsets[1:])
+        self.labels = None
+        if all(rec.labels is not None for rec in subjects):
+            self.labels = np.concatenate([rec.labels for rec in subjects])
+            for rec, view in zip(subjects, np.split(self.labels, self.offsets[1:-1])):
+                rec.labels = view
+
+    def _check_finite(self) -> None:
+        # a finite sum proves every entry finite without a T x N mask; only a
+        # non-finite sum (a bad entry, or an overflow) pays for the exact scan
+        with np.errstate(over="ignore", invalid="ignore"):
+            if math.isfinite(self.block.sum()):
+                return
+        for rec in self.subjects:
+            if not np.isfinite(rec.data).all():
+                raise NonFiniteError(f"subject {rec.subject_id!r} data contains non-finite entries")
+
+    def __reduce__(self):
+        # pickle the block once; the unpickled records view it again
+        records = [(rec.subject_id, rec.labels, rec.group) for rec in self.subjects]
+        return _unpickle_dataset, (self.block, self.offsets, records, self.metadata)
 
     @property
     def n_subjects(self) -> int:
@@ -89,7 +157,7 @@ class MultiSubjectDataset:
 
     @property
     def n_features(self) -> int:
-        return self.subjects[0].data.shape[1]
+        return self.block.shape[1]
 
     @property
     def subject_ids(self) -> list[str]:
@@ -104,27 +172,26 @@ class MultiSubjectDataset:
             [rec for rec in self.subjects if rec.subject_id in wanted], dict(self.metadata))
 
 
-def stacked(dataset: MultiSubjectDataset, model=None):
-    """Concatenate all subjects into (x, subject_idx, labels-or-None).
+def _unpickle_dataset(block, offsets, records, metadata) -> MultiSubjectDataset:
+    views = np.split(block, offsets[1:-1])
+    return MultiSubjectDataset._of_block(
+        block, [SubjectData(sid, view, labels, group)
+                for (sid, labels, group), view in zip(records, views)],
+        metadata, check_finite=False)
 
-    Indices refer to ``model.subject_ids`` when a model is given, otherwise
-    to the dataset's own subject order.
+
+def stacked(dataset: MultiSubjectDataset, model=None):
+    """All subjects' rows as (x, subject_idx, labels-or-None), without copying.
+
+    ``x`` and the labels are the dataset's own storage: read them, never
+    write them.  Indices refer to ``model.subject_ids`` when a model is
+    given, otherwise to the dataset's own subject order.
     """
-    xs, idxs, labels = [], [], []
-    have_labels = all(rec.labels is not None for rec in dataset.subjects)
-    for row, rec in enumerate(dataset.subjects):
-        xs.append(rec.data)
-        if model is not None:
-            index = int(model.index_of([rec.subject_id])[0])
-        else:
-            index = row
-        idxs.append(np.full(rec.n_timesteps, index, dtype=np.int64))
-        if have_labels:
-            labels.append(rec.labels)
-    x = np.concatenate(xs) if xs else np.empty((0, dataset.n_features))
-    idx = np.concatenate(idxs) if idxs else np.empty(0, dtype=np.int64)
-    y = np.concatenate(labels) if have_labels else None
-    return x, idx, y
+    if model is None:
+        order = np.arange(dataset.n_subjects, dtype=np.int64)
+    else:
+        order = model.index_of(dataset.subject_ids)
+    return dataset.block, np.repeat(order, np.diff(dataset.offsets)), dataset.labels
 
 
 # --- generators -------------------------------------------------------------
@@ -193,11 +260,14 @@ def center_subjects(dataset: MultiSubjectDataset) -> MultiSubjectDataset:
     rotation about the data mean leaves no shared off-center cue a pooled
     model could exploit.
     """
-    subjects = [SubjectData(rec.subject_id, rec.data - rec.data.mean(axis=0),
-                            rec.labels, rec.group) for rec in dataset.subjects]
+    block = np.empty_like(dataset.block)
+    subjects = []
+    for rec, view in zip(dataset.subjects, np.split(block, dataset.offsets[1:-1])):
+        np.subtract(rec.data, rec.data.mean(axis=0), out=view)
+        subjects.append(SubjectData(rec.subject_id, view, rec.labels, rec.group))
     meta = dict(dataset.metadata)
     meta["centered"] = True
-    return MultiSubjectDataset(subjects, meta)
+    return MultiSubjectDataset._of_block(block, subjects, meta)
 
 
 # --- split schemes ----------------------------------------------------------
@@ -231,9 +301,22 @@ def _common_length(dataset: MultiSubjectDataset) -> int:
     return lengths.pop()
 
 
-def _take_all(dataset: MultiSubjectDataset, rows: np.ndarray) -> MultiSubjectDataset:
-    return MultiSubjectDataset([rec.take(rows) for rec in dataset.subjects],
-                               dict(dataset.metadata))
+def _take_all(dataset: MultiSubjectDataset, rows) -> MultiSubjectDataset:
+    """Rows ``rows`` of every subject, copied once into a new block."""
+    rows = np.asarray(rows, dtype=np.intp)
+    shortest = min(rec.n_timesteps for rec in dataset.subjects)
+    if rows.size and (rows.min() < 0 or rows.max() >= shortest):
+        raise IndexError(f"timestep rows out of range [0, {shortest})")
+    block = np.empty((dataset.n_subjects * rows.size, dataset.n_features))
+    subjects = []
+    for rec, view in zip(dataset.subjects, np.split(block, dataset.n_subjects)):
+        # mode="clip" writes straight into the view (the default mode buffers
+        # a full copy first); the range check above makes clipping a no-op
+        np.take(rec.data, rows, axis=0, out=view, mode="clip")
+        subjects.append(SubjectData(rec.subject_id, view,
+                                    None if rec.labels is None else rec.labels[rows], rec.group))
+    return MultiSubjectDataset._of_block(block, subjects, dict(dataset.metadata),
+                                         check_finite=False)
 
 
 def split(dataset: MultiSubjectDataset, scheme):
@@ -336,11 +419,12 @@ def synth_group_dataset(n_subjects: int, n_timesteps: int, n_features: int, late
     mixed = latents @ basis_u  # T x d, shared across subjects
     noise_rng = root.derive("noise")
     width = max(3, len(str(n_subjects - 1)))
+    block = np.empty((n_subjects * n_timesteps, n_features))
     subjects = []
-    for i in range(n_subjects):
-        x = (mixed * scalings[i]) @ basis_v.T
+    for i, x in enumerate(np.split(block, n_subjects)):
+        np.matmul(mixed * scalings[i], basis_v.T, out=x)
         if noise_level > 0:
-            x = x + noise_level * noise_rng.normal((n_timesteps, n_features))
+            x += noise_level * noise_rng.normal((n_timesteps, n_features))
         subjects.append(SubjectData(f"g{i:0{width}d}", x, None, int(groups[i])))
 
     truth = SynthGroundTruth(scalings=scalings, direction=direction,
@@ -348,7 +432,7 @@ def synth_group_dataset(n_subjects: int, n_timesteps: int, n_features: int, late
                              basis_v=basis_v, latents=latents, groups=groups)
     meta = {"n_features": n_features, "generator": "synth_group", "seed": int(seed),
             "group_effect": float(group_effect), "noise_level": float(noise_level)}
-    return MultiSubjectDataset(subjects, meta), truth
+    return MultiSubjectDataset._of_block(block, subjects, meta), truth
 
 
 # --- serialization -----------------------------------------------------------
@@ -381,7 +465,7 @@ def save_dataset(dataset: MultiSubjectDataset, path) -> None:
             fh.write(encoded)
             fh.write(struct.pack("<i", -1 if rec.group is None else int(rec.group)))
             fh.write(struct.pack("<I", rec.n_timesteps))
-            fh.write(np.ascontiguousarray(rec.data, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(rec.data, dtype="<f8").data)
             if rec.labels is None:
                 fh.write(struct.pack("<B", 0))
             else:
@@ -390,46 +474,73 @@ def save_dataset(dataset: MultiSubjectDataset, path) -> None:
 
 
 class _Reader:
-    def __init__(self, blob: bytes):
-        self.blob = blob
+    """Reads and seeks in an open file, checking each size against the file's size first."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.size = os.fstat(fh.fileno()).st_size
         self.offset = 0
 
-    def read(self, count: int, what: str) -> bytes:
-        if self.offset + count > len(self.blob):
+    def _claim(self, count: int, what: str) -> int:
+        if self.offset + count > self.size:
             raise ParseError(f"truncated while reading {what} at byte {self.offset}")
-        out = self.blob[self.offset:self.offset + count]
-        self.offset += count
+        start, self.offset = self.offset, self.offset + count
+        return start
+
+    def read(self, count: int, what: str) -> bytes:
+        at = self._claim(count, what)
+        out = self.fh.read(count)
+        if len(out) != count:
+            raise ParseError(f"truncated while reading {what} at byte {at}")
         return out
+
+    def skip(self, count: int, what: str) -> int:
+        """Step over ``count`` bytes without reading them; returns where they start."""
+        at = self._claim(count, what)
+        self.fh.seek(self.offset)
+        return at
 
     def unpack(self, fmt: str, what: str):
         return struct.unpack(fmt, self.read(struct.calcsize(fmt), what))
 
 
 def _load_binary(path) -> MultiSubjectDataset:
-    reader = _Reader(Path(path).read_bytes())
-    if reader.read(4, "magic") != MAGIC:
-        raise ParseError("bad magic at byte 0; not a packed dataset")
-    version, n_features, n_subjects = reader.unpack("<HII", "header")
-    if version != FORMAT_VERSION:
-        raise ParseError(f"unsupported dataset version {version}")
-    subjects = []
-    for _ in range(n_subjects):
-        (id_len,) = reader.unpack("<I", "id length")
-        try:
-            subject_id = reader.read(id_len, "subject id").decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"subject id is not valid UTF-8: {exc}") from exc
-        (group,) = reader.unpack("<i", "group")
-        (n_t,) = reader.unpack("<I", "timestep count")
-        raw = reader.read(8 * n_t * n_features, f"data of subject {subject_id!r}")
-        data = np.frombuffer(raw, dtype="<f8").reshape(n_t, n_features).copy()
-        (flag,) = reader.unpack("<B", "label flag")
-        labels = None
-        if flag:
-            raw = reader.read(4 * n_t, f"labels of subject {subject_id!r}")
-            labels = np.frombuffer(raw, dtype="<i4").astype(np.int64)
-        subjects.append(SubjectData(subject_id, data, labels, None if group < 0 else group))
-    return MultiSubjectDataset(subjects, {"n_features": int(n_features)})
+    """Two passes: parse every header and bound every size, then read the data into one block."""
+    with open(path, "rb") as fh:
+        reader = _Reader(fh)
+        if reader.read(4, "magic") != MAGIC:
+            raise ParseError("bad magic at byte 0; not a packed dataset")
+        version, n_features, n_subjects = reader.unpack("<HII", "header")
+        if version != FORMAT_VERSION:
+            raise ParseError(f"unsupported dataset version {version}")
+        entries = []
+        for _ in range(n_subjects):
+            (id_len,) = reader.unpack("<I", "id length")
+            try:
+                subject_id = reader.read(id_len, "subject id").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"subject id is not valid UTF-8: {exc}") from exc
+            (group,) = reader.unpack("<i", "group")
+            (n_t,) = reader.unpack("<I", "timestep count")
+            at = reader.skip(8 * n_t * n_features, f"data of subject {subject_id!r}")
+            (flag,) = reader.unpack("<B", "label flag")
+            labels = None
+            if flag:
+                raw = reader.read(4 * n_t, f"labels of subject {subject_id!r}")
+                labels = np.frombuffer(raw, dtype="<i4").astype(np.int64)
+            entries.append((subject_id, None if group < 0 else group, n_t, at, labels))
+
+        # every data region lies inside the file, so the block is no larger than it
+        block = np.empty((sum(e[2] for e in entries), n_features), dtype="<f8")
+        views = np.split(block, np.cumsum([e[2] for e in entries])[:-1])
+        subjects = []
+        for (subject_id, group, _, at, labels), view in zip(entries, views):
+            fh.seek(at)
+            if view.nbytes and fh.readinto(memoryview(view).cast("B")) != view.nbytes:
+                raise ParseError(f"truncated while reading data of subject {subject_id!r} "
+                                 f"at byte {at}")
+            subjects.append(SubjectData(subject_id, view, labels, group))
+    return MultiSubjectDataset._of_block(block, subjects, {"n_features": int(n_features)})
 
 
 def _load_csv(manifest_path) -> MultiSubjectDataset:

@@ -53,6 +53,10 @@ class DivergenceError(SubjmapError, RuntimeError):
         super().__init__(message or f"non-finite loss at step {step}")
 
 
+class SweepFailed(SubjmapError, RuntimeError):
+    """Every cell of a hyperparameter sweep failed, so there is no winner."""
+
+
 class EmptySubset(SubjmapError, ValueError):
     """A data subset selection came out empty."""
 

@@ -14,7 +14,9 @@ validates both and returns ``(out, cache)``; the exact analytic
 ``backward(grad_out, cache, need_input_grad=True)`` reads only that cache and
 returns ``(grad_x, grads)``, with ``grad_x`` None when not needed.  Bias
 vectors are shared across subjects in every family, so subject differences
-live purely in the linear part.
+live purely in the linear part.  ``forward`` adds the bias in place into the
+product it just made: the same sum as ``product + bias``, without a second
+batch-sized array (B x N for an output map).
 """
 
 from __future__ import annotations
@@ -84,7 +86,9 @@ class GroupMap:
 
     def forward(self, x, subject_idx=None):
         xb = _check_batch(x, self.n_in)
-        return xb @ self.w + self.bias, xb
+        out = xb @ self.w
+        out += self.bias
+        return out, xb
 
     def backward(self, grad_out, cache, need_input_grad: bool = True):
         grads = {"w": cache.T @ grad_out, "bias": grad_out.sum(axis=0)}
@@ -131,7 +135,9 @@ class SubjectMap:
         xb = _check_batch(x, self.n_in)
         idx = _check_idx(subject_idx, xb.shape[0], self.n_subjects)
         # the cache keeps idx, not the B x N x L gather w[idx], to bound peak memory
-        return np.einsum("bi,bio->bo", xb, self.w[idx]) + self.bias, (xb, idx)
+        out = np.einsum("bi,bio->bo", xb, self.w[idx])
+        out += self.bias
+        return out, (xb, idx)
 
     def backward(self, grad_out, cache, need_input_grad: bool = True):
         (xb, idx), g = cache, grad_out
@@ -222,7 +228,9 @@ class DecomposedMap:
         proj = xb @ first                  # B x L
         s_rows = self.s[idx]               # B x L
         scaled = proj * s_rows
-        return scaled @ second.T + self.bias, (xb, idx, proj, s_rows, scaled)
+        out = scaled @ second.T
+        out += self.bias
+        return out, (xb, idx, proj, s_rows, scaled)
 
     def backward(self, grad_out, cache, need_input_grad: bool = True):
         (xb, idx, proj, s_rows, scaled), g = cache, grad_out

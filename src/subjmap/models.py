@@ -16,6 +16,12 @@ consumes.  ``encode``, ``decode`` and the loss share one encoder pass and one
 decoder pass, so the loss sees what they return, the same ``eps`` draw
 included.  ``loss_and_grads`` returns exact analytic gradients for every
 parameter; see ``training.grad_check`` for the finite-difference gate.
+
+Biases, tanh, the squared residual and the output gradient are computed in
+place, in arrays the pass has just made.  Each is the same IEEE operation on
+the same operands as its out-of-place form, so results are unchanged and no
+extra B x N array is allocated.  Inputs are never written: a batch may be a
+dataset's own storage.
 """
 
 from __future__ import annotations
@@ -99,8 +105,10 @@ class DenseLayer:
         return cls(glorot_uniform(rng, n_in, n_out), np.zeros(n_out), activation)
 
     def forward(self, x: np.ndarray):
-        y = x @ self.w + self.b
-        y = np.tanh(y) if self.activation == "tanh" else y
+        y = x @ self.w
+        y += self.b
+        if self.activation == "tanh":
+            np.tanh(y, out=y)
         return y, (x, y)
 
     def backward(self, grad_y: np.ndarray, cache):
@@ -336,7 +344,10 @@ def _loss_impl(model: Model, x, subject_idx, labels, rng, need_grads: bool):
     else:
         xhat, (dec_caches, dmap_cache) = _decoder_forward(model, latent.z, subject_idx)
         resid = np.subtract(xhat, xb, out=xhat)  # xhat is dead: one fewer B x N array at peak
-        mse = float((resid * resid).mean())
+        if need_grads:
+            mse = float((resid * resid).mean())
+        else:  # resid is dead after this: square it where it lies
+            mse = float(np.multiply(resid, resid, out=resid).mean())
         mu, logvar = latent.mu, latent.logvar
         if spec.objective == "vae":
             kl_terms = mu * mu + np.exp(logvar) - 1.0 - logvar
@@ -349,7 +360,7 @@ def _loss_impl(model: Model, x, subject_idx, labels, rng, need_grads: bool):
         if not need_grads:
             return value, breakdown, None
 
-        grad_xhat = (2.0 / resid.size) * resid
+        grad_xhat = np.multiply(resid, 2.0 / resid.size, out=resid)
         grad_hdec, dmap_grads = model.dec_map.backward(grad_xhat, dmap_cache)
         for name, g in dmap_grads.items():
             grads[f"dec_map.{name}"] = g

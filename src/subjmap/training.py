@@ -28,7 +28,7 @@ import numpy as np
 
 from .datasets import MultiSubjectDataset, atomic_write, stacked
 from .errors import (ConfigError, DivergenceError, DuplicateSubject, EmptySubset,
-                     InvalidFraction, MissingLabels, NoSubjectWeights, ShapeError)
+                     InvalidFraction, MissingLabels, NoSubjectWeights, ShapeError, SweepFailed)
 from .linalg import SeededRng, qr_orthonormalize
 from .maps import DecomposedMap, SubjectMap
 from .models import Model, ModelSpec, build_model, is_count, loss, loss_and_grads
@@ -439,8 +439,9 @@ def hyperparameter_sweep(base_spec: ModelSpec, base_config: TrainConfig, setting
     ``metric`` is ``"val_loss"`` (lower is better) or ``"val_accuracy"``
     (higher is better).  Setting keys and the metric are checked before any
     cell runs.  Cell failures are recorded in their row and excluded from the
-    means.  Results are merged in (setting, seed) order regardless of worker
-    scheduling.
+    means; when every cell fails there is no winner and ``SweepFailed`` is
+    raised with the first cell's error.  Results are merged in (setting,
+    seed) order regardless of worker scheduling.
     """
     seeds = list(seeds)
     if not settings or not seeds:
@@ -459,6 +460,8 @@ def hyperparameter_sweep(base_spec: ModelSpec, base_config: TrainConfig, setting
     else:
         rows = [_sweep_cell(job) for job in jobs]
     rows.sort(key=lambda r: (r["setting_index"], r["seed"]))
+    if all(r["error"] for r in rows):
+        raise SweepFailed(f"all {len(rows)} sweep cells failed; the first: {rows[0]['error']}")
 
     higher_better = metric == "val_accuracy"
     key = "val_metric" if higher_better else "val_loss"

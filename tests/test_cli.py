@@ -1,9 +1,11 @@
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from subjmap.cli import main
+from subjmap.cli import _write_json, config_tables, main
 from subjmap.datasets import load_dataset, save_dataset, synth_group_dataset
 
 
@@ -249,6 +251,36 @@ class TestSweepCommand:
         assert "lr" in results["metrics"]["winner_setting"]
         lines = (out / "sweep.csv").read_text().splitlines()
         assert len(lines) == 5
+
+    def test_sweep_with_every_cell_failing_exits_two(self, tmp_path, synth_file, capsys):
+        # a width every cell's ModelSpec rejects used to exit 0 and write NaN winners
+        payload = train_config(synth_file, epochs=1)
+        payload["sweep"] = {"axes": {"first_layer_width": [0]}, "seeds": [1]}
+        cfg = write_config(tmp_path / "c.json", payload)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--workers", "1"]) == 2
+        assert "SweepFailed: all 1 sweep cells failed" in capsys.readouterr().err
+        assert not (out / "results.json").exists()
+
+
+def test_json_outputs_are_strict_with_null_for_non_finite(tmp_path):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    _write_json(tmp_path / "r.json", {"a": math.nan, "b": [1.5, -math.inf, (math.inf, 2)],
+                                      "c": {"d": np.float64("nan"), "e": np.float64(0.25)}})
+    text = (tmp_path / "r.json").read_text()
+    assert json.loads(text, parse_constant=reject) == {
+        "a": None, "b": [1.5, None, [None, 2]], "c": {"d": None, "e": 0.25}}
+
+
+def test_readme_config_tables_match_schemas():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    begin, end = "<!-- config tables: begin -->\n", "<!-- config tables: end -->"
+    assert begin in readme and end in readme, "README lost its config table markers"
+    documented = readme.split(begin, 1)[1].split(end, 1)[0]
+    assert documented.strip() == config_tables().strip(), (
+        "README config tables differ from cli.SCHEMAS; paste in cli.config_tables()")
 
 
 class TestEvaluateAnalyzeFinetune:

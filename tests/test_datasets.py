@@ -1,5 +1,8 @@
 import json
 import math
+import pickle
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ from subjmap.errors import (
     ShapeMismatch,
 )
 from subjmap.linalg import SeededRng
+from subjmap.models import ModelSpec, build_model
 
 
 def ks_two_sample_p(a, b):
@@ -256,6 +260,20 @@ class TestSerialization:
         with pytest.raises(NonFiniteError, match="alpha"):
             load_dataset(path)
 
+    def test_oversized_header_fails_before_allocating(self, tmp_path):
+        # T = 2**31 rows of 4 features claims 64 GiB of data in a file of a few bytes
+        path = tmp_path / "data.smds"
+        path.write_bytes(b"SMDS" + struct.pack("<HII", 1, 4, 1) + struct.pack("<I", 1) + b"a"
+                         + struct.pack("<iI", -1, 2**31) + b"\x00" * 64)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="data of subject 'a'"):
+                load_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "data.smds"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
@@ -329,3 +347,92 @@ def test_stacked_orders_and_labels():
     assert x.shape == (5, 2)
     assert idx.tolist() == [0, 0, 1, 1, 1]
     assert labels.tolist() == [0, 1, 1, 1, 0]
+
+
+def _reference_stacked(dataset, model=None):
+    """The per-subject concatenation that ``stacked`` replaced, kept as its oracle."""
+    xs, idxs = [], []
+    for row, rec in enumerate(dataset.subjects):
+        xs.append(rec.data)
+        index = row if model is None else int(model.index_of([rec.subject_id])[0])
+        idxs.append(np.full(rec.n_timesteps, index, dtype=np.int64))
+    have_labels = all(rec.labels is not None for rec in dataset.subjects)
+    labels = np.concatenate([rec.labels for rec in dataset.subjects]) if have_labels else None
+    return np.concatenate(xs), np.concatenate(idxs), labels
+
+
+class TestBlockStorage:
+    def make(self, labelled=True):
+        rng = SeededRng(8)
+        return MultiSubjectDataset(
+            [SubjectData(f"s{i}", rng.normal((6 + i, 3)),
+                         np.arange(6 + i) % 2 if labelled else None, i % 2) for i in range(4)],
+            {})
+
+    def test_stacked_hands_out_the_storage_of_loaded_and_split_datasets(self, tmp_path):
+        save_dataset(self.make(), tmp_path / "data.smds")
+        loaded = load_dataset(tmp_path / "data.smds")
+        even, _ = synth_group_dataset(4, 12, 5, 2, 1.0, seed=3)
+        parts = [loaded, center_subjects(loaded), even, *split(even, FirstSecondHalf())[::2],
+                 *[p for p in split(even, TimestepFraction(0.5, 0.2, seed=1)) if p is not None],
+                 *split(loaded, SubjectHoldout(1, seed=2))[::2], loaded.subset(["s1", "s2"])]
+        for ds in parts:
+            x, idx, labels = stacked(ds)
+            assert np.shares_memory(x, ds.subjects[0].data)
+            assert x.flags.c_contiguous and x.dtype == np.float64
+            for rec, start, stop in zip(ds.subjects, ds.offsets, ds.offsets[1:]):
+                assert np.shares_memory(x[start:stop], rec.data)
+            ref = _reference_stacked(ds)
+            assert np.array_equal(x, ref[0]) and np.array_equal(idx, ref[1])
+            assert (labels is None) == (ref[2] is None)
+            assert labels is None or np.array_equal(labels, ref[2])
+
+    def test_stacked_matches_concatenation(self):
+        ds = self.make()
+        spec = ModelSpec("decomposed", "autoencoder", 3, 2, 2, 5)
+        model = build_model(spec, 0, subject_ids=["z", "s3", "s1", "s0", "s2"])
+        for part, with_model in [(ds, None), (ds, model), (ds.subset(["s3", "s0"]), model),
+                                 (self.make(labelled=False), None)]:
+            got, ref = stacked(part, with_model), _reference_stacked(part, with_model)
+            assert np.array_equal(got[0], ref[0])
+            assert got[1].dtype == np.int64 and np.array_equal(got[1], ref[1])
+            assert (got[2] is None) == (ref[2] is None)
+            assert got[2] is None or np.array_equal(got[2], ref[2])
+
+    def test_mixed_labels_survive_and_stack_to_none(self, tmp_path):
+        ds = self.make()
+        ds = MultiSubjectDataset([ds.subjects[0], SubjectData("bare", np.ones((2, 3)))])
+        assert stacked(ds)[2] is None and ds.subjects[0].labels.tolist() == [0, 1, 0, 1, 0, 1]
+
+    def test_split_copies_rows_without_a_second_finiteness_check(self, monkeypatch):
+        ds, _ = synth_group_dataset(4, 8, 3, 2, 1.0, seed=1)
+        calls = []
+        monkeypatch.setattr(MultiSubjectDataset, "_check_finite", lambda self: calls.append(1))
+        train, _, test = split(ds, FirstSecondHalf())
+        assert calls == []
+        assert np.array_equal(train.subjects[2].data, ds.subjects[2].data[:4])
+        assert not np.shares_memory(train.block, ds.block)
+
+    def test_non_finite_record_is_named_by_the_dataset(self):
+        rng = SeededRng(2)
+        bad = rng.normal((3, 2))
+        bad[1, 1] = np.inf
+        with pytest.raises(NonFiniteError, match="'b'"):
+            MultiSubjectDataset([SubjectData("a", rng.normal((2, 2))), SubjectData("b", bad)])
+
+    def test_building_copies_records_and_leaves_them_alone(self):
+        rec = SubjectData("a", np.zeros((2, 2)), [0, 1])
+        ds = MultiSubjectDataset([rec])
+        ds.subjects[0].data[0, 0] = 5.0
+        assert rec.data[0, 0] == 0.0 and ds.block[0, 0] == 5.0
+        assert ds.subjects[0] is not rec and np.shares_memory(ds.labels, ds.subjects[0].labels)
+
+    def test_pickle_keeps_records_viewing_one_block(self):
+        ds = self.make()
+        back = pickle.loads(pickle.dumps(ds))
+        assert back.subject_ids == ds.subject_ids and back.metadata == ds.metadata
+        assert np.array_equal(back.block, ds.block) and np.array_equal(back.labels, ds.labels)
+        assert [r.group for r in back.subjects] == [r.group for r in ds.subjects]
+        for rec in back.subjects:
+            assert np.shares_memory(rec.data, back.block)
+            assert np.shares_memory(rec.labels, back.labels)

@@ -4,17 +4,19 @@ import math
 import numpy as np
 import pytest
 
-from subjmap.datasets import MultiSubjectDataset, SubjectData, synth_group_dataset, split, FirstSecondHalf
+from subjmap.datasets import (MultiSubjectDataset, SubjectData, synth_group_dataset, split,
+                              stacked, FirstSecondHalf)
 from subjmap import training
 from subjmap.errors import (ConfigError, DivergenceError, EmptySubset, InvalidFraction,
-                            MissingLabels, ShapeError)
+                            MissingLabels, ShapeError, SweepFailed)
 from subjmap.linalg import SeededRng
-from subjmap.models import Model, ModelSpec, build_model, decode, encode
+from subjmap.models import Model, ModelSpec, build_model, decode, encode, loss, loss_and_grads
 from subjmap.maps import GroupMap
 from subjmap.models import DenseLayer
 from subjmap.training import (
     Adam,
     TrainConfig,
+    evaluate_loss,
     finetune_subjects,
     grad_check,
     hyperparameter_sweep,
@@ -283,6 +285,15 @@ class TestSweep:
                 settings=[{"lr": 0.01}], seeds=[1],
                 train_set=data, val_set=data, metric="val_mse")
 
+    def test_every_cell_failing_is_sweep_failed(self):
+        # each cell's ModelSpec rejects the width: there is no winner to report
+        data = toy_dataset(labelled=False, t=30)
+        with pytest.raises(SweepFailed, match="all 2 sweep cells failed.*first_layer_width"):
+            hyperparameter_sweep(
+                toy_spec(), TrainConfig(epochs=1, batch_size=16),
+                settings=[{"first_layer_width": 0}], seeds=[1, 2],
+                train_set=data, val_set=data, metric="val_loss")
+
     def test_rows_sorted_and_deterministic(self):
         data = toy_dataset(labelled=False, t=30)
         kwargs = dict(settings=[{"lr": 0.03}, {"lr": 0.01}], seeds=[5, 6],
@@ -303,3 +314,30 @@ def test_parameter_digest_excludes_only_named_rows():
     assert parameter_digest(model, (1,)) == parameter_digest(model, (1,))
     model.enc_map.v[0, 0] += 1.0
     assert parameter_digest(model, (1,)) != base
+
+
+def _storage_digest(dataset) -> str:
+    digest = hashlib.sha256(dataset.block.tobytes())
+    if dataset.labels is not None:
+        digest.update(dataset.labels.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("variant", ["group", "subject", "decomposed"])
+@pytest.mark.parametrize("objective", ["classifier", "autoencoder", "vae"])
+def test_passes_leave_dataset_storage_unchanged(variant, objective):
+    # stacked hands out the dataset's own block, so no pass may write its input
+    data = toy_dataset(labelled=objective == "classifier", t=24)
+    latents = MultiSubjectDataset(
+        [SubjectData(sid, SeededRng(i).normal((5, 2))) for i, sid in enumerate(data.subject_ids)])
+    before = _storage_digest(data), _storage_digest(latents)
+    model = build_model(toy_spec(variant, objective), seed=4, subject_ids=data.subject_ids)
+    x, idx, labels = stacked(data, model)
+    loss(model, x, idx, labels)
+    loss_and_grads(model, x, idx, labels, SeededRng(2))
+    encode(model, x, idx, SeededRng(3))
+    if objective != "classifier":
+        decode(model, *stacked(latents, model)[:2])
+    evaluate_loss(model, data)
+    train(model, data, data, TrainConfig(lr=0.01, epochs=2, batch_size=8, seed=1))
+    assert (_storage_digest(data), _storage_digest(latents)) == before
