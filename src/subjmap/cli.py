@@ -76,14 +76,15 @@ def _is(value, kind: str) -> bool:
     """True if ``value`` has the JSON type ``kind``.
 
     ``kind`` is a key of ``_JSON_TYPES``, ``[kind]`` for a list of such
-    values, or alternatives joined by ``|``.  A bool is never a number, and
-    an int passes for a float.
+    values, or alternatives joined by ``|``.  A bool is never a number, an
+    int passes for a float, and a NaN or infinity passes for nothing.
     """
     if kind.startswith("[") and kind.endswith("]"):
         return isinstance(value, list) and all(_is(item, kind[1:-1]) for item in value)
     if "|" in kind:
         return any(_is(value, alt) for alt in kind.split("|"))
-    return isinstance(value, _JSON_TYPES[kind]) and isinstance(value, bool) == (kind == "bool")
+    return (isinstance(value, _JSON_TYPES[kind]) and isinstance(value, bool) == (kind == "bool")
+            and not (isinstance(value, float) and not math.isfinite(value)))
 
 
 def _check(value, kind: str, where: str) -> None:
@@ -185,7 +186,7 @@ SCHEMAS = {
         "sweep": {
             "axes": ("object", _REQUIRED),
             "seeds": ("[int]", [11, 12, 13, 14]),
-            "metric": ("str", "val_accuracy"),
+            "metric": ("str|null", None),
         },
     },
     "finetune": {
@@ -481,21 +482,20 @@ def _cmd_finetune(config: dict, out_dir: Path, config_dir: Path, workers: int) -
 
     total = _common_length(dataset)
     holdout_start = total - int(round(section["holdout_fraction"] * total))
-    fit_window = _take_all(dataset, np.arange(holdout_start))
+    # fraction is of the full timeseries, capped at the rows before the held-out tail
+    n_fit = min(holdout_start, math.ceil(section["fraction"] * total))
     digest_before = parameter_digest(model)
 
     ft_cfg = TrainConfig(lr=section["lr"], optimizer=section["optimizer"],
                          epochs=section["epochs"], batch_size=section["batch_size"],
                          seed=root.derive("finetune").seed, early_stop_patience=None)
-    # fraction is taken of the full timeseries but fitted inside the lead window
-    lead_fraction = min(1.0, section["fraction"] * total / max(holdout_start, 1))
-    result = finetune_subjects(model, fit_window, lead_fraction, ft_cfg)
+    result = finetune_subjects(model, _take_all(dataset, np.arange(n_fit)), 1.0, ft_cfg)
     digest_after = parameter_digest(model, tuple(int(i) for i in result.new_indices))
 
     eval_rows = np.arange(holdout_start, total)
     metrics = {
         "fraction": section["fraction"],
-        "n_finetune_timesteps": math.ceil(lead_fraction * holdout_start),
+        "n_finetune_timesteps": n_fit,
         "heldout_mse": _heldout_mse(model, dataset, eval_rows),
         "frozen_digest_unchanged": digest_before == digest_after,
         "n_new_subjects": len(result.new_subject_ids),
@@ -545,10 +545,13 @@ def _cmd_evaluate(config: dict, out_dir: Path, config_dir: Path, workers: int) -
         metrics["embedding_probe"] = probe.to_json()
 
     if section["probe_subject_weights"]:
+        param = model.enc_map.subject_param
+        if param is None:
+            raise ConfigError("probe_subject_weights needs a subject or decomposed model")
         groups = dataset.groups()
         if (groups < 0).any():
             raise ConfigError("probe_subject_weights needs group labels on every subject")
-        rows = model.enc_map.params()["s" if model.spec.variant == "decomposed" else "w"]
+        rows = model.enc_map.params()[param]
         rows = rows.reshape(rows.shape[0], -1)
         order = model.index_of(dataset.subject_ids)
         probe = probe_classify(rows[order], groups, n_folds=section["probe_folds"],

@@ -34,6 +34,11 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def is_count(value, minimum: int) -> bool:
+    """True for an int of at least ``minimum``; a bool, float or string is never one."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
+
+
 class SeededRng:
     """Deterministic random source with hierarchical stream derivation.
 

@@ -14,9 +14,10 @@ validates both and returns ``(out, cache)``; the exact analytic
 ``backward(grad_out, cache, need_input_grad=True)`` reads only that cache and
 returns ``(grad_x, grads)``, with ``grad_x`` None when not needed.  Bias
 vectors are shared across subjects in every family, so subject differences
-live purely in the linear part.  ``forward`` adds the bias in place into the
-product it just made: the same sum as ``product + bias``, without a second
-batch-sized array (B x N for an output map).
+live purely in the linear part, in the one parameter that each family names
+as its ``subject_param`` (``None`` for ``GroupMap``).  ``forward`` adds the
+bias in place into the product it just made: the same sum as
+``product + bias``, without a second batch-sized array (B x N for an output map).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError, UnknownSubject
-from .linalg import SeededRng, qr_orthonormalize
+from .linalg import SeededRng, is_count, qr_orthonormalize
 
 VARIANTS = ("group", "subject", "decomposed")
 
@@ -58,6 +59,7 @@ class GroupMap:
     """Single linear layer shared across all subjects."""
 
     variant = "group"
+    subject_param = None  # shared weights: valid for any subject
 
     def __init__(self, w: np.ndarray, bias: np.ndarray):
         self.w = np.asarray(w, dtype=np.float64)
@@ -77,10 +79,6 @@ class GroupMap:
     def n_out(self) -> int:
         return self.w.shape[1]
 
-    @property
-    def n_subjects(self) -> int:
-        return 0  # shared weights: valid for any subject
-
     def params(self) -> dict[str, np.ndarray]:
         return {"w": self.w, "bias": self.bias}
 
@@ -95,10 +93,27 @@ class GroupMap:
         return (grad_out @ self.w.T if need_input_grad else None), grads
 
 
-class SubjectMap:
+class _PerSubject:
+    """A map whose parameter named ``subject_param`` holds one row per subject."""
+
+    subject_param: str
+
+    @property
+    def n_subjects(self) -> int:
+        return getattr(self, self.subject_param).shape[0]
+
+    def add_subjects(self, count: int) -> None:
+        """Append ``count`` new per-subject rows initialized at the mean of the existing ones."""
+        rows = getattr(self, self.subject_param)
+        setattr(self, self.subject_param,
+                np.concatenate([rows, np.repeat(rows.mean(axis=0)[None], count, axis=0)]))
+
+
+class SubjectMap(_PerSubject):
     """One full weight matrix per subject; bias shared."""
 
     variant = "subject"
+    subject_param = "w"
 
     def __init__(self, w: np.ndarray, bias: np.ndarray):
         self.w = np.asarray(w, dtype=np.float64)
@@ -119,17 +134,8 @@ class SubjectMap:
     def n_out(self) -> int:
         return self.w.shape[2]
 
-    @property
-    def n_subjects(self) -> int:
-        return self.w.shape[0]
-
     def params(self) -> dict[str, np.ndarray]:
         return {"w": self.w, "bias": self.bias}
-
-    def add_subjects(self, count: int) -> None:
-        """Append ``count`` new per-subject matrices initialized at the mean of existing ones."""
-        mean_w = self.w.mean(axis=0)
-        self.w = np.concatenate([self.w, np.repeat(mean_w[None], count, axis=0)])
 
     def forward(self, x, subject_idx):
         xb = _check_batch(x, self.n_in)
@@ -148,7 +154,7 @@ class SubjectMap:
         return grad_x, grads
 
 
-class DecomposedMap:
+class DecomposedMap(_PerSubject):
     """Shared bases with per-subject scaling of the hidden coordinates.
 
     ``direction="reduce"`` maps N -> L as ((x @ v) * s_i) @ u.T + bias;
@@ -159,6 +165,7 @@ class DecomposedMap:
     """
 
     variant = "decomposed"
+    subject_param = "s"
 
     def __init__(self, v: np.ndarray, u: np.ndarray, s: np.ndarray, bias: np.ndarray,
                  direction: str = "reduce"):
@@ -204,17 +211,8 @@ class DecomposedMap:
     def n_out(self) -> int:
         return self.n_hidden if self.direction == "reduce" else self.n_wide
 
-    @property
-    def n_subjects(self) -> int:
-        return self.s.shape[0]
-
     def params(self) -> dict[str, np.ndarray]:
         return {"v": self.v, "u": self.u, "s": self.s, "bias": self.bias}
-
-    def add_subjects(self, count: int) -> None:
-        """Append ``count`` new scaling rows initialized at the mean of existing rows."""
-        mean_row = self.s.mean(axis=0)
-        self.s = np.concatenate([self.s, np.repeat(mean_row[None], count, axis=0)])
 
     def collapsed(self, row: np.ndarray) -> np.ndarray:
         """Effective n_in x n_out matrix for one scaling row."""
@@ -261,7 +259,7 @@ class ParamRegime:
     def __post_init__(self):
         for field in ("input_size", "hidden_size", "n_subjects"):
             value = getattr(self, field)
-            if not isinstance(value, int) or value <= 0:
+            if not is_count(value, 1):
                 raise ConfigError(f"{field} must be a positive integer, got {value!r}")
 
 

@@ -31,18 +31,13 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import ConfigError, DimensionError, MissingLabels, ShapeError, UnknownSubject
-from .linalg import SeededRng
+from .linalg import SeededRng, is_count
 from .maps import VARIANTS, DecomposedMap, GroupMap, SubjectMap, glorot_uniform
 
 OBJECTIVES = ("classifier", "autoencoder", "vae")
 
 LOGVAR_MIN = -20.0
 LOGVAR_MAX = 20.0
-
-
-def is_count(value, minimum: int) -> bool:
-    """True for an int of at least ``minimum``; a bool, float or string is never one."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
 
 
 @dataclass(frozen=True)

@@ -29,9 +29,8 @@ import numpy as np
 from .datasets import MultiSubjectDataset, atomic_write, stacked
 from .errors import (ConfigError, DivergenceError, DuplicateSubject, EmptySubset,
                      InvalidFraction, MissingLabels, NoSubjectWeights, ShapeError, SweepFailed)
-from .linalg import SeededRng, qr_orthonormalize
-from .maps import DecomposedMap, SubjectMap
-from .models import Model, ModelSpec, build_model, is_count, loss, loss_and_grads
+from .linalg import SeededRng, is_count, qr_orthonormalize
+from .models import Model, ModelSpec, build_model, loss, loss_and_grads
 
 
 def canonical_digest(obj) -> str:
@@ -270,17 +269,13 @@ def parameter_digest(model: Model, exclude_subject_rows: tuple[int, ...] = ()) -
     Used to certify that fine-tuning left every pre-existing weight
     bit-identical.
     """
-    excluded = set(exclude_subject_rows)
     per_subject = _per_subject_views(model, 0)
     digest = hashlib.sha256()
     for name, arr in sorted(model.params().items()):
-        if name in per_subject and excluded:
-            keep = [i for i in range(arr.shape[0]) if i not in excluded]
-            payload = arr[keep]
-        else:
-            payload = arr
+        if name in per_subject:
+            arr = np.delete(arr, list(exclude_subject_rows), axis=0)
         digest.update(name.encode("utf-8"))
-        digest.update(np.ascontiguousarray(payload, dtype=np.float64).tobytes())
+        digest.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
     return digest.hexdigest()
 
 
@@ -295,13 +290,10 @@ class FinetuneResult:
 
 
 def _per_subject_views(model: Model, start: int) -> dict[str, np.ndarray]:
-    views: dict[str, np.ndarray] = {}
-    for prefix, m in (("enc_map", model.enc_map), ("dec_map", model.dec_map)):
-        if isinstance(m, DecomposedMap):
-            views[f"{prefix}.s"] = m.s[start:]
-        elif isinstance(m, SubjectMap):
-            views[f"{prefix}.w"] = m.w[start:]
-    return views
+    """Rows ``start:`` of each map's per-subject parameter, keyed by model parameter name."""
+    return {f"{prefix}.{m.subject_param}": m.params()[m.subject_param][start:]
+            for prefix, m in (("enc_map", model.enc_map), ("dec_map", model.dec_map))
+            if m is not None and m.subject_param is not None}
 
 
 def add_subjects(model: Model, new_ids) -> np.ndarray:
@@ -311,14 +303,14 @@ def add_subjects(model: Model, new_ids) -> np.ndarray:
     centers each new subject in the learned weight distribution.
     """
     new_ids = tuple(new_ids)
-    if model.spec.variant == "group":
+    if model.enc_map.subject_param is None:
         raise NoSubjectWeights("group models have no per-subject weights to add")
     clash = set(new_ids) & set(model.subject_ids)
     if clash:
         raise DuplicateSubject(f"subjects already registered: {sorted(clash)}")
     count = len(new_ids)
     for m in (model.enc_map, model.dec_map):
-        if isinstance(m, (DecomposedMap, SubjectMap)):
+        if m is not None:
             m.add_subjects(count)
     start = len(model.subject_ids)
     model.subject_ids = model.subject_ids + new_ids
@@ -433,21 +425,27 @@ class SweepResult:
 
 def hyperparameter_sweep(base_spec: ModelSpec, base_config: TrainConfig, settings: list[dict],
                          seeds, train_set, val_set, test_set=None,
-                         metric: str = "val_loss", workers: int = 1) -> SweepResult:
+                         metric: str | None = None, workers: int = 1) -> SweepResult:
     """Train every (setting, seed) cell and rank settings by mean validation metric.
 
-    ``metric`` is ``"val_loss"`` (lower is better) or ``"val_accuracy"``
-    (higher is better).  Setting keys and the metric are checked before any
-    cell runs.  Cell failures are recorded in their row and excluded from the
-    means; when every cell fails there is no winner and ``SweepFailed`` is
-    raised with the first cell's error.  Results are merged in (setting,
-    seed) order regardless of worker scheduling.
+    ``metric`` is ``"val_loss"`` (lower is better) or, when every cell trains
+    a classifier, ``"val_accuracy"`` (higher is better); ``None`` picks the
+    first of these that applies.  Setting keys and the metric are checked
+    before any cell runs.  Cell failures are recorded in their row and
+    excluded from the means; when every cell fails there is no winner and
+    ``SweepFailed`` is raised with the first cell's error.  Results are merged
+    in (setting, seed) order regardless of worker scheduling.
     """
     seeds = list(seeds)
     if not settings or not seeds:
         raise ConfigError(f"sweep needs at least one setting and one seed, got seeds {seeds}")
-    if metric not in ("val_loss", "val_accuracy"):
-        raise ConfigError(f"unknown sweep.metric {metric!r}; expected 'val_loss' or 'val_accuracy'")
+    classifier = all(setting.get("objective", base_spec.objective) == "classifier"
+                     for setting in settings)
+    choices = ("val_accuracy", "val_loss") if classifier else ("val_loss",)
+    metric = choices[0] if metric is None else metric
+    if metric not in choices:
+        raise ConfigError(f"sweep.metric must be one of {choices} for these objectives, "
+                          f"got {metric!r}")
     unknown = {key for setting in settings for key in setting} - _SPEC_FIELDS - _CONFIG_FIELDS
     if unknown:
         raise ConfigError(f"unknown sweep setting keys {sorted(unknown)}")

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from subjmap.cli import _write_json, config_tables, main
+from subjmap.cli import _load_config, _write_json, config_tables, main
 from subjmap.datasets import load_dataset, save_dataset, synth_group_dataset
 
 
@@ -101,6 +102,10 @@ class TestConfigValues:
         ("sweep", "sweep", "axes", {"learning_rate": [0.01]}),
         ("sweep", "sweep", "axes", {"trunk_widths": [[16], ["8"]]}),
         ("sweep", "sweep", "axes", {"early_stop_patience": [None, 2.5]}),
+        # non-finite literals passed as floats and failed at the JSON write, exit 2
+        ("train", "train", "lr", math.nan),
+        ("train", "model", "beta", math.inf),
+        ("sweep", "sweep", "axes", {"lr": [0.01, math.nan]}),
     ])
     def test_bad_value_is_config_error(self, tmp_path, synth_file, capsys,
                                        command, section, key, value):
@@ -263,6 +268,24 @@ class TestSweepCommand:
         assert not (out / "results.json").exists()
 
 
+    def test_autoencoder_default_metric_picks_lowest_val_loss(self, tmp_path, synth_file):
+        # the default used to be val_accuracy, which ranks an autoencoder's val
+        # loss highest first and so picked the worst setting
+        payload = train_config(synth_file, epochs=3)
+        payload["sweep"] = {"axes": {"lr": [1e-4, 0.05]}, "seeds": [1, 2]}
+        cfg = write_config(tmp_path / "c.json", payload)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--workers", "1"]) == 0
+        metrics = read_results(out)["metrics"]
+        with open(out / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        means = {lr: np.mean([float(r["val_loss"]) for r in rows if r["lr"] == lr])
+                 for lr in ("0.0001", "0.05")}
+        assert means["0.05"] < means["0.0001"]
+        assert metrics["winner_setting"] == {"lr": 0.05}
+        assert metrics["winner_mean_val"] == means["0.05"]
+
+
 def test_json_outputs_are_strict_with_null_for_non_finite(tmp_path):
     def reject(constant):
         raise ValueError(f"non-standard JSON constant {constant}")
@@ -281,6 +304,14 @@ def test_readme_config_tables_match_schemas():
     documented = readme.split(begin, 1)[1].split(end, 1)[0]
     assert documented.strip() == config_tables().strip(), (
         "README config tables differ from cli.SCHEMAS; paste in cli.config_tables()")
+
+
+def test_repo_configs_resolve_against_their_command_schema():
+    configs = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+    assert configs
+    for path in configs:
+        # an unknown key or a value of the wrong type raises ConfigError naming it
+        _load_config(str(path), path.name.split("_", 1)[0], None, None)
 
 
 class TestEvaluateAnalyzeFinetune:
@@ -389,6 +420,47 @@ class TestEvaluateAnalyzeFinetune:
         assert metrics["frozen_digest_unchanged"] is True
         assert metrics["n_new_subjects"] == 4
         assert "baseline_mse" in metrics
+
+    def test_subject_weight_probe_of_group_model_is_config_error(self, tmp_path, synth_file,
+                                                                  capsys):
+        # it used to probe the first rows of the shared weight matrix and exit 0
+        cfg = write_config(tmp_path / "train.json",
+                           train_config(synth_file, variant="group", epochs=1))
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "model")]) == 0
+        cfge = write_config(tmp_path / "eval.json", {
+            "data": {"path": str(synth_file)},
+            "checkpoint": str(tmp_path / "model" / "model.ckpt"),
+            "eval": {"recon": False, "probe_subject_weights": True, "probe_folds": 2},
+        })
+        capsys.readouterr()
+        assert main(["evaluate", "--config", cfge, "--out", str(tmp_path / "eval")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "probe_subject_weights" in err
+        assert not (tmp_path / "eval" / "results.json").exists()
+
+    def test_finetune_fits_the_fraction_of_the_full_timeseries(self, tmp_path, capsys):
+        # T=28, holdout 0.1: 25 rows precede the held-out tail; fraction 0.25 of
+        # 28 is 7 rows, which a fraction-of-window round trip made 8
+        data, _ = synth_group_dataset(4, 28, 8, 3, 1.0, seed=2)
+        data_path = tmp_path / "data.smds"
+        save_dataset(data, data_path)
+        cfg = write_config(tmp_path / "train.json", train_config(data_path, epochs=1))
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "model")]) == 0
+        new_data, _ = synth_group_dataset(2, 28, 8, 3, 1.0, seed=3)
+        for rec in new_data.subjects:
+            rec.subject_id = "new_" + rec.subject_id
+        save_dataset(new_data, tmp_path / "new.smds")
+        cfgf = write_config(tmp_path / "ft.json", {
+            "data": {"path": str(tmp_path / "new.smds")},
+            "checkpoint": str(tmp_path / "model" / "model.ckpt"),
+            "finetune": {"fraction": 0.25, "holdout_fraction": 0.1, "epochs": 1,
+                         "batch_size": 1},
+        })
+        ft_dir = tmp_path / "ft"
+        assert main(["finetune", "--config", cfgf, "--out", str(ft_dir)]) == 0
+        assert read_results(ft_dir)["metrics"]["n_finetune_timesteps"] == 7
+        history = json.loads((ft_dir / "history.json").read_text())
+        assert history["n_steps"] == 2 * 7  # one step per fitted row of each new subject
 
     def test_finetune_on_registered_subjects_is_named_error(self, tmp_path, synth_file, capsys):
         cfg = write_config(tmp_path / "train.json", train_config(synth_file, epochs=1))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from subjmap.errors import ShapeError, UnknownSubject
+from subjmap.errors import ConfigError, ShapeError, UnknownSubject
 from subjmap.linalg import SeededRng
 from subjmap.maps import DecomposedMap, GroupMap, ParamRegime, SubjectMap, param_count
 
@@ -166,6 +166,9 @@ class TestParamCount:
     def test_regime_validation(self):
         with pytest.raises(ValueError):
             ParamRegime(0, 1, 1)
+        # a bool used to pass as the integer 1
+        with pytest.raises(ConfigError, match="input_size"):
+            ParamRegime(True, 4, 3)
 
 
 def test_add_subjects_mean_init():
@@ -177,3 +180,8 @@ def test_add_subjects_mean_init():
     assert m.n_subjects == 4
     np.testing.assert_allclose(m.s[2], [2.0, 3.0, 4.0])
     np.testing.assert_allclose(m.s[3], [2.0, 3.0, 4.0])
+    sm = SubjectMap.initialize(4, 3, 2, rng)
+    mean_w = sm.w.mean(axis=0)
+    sm.add_subjects(1)
+    assert sm.n_subjects == 3
+    np.testing.assert_array_equal(sm.w[2], mean_w)

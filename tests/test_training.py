@@ -106,6 +106,54 @@ class TestTrainLoop:
         assert len(lines) == 1 + h.n_epochs
 
 
+class TestGradClip:
+    def grads(self):
+        rng = SeededRng(4)
+        return {"a": rng.normal((3, 4)), "b": rng.normal(5)}
+
+    @staticmethod
+    def norm(grads):
+        return math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+
+    def test_above_max_norm_rescaled_to_it(self):
+        grads = self.grads()
+        total = self.norm(grads)
+        originals = {k: g.copy() for k, g in grads.items()}
+        training.clip_gradients(grads, total / 3)
+        assert self.norm(grads) == pytest.approx(total / 3, rel=1e-14)
+        for k, g in grads.items():  # one common scale: the direction is kept
+            np.testing.assert_allclose(g * 3, originals[k], rtol=1e-14)
+
+    def test_below_max_norm_byte_equal(self):
+        grads = self.grads()
+        originals = {k: g.copy() for k, g in grads.items()}
+        training.clip_gradients(grads, self.norm(grads) * 1.01)
+        for k, g in grads.items():
+            assert g.tobytes() == originals[k].tobytes()
+
+    def test_loose_clip_reproduces_unclipped_training(self):
+        data = toy_dataset(labelled=False)
+        runs = []
+        for grad_clip in (None, 1e6):
+            model = build_model(toy_spec(), seed=1, subject_ids=data.subject_ids)
+            _, history = train(model, data, data,
+                               TrainConfig(lr=0.01, epochs=4, batch_size=16, seed=2,
+                                           grad_clip=grad_clip))
+            runs.append((history.train_losses, history.val_losses, parameter_digest(model)))
+        assert runs[0] == runs[1]
+
+    def test_tight_clip_changes_training(self):
+        data = toy_dataset(labelled=False)
+        losses = []
+        for grad_clip in (None, 1e-3):
+            model = build_model(toy_spec(), seed=1, subject_ids=data.subject_ids)
+            _, history = train(model, data, data,
+                               TrainConfig(lr=0.01, epochs=2, batch_size=16, seed=2,
+                                           optimizer="sgd", grad_clip=grad_clip))
+            losses.append(history.train_losses)
+        assert losses[0] != losses[1]
+
+
 class TestAdam:
     def test_zero_gradient_is_noop(self):
         p = {"w": np.array([1.0, -2.0, 3.0])}
@@ -222,6 +270,20 @@ class TestFinetune:
         assert model.subject_ids == ids
         assert parameter_digest(model) == digest
 
+    def test_subject_map_fits_only_the_new_matrices(self):
+        data = toy_dataset(labelled=False)
+        model = build_model(toy_spec(variant="subject"), seed=0, subject_ids=data.subject_ids)
+        before = parameter_digest(model)
+        start_row = model.enc_map.w.mean(axis=0)
+        new = MultiSubjectDataset([SubjectData("new", SeededRng(1).normal((40, 6)))])
+        result = finetune_subjects(model, new, 0.5,
+                                   TrainConfig(lr=0.01, epochs=2, batch_size=8,
+                                               early_stop_patience=None))
+        assert parameter_digest(model, (3,)) == before
+        assert result.enc_rows.shape == (1, 6, 4) and result.dec_rows.shape == (1, 4, 6)
+        np.testing.assert_array_equal(result.enc_rows[0], model.enc_map.w[3])
+        assert not np.array_equal(result.enc_rows[0], start_row)
+
     def test_group_model_rejected(self):
         data = toy_dataset(labelled=False)
         model = build_model(toy_spec(variant="group"), seed=0, subject_ids=data.subject_ids)
@@ -284,6 +346,29 @@ class TestSweep:
                 toy_spec(), TrainConfig(epochs=1, batch_size=16),
                 settings=[{"lr": 0.01}], seeds=[1],
                 train_set=data, val_set=data, metric="val_mse")
+
+    def test_default_metric_follows_the_objective(self):
+        # val_accuracy used to rank a non-classifier by val loss, highest first
+        data = toy_dataset(t=30)
+        settings = [{"lr": 1e-4}, {"lr": 0.05}]
+        res = hyperparameter_sweep(toy_spec(), TrainConfig(epochs=3, batch_size=16),
+                                   settings=settings, seeds=[1], train_set=data, val_set=data)
+        assert res.metric == "val_loss"
+        assert res.setting_means[res.winner_index] == min(res.setting_means)
+        res = hyperparameter_sweep(toy_spec(objective="classifier"),
+                                   TrainConfig(epochs=3, batch_size=16),
+                                   settings=settings, seeds=[1], train_set=data, val_set=data)
+        assert res.metric == "val_accuracy"
+        assert res.setting_means[res.winner_index] == max(res.setting_means)
+        with pytest.raises(ConfigError, match="val_accuracy"):
+            hyperparameter_sweep(toy_spec(), TrainConfig(epochs=1, batch_size=16),
+                                 settings=settings, seeds=[1], train_set=data, val_set=data,
+                                 metric="val_accuracy")
+        with pytest.raises(ConfigError, match="val_accuracy"):
+            hyperparameter_sweep(toy_spec(objective="classifier"),
+                                 TrainConfig(epochs=1, batch_size=16),
+                                 settings=[{"objective": "autoencoder"}], seeds=[1],
+                                 train_set=data, val_set=data, metric="val_accuracy")
 
     def test_every_cell_failing_is_sweep_failed(self):
         # each cell's ModelSpec rejects the width: there is no winner to report
