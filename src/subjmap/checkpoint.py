@@ -60,7 +60,7 @@ def save_model(model: Model, path, config_hash: str = "") -> None:
             fh.write(raw)
 
 
-def load_model(path, expect_variant: str | None = None) -> tuple[Model, str]:
+def load_model(path) -> tuple[Model, str]:
     """Reconstruct a model; returns (model, config_hash)."""
     blob = Path(path).read_bytes()
     if blob[:4] != MAGIC:
@@ -89,9 +89,6 @@ def load_model(path, expect_variant: str | None = None) -> tuple[Model, str]:
                   for b in header["blobs"]}
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed checkpoint header: {exc!r}") from exc
-    if expect_variant is not None and spec.variant != expect_variant:
-        raise ShapeMismatch(
-            f"checkpoint holds a {spec.variant!r} model, expected {expect_variant!r}")
     model = build_model(spec, init_seed, subject_ids)
     params = model.params()
     data_start = header_end + ((-header_end) % 8)

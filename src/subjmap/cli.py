@@ -43,7 +43,7 @@ from .datasets import (
     stacked,
     synth_group_dataset,
 )
-from .errors import ConfigError, SubjmapError
+from .errors import ConfigError, ParseError, SubjmapError
 from .evaluation import (
     _heldout_mse,
     circle_fit,
@@ -484,12 +484,19 @@ def _cmd_finetune(config: dict, out_dir: Path, config_dir: Path, workers: int) -
     holdout_start = total - int(round(section["holdout_fraction"] * total))
     # fraction is of the full timeseries, capped at the rows before the held-out tail
     n_fit = min(holdout_start, math.ceil(section["fraction"] * total))
+    if holdout_start >= total:
+        raise ConfigError(f"finetune.holdout_fraction {section['holdout_fraction']!r} "
+                          f"holds out none of the {total} timesteps")
+    if n_fit < 1:
+        key = "holdout_fraction" if holdout_start < 1 else "fraction"
+        raise ConfigError(f"finetune.{key} {section[key]!r} leaves no timestep of {total} "
+                          f"to fine-tune on")
     digest_before = parameter_digest(model)
 
     ft_cfg = TrainConfig(lr=section["lr"], optimizer=section["optimizer"],
                          epochs=section["epochs"], batch_size=section["batch_size"],
                          seed=root.derive("finetune").seed, early_stop_patience=None)
-    result = finetune_subjects(model, _take_all(dataset, np.arange(n_fit)), 1.0, ft_cfg)
+    result = finetune_subjects(model, _take_all(dataset, np.arange(n_fit)), ft_cfg)
     digest_after = parameter_digest(model, tuple(int(i) for i in result.new_indices))
 
     eval_rows = np.arange(holdout_start, total)
@@ -570,13 +577,29 @@ def _cmd_evaluate(config: dict, out_dir: Path, config_dir: Path, workers: int) -
                 fh.write(f"{sid},{float(a)!r},{float(b)!r}\n")
         files.append("subject_pca.csv")
         if section["angles_path"]:
-            text = _relative(section, config_dir, "angles_path").read_text(encoding="utf-8")
-            angle_of = dict(line.split(",") for line in text.splitlines()[1:])
-            true_angles = np.array([float(angle_of[sid]) for sid in model.subject_ids])
+            path = _relative(section, config_dir, "angles_path")
+            true_angles = np.array(_read_angles(path, model.subject_ids))
             recovered = polar_angles(coords, fit.center)
             metrics["circle"]["angle_correlation"] = circular_correlation(recovered, true_angles)
 
     return metrics, files
+
+
+def _read_angles(path: Path, subject_ids) -> list[float]:
+    """Each subject's angle from a ``subject_id,angle`` CSV with a header row."""
+    angle_of = {}
+    for row, line in enumerate(path.read_text(encoding="utf-8").splitlines()[1:], start=2):
+        try:
+            sid, angle = line.split(",")
+            angle_of[sid] = float(angle)
+        except ValueError as exc:
+            raise ParseError(f"{path}: row {row} is not 'subject_id,angle': {line!r}") from exc
+        if not math.isfinite(angle_of[sid]):
+            raise ParseError(f"{path}: row {row} has a non-finite angle: {line!r}")
+    missing = [sid for sid in subject_ids if sid not in angle_of]
+    if missing:
+        raise ParseError(f"{path} has no angle for subjects {missing}")
+    return [angle_of[sid] for sid in subject_ids]
 
 
 def _cmd_analyze(config: dict, out_dir: Path, config_dir: Path, workers: int) -> _Outputs:

@@ -11,9 +11,10 @@ offset is planted in scaling space so recovery can be checked against ground
 truth.
 
 A dataset stores every subject's rows in one C-contiguous float64 block;
-each subject's ``data`` is a view of its rows.  Splits fill a new block
-once, ``stacked`` hands the block out without copying, and the loader reads
-a file straight into it.
+each subject's ``data`` is a view of its rows.  One method lays out every
+dataset, allocating the block and building the views, and each producer
+then fills the rows in place: splits copy into a new block once, the loader
+reads a file straight into it, and ``stacked`` hands it out without copying.
 
 Binary container (all little-endian): magic ``SMDS``, version u16, N u32,
 M u32, then per subject: id length u32 + UTF-8 bytes, group i32 (-1 = none),
@@ -42,7 +43,7 @@ from .errors import (
     ShapeError,
     ShapeMismatch,
 )
-from .linalg import SeededRng, as_matrix, qr_orthonormalize
+from .linalg import SeededRng, as_matrix, is_count, qr_orthonormalize
 
 MAGIC = b"SMDS"
 FORMAT_VERSION = 1
@@ -96,45 +97,50 @@ class MultiSubjectDataset:
 
     def __init__(self, subjects, metadata: dict | None = None):
         subjects = list(subjects)
-        if not subjects:
-            raise ShapeError("dataset needs at least one subject")
-        widths = {rec.data.shape[1] for rec in subjects}
-        if len(widths) != 1:
-            raise ShapeMismatch(f"subjects disagree on feature width: {sorted(widths)}")
-        block = np.empty((sum(rec.n_timesteps for rec in subjects), widths.pop()))
-        views = np.split(block, np.cumsum([rec.n_timesteps for rec in subjects])[:-1])
-        for rec, view in zip(subjects, views):
-            view[...] = rec.data
-        self._bind(block, [SubjectData(rec.subject_id, view, rec.labels, rec.group)
-                           for rec, view in zip(subjects, views)], metadata)
+        widths = sorted({rec.data.shape[1] for rec in subjects})
+        if len(widths) > 1:
+            raise ShapeMismatch(f"subjects disagree on feature width: {widths}")
+        self._lay_out(_records(subjects), widths[0] if widths else 0, metadata)
+        for rec, mine in zip(subjects, self.subjects):
+            mine.data[...] = rec.data
         self._check_finite()
 
     @classmethod
-    def _of_block(cls, block: np.ndarray, subjects: list[SubjectData], metadata: dict | None,
-                  check_finite: bool = True) -> "MultiSubjectDataset":
-        """Adopt ``block`` without copying; ``subjects`` view consecutive rows of it."""
-        dataset = cls.__new__(cls)
-        dataset._bind(block, subjects, metadata)
-        if check_finite:
-            dataset._check_finite()
-        return dataset
+    def _empty(cls, records, n_features: int, metadata: dict | None,
+               block: np.ndarray | None = None) -> "MultiSubjectDataset":
+        """A dataset laid out by ``_lay_out`` whose rows the caller fills in place."""
+        return cls.__new__(cls)._lay_out(records, n_features, metadata, block)
 
-    def _bind(self, block, subjects, metadata) -> None:
-        if not subjects:
+    def _lay_out(self, records, n_features: int, metadata: dict | None,
+                 block: np.ndarray | None = None) -> "MultiSubjectDataset":
+        """Allocate the block (or adopt ``block``) and view each subject's rows and labels in it.
+
+        ``records`` are ``(subject_id, T, labels, group)`` tuples.  This is the
+        only code that builds the views, so every dataset is laid out alike.
+        """
+        if not records:
             raise ShapeError("dataset needs at least one subject")
-        ids = [rec.subject_id for rec in subjects]
+        ids = [sid for sid, _, _, _ in records]
         if len(set(ids)) != len(ids):
             raise ShapeError("duplicate subject ids")
+        self.offsets = np.zeros(len(records) + 1, dtype=np.int64)
+        np.cumsum([n_t for _, n_t, _, _ in records], out=self.offsets[1:])
+        shape = (int(self.offsets[-1]), n_features)
+        if block is None:
+            block = np.empty(shape)
+        elif block.shape != shape:
+            raise ShapeMismatch(f"block has shape {block.shape}, records need {shape}")
         self.block = block
-        self.subjects = subjects
         self.metadata = {} if metadata is None else metadata
-        self.offsets = np.zeros(len(subjects) + 1, dtype=np.int64)
-        np.cumsum([rec.n_timesteps for rec in subjects], out=self.offsets[1:])
+        labels = [rec_labels for _, _, rec_labels, _ in records]
         self.labels = None
-        if all(rec.labels is not None for rec in subjects):
-            self.labels = np.concatenate([rec.labels for rec in subjects])
-            for rec, view in zip(subjects, np.split(self.labels, self.offsets[1:-1])):
-                rec.labels = view
+        if all(rec_labels is not None for rec_labels in labels):
+            self.labels = np.concatenate(labels)
+            labels = np.split(self.labels, self.offsets[1:-1])
+        self.subjects = [SubjectData(sid, block[start:stop], rec_labels, group)
+                         for (sid, _, _, group), rec_labels, start, stop
+                         in zip(records, labels, self.offsets, self.offsets[1:])]
+        return self
 
     def _check_finite(self) -> None:
         # a finite sum proves every entry finite without a T x N mask; only a
@@ -148,8 +154,7 @@ class MultiSubjectDataset:
 
     def __reduce__(self):
         # pickle the block once; the unpickled records view it again
-        records = [(rec.subject_id, rec.labels, rec.group) for rec in self.subjects]
-        return _unpickle_dataset, (self.block, self.offsets, records, self.metadata)
+        return _unpickle_dataset, (self.block, _records(self.subjects), self.metadata)
 
     @property
     def n_subjects(self) -> int:
@@ -172,12 +177,12 @@ class MultiSubjectDataset:
             [rec for rec in self.subjects if rec.subject_id in wanted], dict(self.metadata))
 
 
-def _unpickle_dataset(block, offsets, records, metadata) -> MultiSubjectDataset:
-    views = np.split(block, offsets[1:-1])
-    return MultiSubjectDataset._of_block(
-        block, [SubjectData(sid, view, labels, group)
-                for (sid, labels, group), view in zip(records, views)],
-        metadata, check_finite=False)
+def _records(subjects) -> list[tuple]:
+    return [(rec.subject_id, rec.n_timesteps, rec.labels, rec.group) for rec in subjects]
+
+
+def _unpickle_dataset(block, records, metadata) -> MultiSubjectDataset:
+    return MultiSubjectDataset._empty(records, block.shape[1], metadata, block)
 
 
 def stacked(dataset: MultiSubjectDataset, model=None):
@@ -260,14 +265,13 @@ def center_subjects(dataset: MultiSubjectDataset) -> MultiSubjectDataset:
     rotation about the data mean leaves no shared off-center cue a pooled
     model could exploit.
     """
-    block = np.empty_like(dataset.block)
-    subjects = []
-    for rec, view in zip(dataset.subjects, np.split(block, dataset.offsets[1:-1])):
-        np.subtract(rec.data, rec.data.mean(axis=0), out=view)
-        subjects.append(SubjectData(rec.subject_id, view, rec.labels, rec.group))
     meta = dict(dataset.metadata)
     meta["centered"] = True
-    return MultiSubjectDataset._of_block(block, subjects, meta)
+    centered = MultiSubjectDataset._empty(_records(dataset.subjects), dataset.n_features, meta)
+    for rec, out in zip(dataset.subjects, centered.subjects):
+        np.subtract(rec.data, rec.data.mean(axis=0), out=out.data)
+    centered._check_finite()
+    return centered
 
 
 # --- split schemes ----------------------------------------------------------
@@ -307,16 +311,14 @@ def _take_all(dataset: MultiSubjectDataset, rows) -> MultiSubjectDataset:
     shortest = min(rec.n_timesteps for rec in dataset.subjects)
     if rows.size and (rows.min() < 0 or rows.max() >= shortest):
         raise IndexError(f"timestep rows out of range [0, {shortest})")
-    block = np.empty((dataset.n_subjects * rows.size, dataset.n_features))
-    subjects = []
-    for rec, view in zip(dataset.subjects, np.split(block, dataset.n_subjects)):
+    taken = MultiSubjectDataset._empty(
+        [(rec.subject_id, rows.size, None if rec.labels is None else rec.labels[rows], rec.group)
+         for rec in dataset.subjects], dataset.n_features, dict(dataset.metadata))
+    for rec, out in zip(dataset.subjects, taken.subjects):
         # mode="clip" writes straight into the view (the default mode buffers
         # a full copy first); the range check above makes clipping a no-op
-        np.take(rec.data, rows, axis=0, out=view, mode="clip")
-        subjects.append(SubjectData(rec.subject_id, view,
-                                    None if rec.labels is None else rec.labels[rows], rec.group))
-    return MultiSubjectDataset._of_block(block, subjects, dict(dataset.metadata),
-                                         check_finite=False)
+        np.take(rec.data, rows, axis=0, out=out.data, mode="clip")
+    return taken
 
 
 def split(dataset: MultiSubjectDataset, scheme):
@@ -419,20 +421,21 @@ def synth_group_dataset(n_subjects: int, n_timesteps: int, n_features: int, late
     mixed = latents @ basis_u  # T x d, shared across subjects
     noise_rng = root.derive("noise")
     width = max(3, len(str(n_subjects - 1)))
-    block = np.empty((n_subjects * n_timesteps, n_features))
-    subjects = []
-    for i, x in enumerate(np.split(block, n_subjects)):
-        np.matmul(mixed * scalings[i], basis_v.T, out=x)
+    meta = {"n_features": n_features, "generator": "synth_group", "seed": int(seed),
+            "group_effect": float(group_effect), "noise_level": float(noise_level)}
+    dataset = MultiSubjectDataset._empty(
+        [(f"g{i:0{width}d}", n_timesteps, None, int(groups[i])) for i in range(n_subjects)],
+        n_features, meta)
+    for i, rec in enumerate(dataset.subjects):
+        np.matmul(mixed * scalings[i], basis_v.T, out=rec.data)
         if noise_level > 0:
-            x += noise_level * noise_rng.normal((n_timesteps, n_features))
-        subjects.append(SubjectData(f"g{i:0{width}d}", x, None, int(groups[i])))
+            rec.data += noise_level * noise_rng.normal((n_timesteps, n_features))
+    dataset._check_finite()
 
     truth = SynthGroundTruth(scalings=scalings, direction=direction,
                              direction_voxels=basis_v @ direction, basis_u=basis_u,
                              basis_v=basis_v, latents=latents, groups=groups)
-    meta = {"n_features": n_features, "generator": "synth_group", "seed": int(seed),
-            "group_effect": float(group_effect), "noise_level": float(noise_level)}
-    return MultiSubjectDataset._of_block(block, subjects, meta), truth
+    return dataset, truth
 
 
 # --- serialization -----------------------------------------------------------
@@ -513,7 +516,7 @@ def _load_binary(path) -> MultiSubjectDataset:
         version, n_features, n_subjects = reader.unpack("<HII", "header")
         if version != FORMAT_VERSION:
             raise ParseError(f"unsupported dataset version {version}")
-        entries = []
+        records, starts = [], []
         for _ in range(n_subjects):
             (id_len,) = reader.unpack("<I", "id length")
             try:
@@ -528,35 +531,59 @@ def _load_binary(path) -> MultiSubjectDataset:
             if flag:
                 raw = reader.read(4 * n_t, f"labels of subject {subject_id!r}")
                 labels = np.frombuffer(raw, dtype="<i4").astype(np.int64)
-            entries.append((subject_id, None if group < 0 else group, n_t, at, labels))
+            records.append((subject_id, n_t, labels, None if group < 0 else group))
+            starts.append(at)
 
         # every data region lies inside the file, so the block is no larger than it
-        block = np.empty((sum(e[2] for e in entries), n_features), dtype="<f8")
-        views = np.split(block, np.cumsum([e[2] for e in entries])[:-1])
-        subjects = []
-        for (subject_id, group, _, at, labels), view in zip(entries, views):
+        dataset = MultiSubjectDataset._empty(records, n_features, {"n_features": int(n_features)})
+        for rec, at in zip(dataset.subjects, starts):
             fh.seek(at)
-            if view.nbytes and fh.readinto(memoryview(view).cast("B")) != view.nbytes:
-                raise ParseError(f"truncated while reading data of subject {subject_id!r} "
+            if rec.data.nbytes and fh.readinto(memoryview(rec.data).cast("B")) != rec.data.nbytes:
+                raise ParseError(f"truncated while reading data of subject {rec.subject_id!r} "
                                  f"at byte {at}")
-            subjects.append(SubjectData(subject_id, view, labels, group))
-    return MultiSubjectDataset._of_block(block, subjects, {"n_features": int(n_features)})
+    dataset._check_finite()
+    return dataset
 
 
 def _load_csv(manifest_path) -> MultiSubjectDataset:
+    """Load a JSON manifest of per-subject CSV files.
+
+    The manifest is ``{"n_features": int (optional), "subjects": [{"subject_id":
+    str, "csv_path": str, "label_path": str or null, "group": int or null}]}``;
+    paths are relative to the manifest and a label file holds whitespace-
+    separated integers.
+    """
     manifest_path = Path(manifest_path)
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"manifest is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ParseError(f"manifest {manifest_path} is not a JSON object")
     if "subjects" not in manifest:
         raise MissingManifestField("manifest lacks 'subjects'")
+
+    def check(ok: bool, field: str, want: str) -> None:
+        if not ok:
+            raise ParseError(f"manifest {manifest_path}: {field!r} must be {want}")
+
+    entries = manifest["subjects"]
+    check(isinstance(entries, list) and all(isinstance(e, dict) for e in entries),
+          "subjects", "a list of objects")
     expect_n = manifest.get("n_features")
+    check(expect_n is None or is_count(expect_n, 1), "n_features", "an integer >= 1")
     subjects = []
-    for entry in manifest["subjects"]:
+    for entry in entries:
         for req in ("subject_id", "csv_path"):
             if req not in entry:
                 raise MissingManifestField(f"manifest subject entry lacks {req!r}")
+            check(isinstance(entry[req], str), req, "a string")
+        check(entry.get("label_path") is None or isinstance(entry["label_path"], str),
+              "label_path", "a string or null")
+        group = entry.get("group")
+        # the packed format stores a group as an int32 and -1 for none
+        check(group is None or (is_count(group, 0) and group < 2 ** 31),
+              "group", "an integer in [0, 2**31) or null")
         csv_path = manifest_path.parent / entry["csv_path"]
         with open(csv_path, newline="", encoding="utf-8") as fh:
             try:
@@ -571,9 +598,15 @@ def _load_csv(manifest_path) -> MultiSubjectDataset:
                 f"subject {entry['subject_id']!r} has width {data.shape[1]}, manifest says {expect_n}")
         labels = None
         if entry.get("label_path"):
-            label_text = (manifest_path.parent / entry["label_path"]).read_text(encoding="utf-8")
-            labels = np.array([int(v) for v in label_text.split()], dtype=np.int64)
-        subjects.append(SubjectData(entry["subject_id"], data, labels, entry.get("group")))
+            label_path = manifest_path.parent / entry["label_path"]
+            try:
+                labels = np.array([int(v) for v in label_path.read_text(encoding="utf-8").split()],
+                                  dtype=np.int64)
+            except (ValueError, OverflowError) as exc:
+                raise ParseError(f"manifest {manifest_path}: 'label_path' {label_path} of "
+                                 f"subject {entry['subject_id']!r} must hold integers: "
+                                 f"{exc}") from exc
+        subjects.append(SubjectData(entry["subject_id"], data, labels, group))
     dataset = MultiSubjectDataset(subjects)
     dataset.metadata["n_features"] = dataset.n_features
     return dataset

@@ -10,7 +10,8 @@ validation loss and keeps a best-validation snapshot.
 ``finetune_subjects`` implements generalization to unseen subjects: it runs
 the same loop on new per-subject rows appended to the maps, which are the
 only parameters the optimizer ever touches, so nothing previously learned
-can be forgotten.
+can be forgotten.  It fits every timestep of the dataset it is given; the
+caller cuts the window.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from dataclasses import dataclass, field, asdict, replace
 import numpy as np
 
 from .datasets import MultiSubjectDataset, atomic_write, stacked
-from .errors import (ConfigError, DivergenceError, DuplicateSubject, EmptySubset,
-                     InvalidFraction, MissingLabels, NoSubjectWeights, ShapeError, SweepFailed)
+from .errors import (ConfigError, DivergenceError, DuplicateSubject, EmptySubset, MissingLabels,
+                     NoSubjectWeights, ShapeError, SweepFailed)
 from .linalg import SeededRng, is_count, qr_orthonormalize
 from .models import Model, ModelSpec, build_model, loss, loss_and_grads
 
@@ -318,36 +319,29 @@ def add_subjects(model: Model, new_ids) -> np.ndarray:
     return np.arange(start, start + count)
 
 
-def finetune_subjects(model: Model, new_data: MultiSubjectDataset, fraction: float,
+def finetune_subjects(model: Model, new_data: MultiSubjectDataset,
                       config: TrainConfig) -> FinetuneResult:
     """Fit per-subject weights for unseen subjects with everything else frozen.
 
-    Only the leading ceil(fraction * T) timesteps of each new subject are
-    used.  Optimization runs on the appended rows alone and stops when the
+    Every timestep of ``new_data`` is fitted; the caller chooses the window.
+    Optimization runs on the appended rows alone and stops when the
     relative loss change over a 10-step window drops below 1e-5 (or at the
-    config epoch cap).
+    config epoch cap).  Input that fails a check leaves the model untouched.
     """
-    if not 0.0 < fraction <= 1.0:
-        raise InvalidFraction(f"fraction must be in (0, 1], got {fraction}")
     if new_data.n_features != model.spec.input_size:
         raise ShapeError(f"new subjects have width {new_data.n_features}, "
                          f"model expects {model.spec.input_size}")
-    if (model.spec.objective == "classifier"
-            and any(rec.labels is None for rec in new_data.subjects)):
+    if model.spec.objective == "classifier" and new_data.labels is None:
         raise MissingLabels("fine-tuning a classifier needs labels for every new subject")
-    subset_subjects = []
     for rec in new_data.subjects:
-        count = math.ceil(fraction * rec.data.shape[0])
-        if count < 1:
+        if rec.n_timesteps == 0:
             raise EmptySubset(f"subject {rec.subject_id!r} has no timesteps to fine-tune on")
-        subset_subjects.append(rec.take(np.arange(count)))
-    subset = MultiSubjectDataset(subset_subjects, dict(new_data.metadata))
 
     started = time.perf_counter()
-    new_idx = add_subjects(model, [rec.subject_id for rec in new_data.subjects])
+    new_idx = add_subjects(model, new_data.subject_ids)
     start = int(new_idx[0])
     views = _per_subject_views(model, start)
-    x, idx, labels = stacked(subset, model)
+    x, idx, labels = stacked(new_data, model)
     window: deque[float] = deque(maxlen=10)
     history = TrainHistory(config_hash=config.digest())
     epochs = _fit(model, x, idx, labels, config, views, start,
@@ -364,7 +358,7 @@ def finetune_subjects(model: Model, new_data: MultiSubjectDataset, fraction: flo
     history.wall_clock_seconds = time.perf_counter() - started
 
     enc_rows, *dec_rows = [view.copy() for view in views.values()]
-    return FinetuneResult(model=model, new_subject_ids=tuple(r.subject_id for r in new_data.subjects),
+    return FinetuneResult(model=model, new_subject_ids=tuple(new_data.subject_ids),
                           new_indices=new_idx, enc_rows=enc_rows,
                           dec_rows=dec_rows[0] if dec_rows else None, history=history)
 

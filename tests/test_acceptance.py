@@ -22,6 +22,7 @@ from subjmap.datasets import (
     MultiSubjectDataset,
     SubjectHoldout,
     TimestepFraction,
+    _take_all,
     center_subjects,
     half_moons,
     rotate_subjects,
@@ -122,16 +123,15 @@ def finetune_study():
 
         eval_rows = np.arange(t_total // 2, t_total)
         baseline = _heldout_mse(models["group"], unseen, eval_rows)
-        lead = MultiSubjectDataset(
-            [r.take(np.arange(0, t_total // 2)) for r in unseen.subjects], {})
         mses = {}
         digests = None
         for fraction in fractions:
             model = copy.deepcopy(models["decomposed"])
             before = parameter_digest(model)
-            # fractions are of the full timeseries; the fit window is its lead half
+            # fractions are of the full timeseries, fitted from the leading rows of its lead half
+            lead = _take_all(unseen, np.arange(math.ceil(fraction * 2 * (t_total // 2))))
             result = finetune_subjects(
-                model, lead, fraction * 2,
+                model, lead,
                 TrainConfig(optimizer="adam", lr=0.005, epochs=200, batch_size=64,
                             seed=900 + seed, early_stop_patience=None))
             after = parameter_digest(model, tuple(int(i) for i in result.new_indices))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from subjmap.checkpoint import load_model, save_model
-from subjmap.errors import ChecksumMismatch, ParseError, ShapeMismatch, VersionUnsupported
+from subjmap.errors import ChecksumMismatch, ParseError, VersionUnsupported
 from subjmap.linalg import SeededRng
 from subjmap.models import ModelSpec, build_model, loss
 
@@ -134,10 +134,3 @@ class TestCorruption:
         path.write_bytes(raw[:8] + b"[" + b" " * (header_len - 2) + b"]" + raw[8 + header_len:])
         with pytest.raises(ParseError, match="not a JSON object"):
             load_model(path)
-
-    def test_variant_expectation_enforced(self, tmp_path):
-        model = make_model(variant="subject")
-        path = tmp_path / "m.ckpt"
-        save_model(model, path)
-        with pytest.raises(ShapeMismatch):
-            load_model(path, expect_variant="decomposed")

@@ -106,6 +106,14 @@ class TestConfigValues:
         ("train", "train", "lr", math.nan),
         ("train", "model", "beta", math.inf),
         ("sweep", "sweep", "axes", {"lr": [0.01, math.nan]}),
+        # empty fine-tune windows (T=40): on unseen subjects an empty held-out
+        # tail ended in a raw ZeroDivisionError and an empty fit window in
+        # EmptySubset, both with exit 2
+        ("finetune", "finetune", "holdout_fraction", 0),
+        ("finetune", "finetune", "holdout_fraction", -0.5),
+        ("finetune", "finetune", "holdout_fraction", 0.99),
+        ("finetune", "finetune", "fraction", 0),
+        ("finetune", "finetune", "fraction", -0.25),
     ])
     def test_bad_value_is_config_error(self, tmp_path, synth_file, capsys,
                                        command, section, key, value):
@@ -461,6 +469,34 @@ class TestEvaluateAnalyzeFinetune:
         assert read_results(ft_dir)["metrics"]["n_finetune_timesteps"] == 7
         history = json.loads((ft_dir / "history.json").read_text())
         assert history["n_steps"] == 2 * 7  # one step per fitted row of each new subject
+
+    @pytest.mark.parametrize("rows,named", [
+        (["s000;0.5"], "row 2"),
+        (["s000,0.5,1"], "row 2"),
+        (["s000,abc"], "row 2"),
+        (["s000,0.5", "s001,nan"], "row 3"),
+        (["s000,0.5"], "'s001'"),
+    ])
+    def test_bad_angles_file_is_parse_error(self, tmp_path, capsys, rows, named):
+        # each used to end in a raw ValueError or KeyError
+        sim_cfg = write_config(tmp_path / "sim.json", {
+            "seed": 2, "data": {"generator": "rotated_half_moons", "n_samples": 40,
+                                "n_subjects": 4}})
+        assert main(["simulate", "--config", sim_cfg, "--out", str(tmp_path / "sim")]) == 0
+        data_path = tmp_path / "sim" / "data.smds"
+        cfg = write_config(tmp_path / "train.json", train_config(data_path, epochs=1))
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "model")]) == 0
+        (tmp_path / "angles.csv").write_text("\n".join(["subject_id,angle", *rows]) + "\n")
+        cfge = write_config(tmp_path / "eval.json", {
+            "data": {"path": str(data_path)},
+            "checkpoint": str(tmp_path / "model" / "model.ckpt"),
+            "eval": {"recon": False, "subject_circle": True,
+                     "angles_path": str(tmp_path / "angles.csv")},
+        })
+        capsys.readouterr()
+        assert main(["evaluate", "--config", cfge, "--out", str(tmp_path / "eval")]) == 2
+        err = capsys.readouterr().err
+        assert "ParseError" in err and "angles.csv" in err and named in err
 
     def test_finetune_on_registered_subjects_is_named_error(self, tmp_path, synth_file, capsys):
         cfg = write_config(tmp_path / "train.json", train_config(synth_file, epochs=1))

@@ -13,6 +13,7 @@ from subjmap.datasets import (
     SubjectData,
     SubjectHoldout,
     TimestepFraction,
+    _take_all,
     center_subjects,
     half_moons,
     load_dataset,
@@ -324,6 +325,36 @@ class TestSerialization:
         with pytest.raises(ShapeError, match="at least one subject"):
             load_dataset(tmp_path / "manifest.json", fmt="csv")
 
+    @pytest.mark.parametrize("field,manifest,labels", [
+        # a non-integer label token escaped as a raw ValueError
+        ("label_path", {}, "0 1 x 1"),
+        ("label_path", {}, "0 1.5 0 1"),
+        # "subjects": 5 escaped as a raw TypeError
+        ("subjects", {"subjects": 5}, None),
+        ("subjects", {"subjects": ["x"]}, None),
+        # these loaded and broke groups() comparisons or save_dataset later
+        ("group", {"group": "x"}, None),
+        ("group", {"group": True}, None),
+        ("group", {"group": -1}, None),
+        ("subject_id", {"subject_id": 3}, None),
+        ("csv_path", {"csv_path": ["subj.csv"]}, None),
+        # "2" reported "has width 2, manifest says 2"
+        ("n_features", {"n_features": "2"}, None),
+    ])
+    def test_manifest_field_of_wrong_type_is_parse_error(self, tmp_path, field, manifest, labels):
+        np.savetxt(tmp_path / "subj.csv", np.ones((4, 2)), delimiter=",")
+        entry = {"subject_id": "x", "csv_path": "subj.csv"}
+        if labels is not None:
+            (tmp_path / "labels.txt").write_text(labels)
+            entry["label_path"] = "labels.txt"
+        payload = {"subjects": [entry]}
+        for key, value in manifest.items():
+            (payload if key in ("subjects", "n_features") else entry)[key] = value
+        (tmp_path / "manifest.json").write_text(json.dumps(payload))
+        with pytest.raises(ParseError, match=field) as err:
+            load_dataset(tmp_path / "manifest.json", fmt="csv")
+        assert "manifest.json" in str(err.value)
+
     def test_manifest_missing_field(self, tmp_path):
         (tmp_path / "manifest.json").write_text(json.dumps({"subjects": [{"group": 1}]}))
         with pytest.raises(MissingManifestField):
@@ -361,6 +392,12 @@ def _reference_stacked(dataset, model=None):
     return np.concatenate(xs), np.concatenate(idxs), labels
 
 
+def _is_view(part, window):
+    """True if ``part`` is exactly the ``window`` of its dataset's storage."""
+    return (np.shares_memory(part, window) and part.shape == window.shape
+            and part.ctypes.data == window.ctypes.data and part.strides == window.strides)
+
+
 class TestBlockStorage:
     def make(self, labelled=True):
         rng = SeededRng(8)
@@ -370,10 +407,20 @@ class TestBlockStorage:
             {})
 
     def test_stacked_hands_out_the_storage_of_loaded_and_split_datasets(self, tmp_path):
-        save_dataset(self.make(), tmp_path / "data.smds")
+        built = self.make()
+        save_dataset(built, tmp_path / "data.smds")
         loaded = load_dataset(tmp_path / "data.smds")
+        entries = []
+        for rec in built.subjects[:2]:
+            np.savetxt(tmp_path / f"{rec.subject_id}.csv", rec.data, delimiter=",")
+            (tmp_path / f"{rec.subject_id}.txt").write_text(" ".join(map(str, rec.labels)))
+            entries.append({"subject_id": rec.subject_id, "csv_path": f"{rec.subject_id}.csv",
+                            "label_path": f"{rec.subject_id}.txt", "group": rec.group})
+        (tmp_path / "manifest.json").write_text(json.dumps({"subjects": entries}))
         even, _ = synth_group_dataset(4, 12, 5, 2, 1.0, seed=3)
-        parts = [loaded, center_subjects(loaded), even, *split(even, FirstSecondHalf())[::2],
+        parts = [built, loaded, load_dataset(tmp_path / "manifest.json", fmt="csv"),
+                 pickle.loads(pickle.dumps(built)), _take_all(built, np.arange(1, 5)),
+                 center_subjects(loaded), even, *split(even, FirstSecondHalf())[::2],
                  *[p for p in split(even, TimestepFraction(0.5, 0.2, seed=1)) if p is not None],
                  *split(loaded, SubjectHoldout(1, seed=2))[::2], loaded.subset(["s1", "s2"])]
         for ds in parts:
@@ -381,7 +428,8 @@ class TestBlockStorage:
             assert np.shares_memory(x, ds.subjects[0].data)
             assert x.flags.c_contiguous and x.dtype == np.float64
             for rec, start, stop in zip(ds.subjects, ds.offsets, ds.offsets[1:]):
-                assert np.shares_memory(x[start:stop], rec.data)
+                assert _is_view(rec.data, x[start:stop])
+                assert labels is None or _is_view(rec.labels, labels[start:stop])
             ref = _reference_stacked(ds)
             assert np.array_equal(x, ref[0]) and np.array_equal(idx, ref[1])
             assert (labels is None) == (ref[2] is None)

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from subjmap.datasets import (MultiSubjectDataset, SubjectData, synth_group_dataset, split,
-                              stacked, FirstSecondHalf)
+                              stacked, FirstSecondHalf, _take_all)
 from subjmap import training
-from subjmap.errors import (ConfigError, DivergenceError, EmptySubset, InvalidFraction,
-                            MissingLabels, ShapeError, SweepFailed)
+from subjmap.errors import (ConfigError, DivergenceError, EmptySubset, MissingLabels, ShapeError,
+                            SweepFailed)
 from subjmap.linalg import SeededRng
 from subjmap.models import Model, ModelSpec, build_model, decode, encode, loss, loss_and_grads
 from subjmap.maps import GroupMap
@@ -215,7 +215,7 @@ class TestFinetune:
     def test_frozen_parameters_bit_identical(self):
         model, _, unseen, _ = self.setup_trained()
         before = parameter_digest(model)
-        result = finetune_subjects(model, unseen, 0.25,
+        result = finetune_subjects(model, _take_all(unseen, np.arange(20)),
                                    TrainConfig(lr=0.01, epochs=30, batch_size=16, seed=3,
                                                early_stop_patience=None))
         after = parameter_digest(model, tuple(int(i) for i in result.new_indices))
@@ -223,8 +223,7 @@ class TestFinetune:
 
     def test_single_timestep_fraction_runs(self):
         model, _, unseen, _ = self.setup_trained(seed=1)
-        tiny = 1.0 / unseen.subjects[0].n_timesteps  # one leading timestep
-        result = finetune_subjects(model, unseen, tiny,
+        result = finetune_subjects(model, _take_all(unseen, np.arange(1)),
                                    TrainConfig(lr=0.005, epochs=20, batch_size=4, seed=0,
                                                early_stop_patience=None))
         assert result.enc_rows.shape == (2, 4)
@@ -237,26 +236,19 @@ class TestFinetune:
         twin_src = seen.subjects[0]
         clone = SubjectData("clone", twin_src.data.copy(), None, twin_src.group)
         clone_set = MultiSubjectDataset([clone], dict(seen.metadata))
-        result = finetune_subjects(model, clone_set, 1.0,
+        result = finetune_subjects(model, clone_set,
                                    TrainConfig(lr=0.01, epochs=400, batch_size=64, seed=4,
                                                early_stop_patience=None))
         learned = model.enc_map.s[model.index_of([twin_src.subject_id])[0]]
         fitted = result.enc_rows[0]
         assert float(np.linalg.norm(fitted - learned)) < 0.1
 
-    def test_bad_fraction(self):
-        model, _, unseen, _ = self.setup_trained(seed=3)
-        with pytest.raises(InvalidFraction):
-            finetune_subjects(model, unseen, 0.0, TrainConfig(epochs=1))
-        with pytest.raises(InvalidFraction):
-            finetune_subjects(model, unseen, 1.5, TrainConfig(epochs=1))
-
     def test_wrong_width_leaves_model_untouched(self):
         model, _, _, _ = self.setup_trained(seed=3)
         ids, digest = model.subject_ids, parameter_digest(model)
         wide = toy_dataset(n=21, labelled=False)
         with pytest.raises(ShapeError):
-            finetune_subjects(model, wide, 0.5, TrainConfig(epochs=1))
+            finetune_subjects(model, wide, TrainConfig(epochs=1))
         assert model.subject_ids == ids
         assert parameter_digest(model) == digest
 
@@ -266,7 +258,18 @@ class TestFinetune:
         ids, digest = model.subject_ids, parameter_digest(model)
         new = MultiSubjectDataset([SubjectData("new", SeededRng(1).normal((40, 6)))])
         with pytest.raises(MissingLabels):
-            finetune_subjects(model, new, 0.5, TrainConfig(epochs=1))
+            finetune_subjects(model, new, TrainConfig(epochs=1))
+        assert model.subject_ids == ids
+        assert parameter_digest(model) == digest
+
+    def test_subject_without_timesteps_leaves_model_untouched(self):
+        data = toy_dataset(labelled=False)
+        model = build_model(toy_spec(), seed=0, subject_ids=data.subject_ids)
+        ids, digest = model.subject_ids, parameter_digest(model)
+        new = MultiSubjectDataset([SubjectData("new", SeededRng(1).normal((40, 6))),
+                                   SubjectData("empty", np.zeros((0, 6)))])
+        with pytest.raises(EmptySubset, match="'empty'"):
+            finetune_subjects(model, new, TrainConfig(epochs=1))
         assert model.subject_ids == ids
         assert parameter_digest(model) == digest
 
@@ -276,7 +279,7 @@ class TestFinetune:
         before = parameter_digest(model)
         start_row = model.enc_map.w.mean(axis=0)
         new = MultiSubjectDataset([SubjectData("new", SeededRng(1).normal((40, 6)))])
-        result = finetune_subjects(model, new, 0.5,
+        result = finetune_subjects(model, _take_all(new, np.arange(20)),
                                    TrainConfig(lr=0.01, epochs=2, batch_size=8,
                                                early_stop_patience=None))
         assert parameter_digest(model, (3,)) == before
@@ -288,7 +291,7 @@ class TestFinetune:
         data = toy_dataset(labelled=False)
         model = build_model(toy_spec(variant="group"), seed=0, subject_ids=data.subject_ids)
         with pytest.raises(ValueError):
-            finetune_subjects(model, data.subset(["s0"]), 0.5, TrainConfig(epochs=1))
+            finetune_subjects(model, data.subset(["s0"]), TrainConfig(epochs=1))
 
 
 class TestSweep:
