@@ -45,7 +45,6 @@ from .datasets import (
 )
 from .errors import ConfigError, ParseError, SubjmapError
 from .evaluation import (
-    _heldout_mse,
     circle_fit,
     circular_correlation,
     polar_angles,
@@ -55,7 +54,7 @@ from .evaluation import (
 )
 from .linalg import SeededRng
 from .maps import ParamRegime, param_count
-from .models import ModelSpec, build_model, encode, loss
+from .models import ModelSpec, build_model, encode
 from .stats import group_difference_pipeline
 from .training import (
     TrainConfig,
@@ -426,11 +425,11 @@ def _cmd_train(config: dict, out_dir: Path, config_dir: Path, workers: int) -> _
     metrics["epochs_run"] = history.n_epochs
     metrics["best_epoch"] = history.best_epoch
     if test_set is not None:
-        test_loss, test_accuracy = evaluate_loss(model, test_set)
-        if test_accuracy is None:
-            metrics["test_loss"] = test_loss
+        test_loss, terms = evaluate_loss(model, test_set)
+        if "accuracy" in terms:
+            metrics["test_accuracy"] = terms["accuracy"]
         else:
-            metrics["test_accuracy"] = test_accuracy
+            metrics["test_loss"] = test_loss
     return metrics, ["model.ckpt", "history.csv", "history.json"]
 
 
@@ -474,6 +473,28 @@ def _cmd_sweep(config: dict, out_dir: Path, config_dir: Path, workers: int) -> _
     return metrics, ["sweep.csv"]
 
 
+def _recon_metrics(model, dataset: MultiSubjectDataset, key: str, section: dict,
+                   config_dir: Path) -> dict:
+    """``key``: the reconstruction MSE of ``model`` on every row of ``dataset``.
+
+    With ``section["baseline_checkpoint"]`` set, also that checkpoint's
+    ``baseline_mse`` on the same rows and the ``improvement_pct`` over it.
+    """
+    scored = {key: model}
+    if section["baseline_checkpoint"]:
+        scored["baseline_mse"], _ = checkpoint.load_model(
+            _relative(section, config_dir, "baseline_checkpoint"))
+    metrics = {}
+    for name, scored_model in scored.items():
+        if scored_model.spec.objective == "classifier":
+            raise ConfigError(f"{name} needs a checkpoint that reconstructs its input, "
+                              f"not a classifier")
+        metrics[name] = evaluate_loss(scored_model, dataset)[1]["mse"]
+    if "baseline_mse" in metrics:
+        metrics["improvement_pct"] = recon_improvement(metrics[key], metrics["baseline_mse"])
+    return metrics
+
+
 def _cmd_finetune(config: dict, out_dir: Path, config_dir: Path, workers: int) -> _Outputs:
     root = SeededRng(config["seed"])
     dataset = _load_data(config["data"], config_dir)
@@ -499,20 +520,14 @@ def _cmd_finetune(config: dict, out_dir: Path, config_dir: Path, workers: int) -
     result = finetune_subjects(model, _take_all(dataset, np.arange(n_fit)), ft_cfg)
     digest_after = parameter_digest(model, tuple(int(i) for i in result.new_indices))
 
-    eval_rows = np.arange(holdout_start, total)
     metrics = {
         "fraction": section["fraction"],
         "n_finetune_timesteps": n_fit,
-        "heldout_mse": _heldout_mse(model, dataset, eval_rows),
         "frozen_digest_unchanged": digest_before == digest_after,
-        "n_new_subjects": len(result.new_subject_ids),
+        "n_new_subjects": len(result.new_indices),
+        **_recon_metrics(model, _take_all(dataset, np.arange(holdout_start, total)),
+                         "heldout_mse", config, config_dir),
     }
-    if config["baseline_checkpoint"]:
-        baseline, _ = checkpoint.load_model(_relative(config, config_dir, "baseline_checkpoint"))
-        base_mse = _heldout_mse(baseline, dataset, eval_rows)
-        metrics["baseline_mse"] = base_mse
-        metrics["improvement_pct"] = recon_improvement(metrics["heldout_mse"], base_mse)
-
     checkpoint.save_model(model, out_dir / "model.ckpt", config_hash(config))
     result.history.to_csv(out_dir / "history.csv")
     _write_json(out_dir / "history.json", asdict(result.history))
@@ -520,27 +535,21 @@ def _cmd_finetune(config: dict, out_dir: Path, config_dir: Path, workers: int) -
 
 
 def _cmd_evaluate(config: dict, out_dir: Path, config_dir: Path, workers: int) -> _Outputs:
+    section = config["eval"]
+    if section["probe_folds"] < 2:
+        raise ConfigError(f"eval.probe_folds must be at least 2, got {section['probe_folds']!r}")
     root = SeededRng(config["seed"])
     dataset = _load_data(config["data"], config_dir)
     _, _, test_set = _split_from_config(dataset, config["data"]["split"], root)
     eval_set = test_set if test_set is not None else dataset
     model, _ = checkpoint.load_model(_relative(config, config_dir, "checkpoint"))
-    section = config["eval"]
 
     metrics: dict = {}
     files: list[str] = []
     if section["recon"] and model.spec.objective == "classifier":
-        _, metrics["test_accuracy"] = evaluate_loss(model, eval_set)
+        metrics["test_accuracy"] = evaluate_loss(model, eval_set)[1]["accuracy"]
     elif section["recon"]:
-        x, idx, _ = stacked(eval_set, model)
-        metrics["test_mse"] = loss(model, x, idx)[1]["mse"]
-        if section["baseline_checkpoint"]:
-            baseline, _ = checkpoint.load_model(
-                _relative(section, config_dir, "baseline_checkpoint"))
-            x, idx, _ = stacked(eval_set, baseline)
-            metrics["baseline_mse"] = loss(baseline, x, idx)[1]["mse"]
-            metrics["improvement_pct"] = recon_improvement(metrics["test_mse"],
-                                                           metrics["baseline_mse"])
+        metrics.update(_recon_metrics(model, eval_set, "test_mse", section, config_dir))
 
     if section["probe_embeddings"]:
         x, idx, labels = stacked(eval_set, model)
@@ -603,9 +612,11 @@ def _read_angles(path: Path, subject_ids) -> list[float]:
 
 
 def _cmd_analyze(config: dict, out_dir: Path, config_dir: Path, workers: int) -> _Outputs:
+    section = config["analysis"]
+    if not 0.0 < section["q"] < 1.0:
+        raise ConfigError(f"analysis.q must lie in (0, 1), got {section['q']!r}")
     dataset = _load_data(config["data"], config_dir)
     model, _ = checkpoint.load_model(_relative(config, config_dir, "checkpoint"))
-    section = config["analysis"]
     grid = np.linspace(section["grid_min"], section["grid_max"], section["grid_points"])
     report, ica = group_difference_pipeline(
         model, dataset, grid=grid, k=section["k"], q=section["q"],

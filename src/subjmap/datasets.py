@@ -37,6 +37,7 @@ import numpy as np
 from .errors import (
     ConfigError,
     InvalidFraction,
+    LabelOutOfRange,
     MissingManifestField,
     NonFiniteError,
     ParseError,
@@ -77,11 +78,6 @@ class SubjectData:
     @property
     def n_timesteps(self) -> int:
         return self.data.shape[0]
-
-    def take(self, rows: np.ndarray) -> "SubjectData":
-        return SubjectData(
-            self.subject_id, self.data[rows],
-            None if self.labels is None else self.labels[rows], self.group)
 
 
 class MultiSubjectDataset:
@@ -170,11 +166,6 @@ class MultiSubjectDataset:
 
     def groups(self) -> np.ndarray:
         return np.array([-1 if rec.group is None else rec.group for rec in self.subjects])
-
-    def subset(self, ids) -> "MultiSubjectDataset":
-        wanted = set(ids)
-        return MultiSubjectDataset(
-            [rec for rec in self.subjects if rec.subject_id in wanted], dict(self.metadata))
 
 
 def _records(subjects) -> list[tuple]:
@@ -306,7 +297,11 @@ def _common_length(dataset: MultiSubjectDataset) -> int:
 
 
 def _take_all(dataset: MultiSubjectDataset, rows) -> MultiSubjectDataset:
-    """Rows ``rows`` of every subject, copied once into a new block."""
+    """Rows ``rows`` of every subject, copied once into a new block.
+
+    The only row selector: splits, the fine-tune window and its held-out tail
+    all cut their rows here.
+    """
     rows = np.asarray(rows, dtype=np.intp)
     shortest = min(rec.n_timesteps for rec in dataset.subjects)
     if rows.size and (rows.min() < 0 or rows.max() >= shortest):
@@ -472,8 +467,12 @@ def save_dataset(dataset: MultiSubjectDataset, path) -> None:
             if rec.labels is None:
                 fh.write(struct.pack("<B", 0))
             else:
+                packed = np.ascontiguousarray(rec.labels, dtype="<i4")  # wraps out-of-range ints
+                if not np.array_equal(packed, rec.labels):
+                    raise LabelOutOfRange(f"subject {rec.subject_id!r} has a label outside the "
+                                          f"int32 range of the packed format")
                 fh.write(struct.pack("<B", 1))
-                fh.write(np.ascontiguousarray(rec.labels, dtype="<i4").tobytes())
+                fh.write(packed.tobytes())
 
 
 class _Reader:
@@ -599,13 +598,16 @@ def _load_csv(manifest_path) -> MultiSubjectDataset:
         labels = None
         if entry.get("label_path"):
             label_path = manifest_path.parent / entry["label_path"]
+            where = (f"manifest {manifest_path}: 'label_path' {label_path} of "
+                     f"subject {entry['subject_id']!r}")
             try:
-                labels = np.array([int(v) for v in label_path.read_text(encoding="utf-8").split()],
-                                  dtype=np.int64)
-            except (ValueError, OverflowError) as exc:
-                raise ParseError(f"manifest {manifest_path}: 'label_path' {label_path} of "
-                                 f"subject {entry['subject_id']!r} must hold integers: "
-                                 f"{exc}") from exc
+                labels = [int(v) for v in label_path.read_text(encoding="utf-8").split()]
+            except ValueError as exc:
+                raise ParseError(f"{where} must hold integers: {exc}") from exc
+            # the packed format stores labels as int32
+            if not all(-2 ** 31 <= v < 2 ** 31 for v in labels):
+                raise ParseError(f"{where} holds a label outside [-2**31, 2**31)")
+            labels = np.array(labels, dtype=np.int64)
         subjects.append(SubjectData(entry["subject_id"], data, labels, group))
     dataset = MultiSubjectDataset(subjects)
     dataset.metadata["n_features"] = dataset.n_features

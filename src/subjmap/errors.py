@@ -69,6 +69,10 @@ class ParseError(SubjmapError, ValueError):
     """A serialized artifact could not be decoded."""
 
 
+class LabelOutOfRange(SubjmapError, ValueError):
+    """A label does not fit the packed dataset format's int32."""
+
+
 class ShapeMismatch(SubjmapError, ValueError):
     """Stored shapes disagree with declared or expected shapes."""
 

@@ -4,6 +4,9 @@ The probe is an RBF-kernel ridge classifier (one-vs-rest, ridge 1e-3) run
 under stratified k-fold cross-validation with deterministic fold assignment.
 It measures how much label information frozen embeddings or subject weights
 carry, without giving the evaluated model any gradient feedback.
+
+Nothing here runs a model: reconstruction errors come from
+``training.evaluate_loss``, and ``recon_improvement`` compares two of them.
 """
 
 from __future__ import annotations
@@ -13,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFold, DegenerateGeometry, DimensionError
-from .linalg import SeededRng, as_matrix, pca, svd_small
-from .models import decode, encode
+from .errors import ConfigError, DegenerateFold, DegenerateGeometry, DimensionError
+from .linalg import SeededRng, as_matrix, is_count, pca, svd_small
 
 
 @dataclass(frozen=True)
@@ -56,6 +58,8 @@ def probe_classify(embeddings, labels, n_folds: int = 5, kernel_gamma="auto",
     variance, which keeps the kernel invariant to translating or rotating
     the embedding space.
     """
+    if not is_count(n_folds, 2):
+        raise ConfigError(f"n_folds must be an integer >= 2, got {n_folds!r}")
     x = as_matrix(embeddings, "embeddings")
     y = np.asarray(labels, dtype=np.int64).ravel()
     if y.shape[0] != x.shape[0]:
@@ -92,21 +96,6 @@ def probe_classify(embeddings, labels, n_folds: int = 5, kernel_gamma="auto",
     acc = np.asarray(accuracies)
     return ProbeResult(fold_accuracies=tuple(accuracies), mean=float(acc.mean()),
                        std=float(acc.std()), n_folds=n_folds, label_name=label_name)
-
-
-def _heldout_mse(model, dataset, rows) -> float:
-    """Reconstruction MSE over timesteps ``rows`` of every subject.
-
-    Squared errors are summed one subject at a time, in dataset order.
-    """
-    total, count = 0.0, 0
-    for rec in dataset.subjects:
-        x = rec.data[rows]
-        idx = model.index_of([rec.subject_id]).repeat(x.shape[0])
-        xhat = decode(model, encode(model, x, idx).z, idx)
-        total += float(((xhat - x) ** 2).sum())
-        count += x.size
-    return total / count
 
 
 def recon_improvement(model_mse: float, baseline_mse: float) -> float:

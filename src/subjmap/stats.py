@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import atomic_write
-from .errors import DimensionError, GroupCountError, InvalidP, ShapeError
+from .errors import ConfigError, DimensionError, GroupCountError, InvalidP, ShapeError
 from .linalg import SeededRng, as_matrix, svd_small
 from .models import Model, latent_traversal
 
@@ -183,8 +183,10 @@ def bh_fdr(pvals, q: float = 0.05) -> tuple[np.ndarray, np.ndarray]:
     """Benjamini-Hochberg step-up: adjusted p-values and rejection flags.
 
     adjusted_(i) = min_{j >= i} p_(j) * m / j, clipped at 1, reported in the
-    original input order; reject where adjusted <= q.
+    original input order; reject where adjusted <= q, a level in (0, 1).
     """
+    if not 0.0 < q < 1.0:
+        raise ConfigError(f"q must lie in (0, 1), got {q!r}")
     p = np.asarray(pvals, dtype=np.float64).ravel()
     if p.size == 0:
         raise DimensionError("need at least one p-value")

@@ -7,6 +7,11 @@ and a divergence check.  Everything is deterministic given the config seed.
 square factor by QR after each ``orth_every`` steps, stops early on
 validation loss and keeps a best-validation snapshot.
 
+``evaluate_loss`` is the one scoring pass: validation, sweep test metrics and
+every score the CLI reports (``train``'s test metric, ``evaluate``'s and
+``finetune``'s reconstruction errors) are the full-batch loss of a model on
+every row of a dataset, read from its breakdown.
+
 ``finetune_subjects`` implements generalization to unseen subjects: it runs
 the same loop on new per-subject rows appended to the maps, which are the
 only parameters the optimizer ever touches, so nothing previously learned
@@ -148,11 +153,14 @@ def _reproject(model: Model) -> None:
         dmap.u[...] = qr_orthonormalize(dmap.u)
 
 
-def evaluate_loss(model: Model, dataset: MultiSubjectDataset) -> tuple[float, float | None]:
-    """Full-batch loss plus accuracy for classifier objectives, from one forward pass."""
-    x, idx, labels = stacked(dataset, model)
-    value, terms = loss(model, x, idx, labels)
-    return value, terms.get("accuracy")
+def evaluate_loss(model: Model, dataset: MultiSubjectDataset) -> tuple[float, dict]:
+    """Full-batch ``loss`` of ``model`` on every row of ``dataset``: (value, breakdown).
+
+    This one forward pass scores every dataset.  The breakdown holds
+    ``accuracy`` for a classifier, and ``mse`` (plus ``kl`` for a VAE, whose
+    latent is the posterior mean) otherwise.
+    """
+    return loss(model, *stacked(dataset, model))
 
 
 def _fit(model: Model, x, idx, labels, config: TrainConfig, params: dict[str, np.ndarray],
@@ -211,12 +219,12 @@ def train(model: Model, train_set: MultiSubjectDataset, val_set: MultiSubjectDat
     epochs = _fit(model, x, idx, labels, config, model.params(), 0, reproject)
     for epoch, (train_loss, step) in enumerate(epochs):
         history.n_steps = step
-        val_loss, val_metric = evaluate_loss(model, val_set)
+        val_loss, val_terms = evaluate_loss(model, val_set)
         if not math.isfinite(val_loss):
             raise DivergenceError(step, f"non-finite validation loss after step {step}")
         history.train_losses.append(train_loss)
         history.val_losses.append(val_loss)
-        history.val_metrics.append(val_metric)
+        history.val_metrics.append(val_terms.get("accuracy"))
 
         if val_loss < best_val - 1e-12:
             best_val = val_loss
@@ -282,11 +290,7 @@ def parameter_digest(model: Model, exclude_subject_rows: tuple[int, ...] = ()) -
 
 @dataclass
 class FinetuneResult:
-    model: Model
-    new_subject_ids: tuple[str, ...]
-    new_indices: np.ndarray
-    enc_rows: np.ndarray
-    dec_rows: np.ndarray | None
+    new_indices: np.ndarray  # the new subjects' rows in the model's per-subject parameters
     history: TrainHistory
 
 
@@ -356,11 +360,7 @@ def finetune_subjects(model: Model, new_data: MultiSubjectDataset,
                 break
     history.best_epoch = history.n_epochs - 1
     history.wall_clock_seconds = time.perf_counter() - started
-
-    enc_rows, *dec_rows = [view.copy() for view in views.values()]
-    return FinetuneResult(model=model, new_subject_ids=tuple(new_data.subject_ids),
-                          new_indices=new_idx, enc_rows=enc_rows,
-                          dec_rows=dec_rows[0] if dec_rows else None, history=history)
+    return FinetuneResult(new_indices=new_idx, history=history)
 
 
 # --- hyperparameter sweep -------------------------------------------------
@@ -385,8 +385,8 @@ def _sweep_cell(args):
         row["val_metric"] = history.final_metrics.get(
             "val_accuracy", row["val_loss"])
         if test_set is not None:
-            test_loss, test_accuracy = evaluate_loss(model, test_set)
-            row["test_metric"] = test_loss if test_accuracy is None else test_accuracy
+            test_loss, test_terms = evaluate_loss(model, test_set)
+            row["test_metric"] = test_terms.get("accuracy", test_loss)
     except Exception as exc:  # cell failures must not abort the sweep
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row

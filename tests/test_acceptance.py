@@ -19,7 +19,6 @@ import pytest
 from subjmap.cli import main as cli_main
 from subjmap.datasets import (
     FirstSecondHalf,
-    MultiSubjectDataset,
     SubjectHoldout,
     TimestepFraction,
     _take_all,
@@ -30,7 +29,6 @@ from subjmap.datasets import (
     synth_group_dataset,
 )
 from subjmap.evaluation import (
-    _heldout_mse,
     circle_fit,
     circular_correlation,
     polar_angles,
@@ -45,6 +43,7 @@ from subjmap.models import DenseLayer
 from subjmap.stats import bh_fdr, group_difference_pipeline, welch_t_test
 from subjmap.training import (
     TrainConfig,
+    evaluate_loss,
     finetune_subjects,
     grad_check,
     hyperparameter_sweep,
@@ -106,10 +105,8 @@ def finetune_study():
         data, _ = synth_group_dataset(48, t_total, n_vox, style, 1.0,
                                       seed=500 + seed, subject_scale=0.8)
         seen, _, unseen = split(data, SubjectHoldout(8, seed=5))
-        seen_tr = MultiSubjectDataset(
-            [r.take(np.arange(0, 160)) for r in seen.subjects], {})
-        seen_va = MultiSubjectDataset(
-            [r.take(np.arange(160, t_total)) for r in seen.subjects], {})
+        seen_tr = _take_all(seen, np.arange(0, 160))
+        seen_va = _take_all(seen, np.arange(160, t_total))
         models = {}
         for variant in ("decomposed", "group"):
             spec = ModelSpec(variant=variant, objective="autoencoder", input_size=n_vox,
@@ -121,8 +118,8 @@ def finetune_study():
                                          seed=7 + seed, early_stop_patience=25))
             models[variant] = model
 
-        eval_rows = np.arange(t_total // 2, t_total)
-        baseline = _heldout_mse(models["group"], unseen, eval_rows)
+        heldout = _take_all(unseen, np.arange(t_total // 2, t_total))
+        baseline = evaluate_loss(models["group"], heldout)[1]["mse"]
         mses = {}
         digests = None
         for fraction in fractions:
@@ -135,7 +132,7 @@ def finetune_study():
                 TrainConfig(optimizer="adam", lr=0.005, epochs=200, batch_size=64,
                             seed=900 + seed, early_stop_patience=None))
             after = parameter_digest(model, tuple(int(i) for i in result.new_indices))
-            mses[fraction] = _heldout_mse(model, unseen, eval_rows)
+            mses[fraction] = evaluate_loss(model, heldout)[1]["mse"]
             if fraction == fractions[0]:
                 digests = (before, after)
         per_seed.append({"baseline": baseline, "mses": mses, "digests": digests})

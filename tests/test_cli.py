@@ -6,8 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from subjmap.checkpoint import save_model
 from subjmap.cli import _load_config, _write_json, config_tables, main
-from subjmap.datasets import load_dataset, save_dataset, synth_group_dataset
+from subjmap.datasets import (SubjectData, half_moons, load_dataset, rotate_subjects, save_dataset,
+                              synth_group_dataset)
+from subjmap.models import ModelSpec, build_model
 
 
 def write_config(path, payload):
@@ -114,6 +117,15 @@ class TestConfigValues:
         ("finetune", "finetune", "holdout_fraction", 0.99),
         ("finetune", "finetune", "fraction", 0),
         ("finetune", "finetune", "fraction", -0.25),
+        # these exited 0: no fold accuracies and a NaN mean, or every source
+        # rejected (q 1.5) or none (q -1); each is checked before any file is read
+        ("evaluate", "eval", "probe_folds", 0),
+        ("evaluate", "eval", "probe_folds", -2),
+        ("evaluate", "eval", "probe_folds", 1),
+        ("analyze", "analysis", "q", 1.5),
+        ("analyze", "analysis", "q", -1),
+        ("analyze", "analysis", "q", 0),
+        ("analyze", "analysis", "q", 1),
     ])
     def test_bad_value_is_config_error(self, tmp_path, synth_file, capsys,
                                        command, section, key, value):
@@ -121,6 +133,8 @@ class TestConfigValues:
             "simulate": {"data": {"n_samples": 20, "n_subjects": 2}},
             "paramcount": {"paramcount": {"input_size": 4, "hidden_size": 2, "n_subjects": 3}},
             "analyze": {"data": {"path": str(synth_file)}, "checkpoint": "missing.ckpt"},
+            "evaluate": {"data": {"path": str(synth_file)}, "checkpoint": "missing.ckpt",
+                         "eval": {"probe_subject_weights": True}},
             "sweep": dict(train_config(synth_file, epochs=1),
                           sweep={"axes": {"lr": [0.01]}, "seeds": [1]}),
         }.get(command, train_config(synth_file, epochs=1))
@@ -498,6 +512,71 @@ class TestEvaluateAnalyzeFinetune:
         err = capsys.readouterr().err
         assert "ParseError" in err and "angles.csv" in err and named in err
 
+    def test_finetune_and_evaluate_score_the_held_out_half_alike(self, tmp_path, synth_file):
+        # T=40: holdout_fraction 0.5 holds out the rows first_second_half tests on
+        for name, variant in (("model", "decomposed"), ("group", "group")):
+            cfg = write_config(tmp_path / f"{name}.json", train_config(synth_file, variant))
+            assert main(["train", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        new_data, _ = synth_group_dataset(2, 40, 8, 3, 1.0, seed=3)
+        for rec in new_data.subjects:
+            rec.subject_id = "new_" + rec.subject_id
+        save_dataset(new_data, tmp_path / "new.smds")
+        baseline = str(tmp_path / "group" / "model.ckpt")
+        cfgf = write_config(tmp_path / "ft.json", {
+            "data": {"path": str(tmp_path / "new.smds")},
+            "checkpoint": str(tmp_path / "model" / "model.ckpt"),
+            "baseline_checkpoint": baseline,
+            "finetune": {"fraction": 0.25, "holdout_fraction": 0.5, "epochs": 3},
+        })
+        assert main(["finetune", "--config", cfgf, "--out", str(tmp_path / "ft")]) == 0
+        cfge = write_config(tmp_path / "eval.json", {
+            "data": {"path": str(tmp_path / "new.smds"),
+                     "split": {"scheme": "first_second_half"}},
+            "checkpoint": str(tmp_path / "ft" / "model.ckpt"),
+            "eval": {"recon": True, "baseline_checkpoint": baseline},
+        })
+        assert main(["evaluate", "--config", cfge, "--out", str(tmp_path / "eval")]) == 0
+        tuned = read_results(tmp_path / "ft")["metrics"]
+        scored = read_results(tmp_path / "eval")["metrics"]
+        assert tuned["heldout_mse"] == scored["test_mse"]
+        assert tuned["baseline_mse"] == scored["baseline_mse"]
+        assert tuned["improvement_pct"] == scored["improvement_pct"]
+
+    @pytest.mark.parametrize("command", ["evaluate", "finetune"])
+    def test_classifier_without_reconstruction_is_config_error(self, tmp_path, capsys, command):
+        # a classifier baseline ended in MissingLabels and a fine-tuned classifier
+        # in "classifier models have no decoder", both with exit 2
+        def labelled(prefix, seed):
+            samples, labels = half_moons(40, 0.1, seed)
+            data, _ = rotate_subjects(samples, labels, 3, seed=seed)
+            for rec in data.subjects:
+                rec.subject_id = prefix + rec.subject_id
+            save_dataset(data, tmp_path / f"{prefix}data.smds")
+            return data
+
+        seen = labelled("", 1)
+        labelled("new_", 2)
+        for name, objective in (("model", "autoencoder"), ("clf", "classifier")):
+            spec = ModelSpec("decomposed", objective, 2, 4, 2, 3, (6,),
+                             n_classes=2 if objective == "classifier" else None)
+            save_model(build_model(spec, 0, subject_ids=seen.subject_ids),
+                       tmp_path / f"{name}.ckpt")
+        if command == "evaluate":
+            payload = {"data": {"path": str(tmp_path / "data.smds")},
+                       "checkpoint": str(tmp_path / "model.ckpt"),
+                       "eval": {"baseline_checkpoint": str(tmp_path / "clf.ckpt")}}
+            named = "baseline_mse"
+        else:
+            payload = {"data": {"path": str(tmp_path / "new_data.smds")},
+                       "checkpoint": str(tmp_path / "clf.ckpt"), "finetune": {"epochs": 1}}
+            named = "heldout_mse"
+        cfg = write_config(tmp_path / "c.json", payload)
+        capsys.readouterr()
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named in err
+        assert not (tmp_path / "out" / "results.json").exists()
+
     def test_finetune_on_registered_subjects_is_named_error(self, tmp_path, synth_file, capsys):
         cfg = write_config(tmp_path / "train.json", train_config(synth_file, epochs=1))
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "model")]) == 0
@@ -521,7 +600,8 @@ class TestEvaluateAnalyzeFinetune:
         new_data, _ = synth_group_dataset(2, 40, 8, 3, 1.0, seed=3)
         for rec in new_data.subjects:
             rec.subject_id = "new_" + rec.subject_id
-        new_data.subjects[1] = new_data.subjects[1].take(np.arange(30))
+        rec = new_data.subjects[1]
+        new_data.subjects[1] = SubjectData(rec.subject_id, rec.data[:30], None, rec.group)
         new_path = tmp_path / "new.smds"
         save_dataset(new_data, new_path)
         cfgf = write_config(tmp_path / "ft.json", {

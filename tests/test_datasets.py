@@ -26,6 +26,7 @@ from subjmap.datasets import (
 )
 from subjmap.errors import (
     InvalidFraction,
+    LabelOutOfRange,
     MissingManifestField,
     NonFiniteError,
     ParseError,
@@ -253,6 +254,20 @@ class TestSerialization:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["data.smds"]
 
+    @pytest.mark.parametrize("label", [2 ** 32 + 1, 2 ** 31, -2 ** 31 - 1])
+    def test_label_outside_int32_is_named_error_and_leaves_no_file(self, tmp_path, label):
+        # 2**32 + 1 used to be written wrapped and to load back as 1
+        ds = MultiSubjectDataset([SubjectData("fits", np.zeros((2, 1)), [0, 1]),
+                                  SubjectData("wide", np.zeros((2, 1)), [0, label])])
+        with pytest.raises(LabelOutOfRange, match="'wide'"):
+            save_dataset(ds, tmp_path / "data.smds")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_int32_extreme_labels_roundtrip(self, tmp_path):
+        ds = MultiSubjectDataset([SubjectData("a", np.zeros((2, 1)), [-2 ** 31, 2 ** 31 - 1])])
+        save_dataset(ds, tmp_path / "data.smds")
+        assert load_dataset(tmp_path / "data.smds").labels.tolist() == [-2 ** 31, 2 ** 31 - 1]
+
     def test_non_finite_data_is_named_error(self, tmp_path):
         ds = self.make()
         ds.subjects[0].data[0, 0] = np.nan
@@ -329,6 +344,9 @@ class TestSerialization:
         # a non-integer label token escaped as a raw ValueError
         ("label_path", {}, "0 1 x 1"),
         ("label_path", {}, "0 1.5 0 1"),
+        # labels outside the packed format's int32 were saved wrapped
+        ("label_path", {}, "0 4294967297 0 1"),
+        ("label_path", {}, "0 -2147483649 0 1"),
         # "subjects": 5 escaped as a raw TypeError
         ("subjects", {"subjects": 5}, None),
         ("subjects", {"subjects": ["x"]}, None),
@@ -354,6 +372,7 @@ class TestSerialization:
         with pytest.raises(ParseError, match=field) as err:
             load_dataset(tmp_path / "manifest.json", fmt="csv")
         assert "manifest.json" in str(err.value)
+        assert labels is None or "subject 'x'" in str(err.value)
 
     def test_manifest_missing_field(self, tmp_path):
         (tmp_path / "manifest.json").write_text(json.dumps({"subjects": [{"group": 1}]}))
@@ -422,7 +441,8 @@ class TestBlockStorage:
                  pickle.loads(pickle.dumps(built)), _take_all(built, np.arange(1, 5)),
                  center_subjects(loaded), even, *split(even, FirstSecondHalf())[::2],
                  *[p for p in split(even, TimestepFraction(0.5, 0.2, seed=1)) if p is not None],
-                 *split(loaded, SubjectHoldout(1, seed=2))[::2], loaded.subset(["s1", "s2"])]
+                 *split(loaded, SubjectHoldout(1, seed=2))[::2],
+                 MultiSubjectDataset(loaded.subjects[1:3])]
         for ds in parts:
             x, idx, labels = stacked(ds)
             assert np.shares_memory(x, ds.subjects[0].data)
@@ -439,7 +459,8 @@ class TestBlockStorage:
         ds = self.make()
         spec = ModelSpec("decomposed", "autoencoder", 3, 2, 2, 5)
         model = build_model(spec, 0, subject_ids=["z", "s3", "s1", "s0", "s2"])
-        for part, with_model in [(ds, None), (ds, model), (ds.subset(["s3", "s0"]), model),
+        some = MultiSubjectDataset([ds.subjects[0], ds.subjects[3]])
+        for part, with_model in [(ds, None), (ds, model), (some, model),
                                  (self.make(labelled=False), None)]:
             got, ref = stacked(part, with_model), _reference_stacked(part, with_model)
             assert np.array_equal(got[0], ref[0])

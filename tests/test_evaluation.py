@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from subjmap.errors import DegenerateFold, DegenerateGeometry, DimensionError
+from subjmap.errors import ConfigError, DegenerateFold, DegenerateGeometry, DimensionError
 from subjmap.evaluation import (
     circle_fit,
     circular_correlation,
@@ -67,6 +67,13 @@ class TestProbeClassify:
     def test_fold_count_exceeding_samples(self):
         with pytest.raises(DimensionError):
             probe_classify(np.ones((3, 2)), [0, 1, 0], n_folds=5)
+
+    @pytest.mark.parametrize("n_folds", [1, 0, -2, 2.5])
+    def test_fewer_than_two_folds_rejected(self, n_folds):
+        # 0 and -2 used to return no fold accuracies with NaN mean and std
+        x = SeededRng(5).normal((8, 2))
+        with pytest.raises(ConfigError, match="n_folds"):
+            probe_classify(x, np.arange(8) % 2, n_folds=n_folds)
 
     def test_explicit_gamma_and_stats(self):
         rng = SeededRng(6)

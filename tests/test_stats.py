@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from subjmap.datasets import MultiSubjectDataset, SubjectData, synth_group_dataset, split, FirstSecondHalf
-from subjmap.errors import DimensionError, InvalidP
+from subjmap.errors import ConfigError, DimensionError, InvalidP
 from subjmap.linalg import SeededRng, qr_orthonormalize
 from subjmap.models import ModelSpec, build_model
 from subjmap.stats import (
@@ -118,6 +118,12 @@ class TestBhFdr:
         adjusted, _ = bh_fdr(p, 0.05)
         order = np.argsort(p)
         assert np.all(np.diff(adjusted[order]) >= -1e-15)
+
+    @pytest.mark.parametrize("q", [1.5, -1.0, 0.0, 1.0, math.nan])
+    def test_level_outside_unit_interval_rejected(self, q):
+        # 1.5 used to reject every hypothesis and -1 none
+        with pytest.raises(ConfigError, match="q must lie in"):
+            bh_fdr([0.01, 0.5], q)
 
     def test_invalid_p_rejected(self):
         with pytest.raises(InvalidP):

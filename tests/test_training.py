@@ -226,7 +226,7 @@ class TestFinetune:
         result = finetune_subjects(model, _take_all(unseen, np.arange(1)),
                                    TrainConfig(lr=0.005, epochs=20, batch_size=4, seed=0,
                                                early_stop_patience=None))
-        assert result.enc_rows.shape == (2, 4)
+        assert model.enc_map.s[result.new_indices].shape == (2, 4)
         assert result.history.n_steps > 0
 
     def test_twin_subject_row_recovered(self):
@@ -240,7 +240,7 @@ class TestFinetune:
                                    TrainConfig(lr=0.01, epochs=400, batch_size=64, seed=4,
                                                early_stop_patience=None))
         learned = model.enc_map.s[model.index_of([twin_src.subject_id])[0]]
-        fitted = result.enc_rows[0]
+        fitted = model.enc_map.s[result.new_indices[0]]
         assert float(np.linalg.norm(fitted - learned)) < 0.1
 
     def test_wrong_width_leaves_model_untouched(self):
@@ -283,15 +283,17 @@ class TestFinetune:
                                    TrainConfig(lr=0.01, epochs=2, batch_size=8,
                                                early_stop_patience=None))
         assert parameter_digest(model, (3,)) == before
-        assert result.enc_rows.shape == (1, 6, 4) and result.dec_rows.shape == (1, 4, 6)
-        np.testing.assert_array_equal(result.enc_rows[0], model.enc_map.w[3])
-        assert not np.array_equal(result.enc_rows[0], start_row)
+        assert result.new_indices.tolist() == [3]
+        enc_rows = model.enc_map.w[result.new_indices]
+        dec_rows = model.dec_map.w[result.new_indices]
+        assert enc_rows.shape == (1, 6, 4) and dec_rows.shape == (1, 4, 6)
+        assert not np.array_equal(enc_rows[0], start_row)
 
     def test_group_model_rejected(self):
         data = toy_dataset(labelled=False)
         model = build_model(toy_spec(variant="group"), seed=0, subject_ids=data.subject_ids)
         with pytest.raises(ValueError):
-            finetune_subjects(model, data.subset(["s0"]), TrainConfig(epochs=1))
+            finetune_subjects(model, MultiSubjectDataset(data.subjects[:1]), TrainConfig(epochs=1))
 
 
 class TestSweep:
