@@ -473,23 +473,30 @@ def _cmd_sweep(config: dict, out_dir: Path, config_dir: Path, workers: int) -> _
     return metrics, ["sweep.csv"]
 
 
-def _recon_metrics(model, dataset: MultiSubjectDataset, key: str, section: dict,
-                   config_dir: Path) -> dict:
-    """``key``: the reconstruction MSE of ``model`` on every row of ``dataset``.
+def _recon_models(model, key: str, section: dict, config_dir: Path) -> dict:
+    """The models a reconstruction report scores, by metric name, loaded and checked.
 
-    With ``section["baseline_checkpoint"]`` set, also that checkpoint's
-    ``baseline_mse`` on the same rows and the ``improvement_pct`` over it.
+    ``model`` is scored as ``key``; with ``section["baseline_checkpoint"]``
+    set, that checkpoint is loaded and scored as ``baseline_mse``.  A
+    classifier among them is a ConfigError: it does not reconstruct its input.
     """
     scored = {key: model}
     if section["baseline_checkpoint"]:
         scored["baseline_mse"], _ = checkpoint.load_model(
             _relative(section, config_dir, "baseline_checkpoint"))
-    metrics = {}
     for name, scored_model in scored.items():
         if scored_model.spec.objective == "classifier":
             raise ConfigError(f"{name} needs a checkpoint that reconstructs its input, "
                               f"not a classifier")
-        metrics[name] = evaluate_loss(scored_model, dataset)[1]["mse"]
+    return scored
+
+
+def _recon_metrics(scored: dict, dataset: MultiSubjectDataset, key: str) -> dict:
+    """The reconstruction MSE of each ``_recon_models`` model on every row of ``dataset``.
+
+    With a baseline, also the ``improvement_pct`` of ``key`` over it.
+    """
+    metrics = {name: evaluate_loss(model, dataset)[1]["mse"] for name, model in scored.items()}
     if "baseline_mse" in metrics:
         metrics["improvement_pct"] = recon_improvement(metrics[key], metrics["baseline_mse"])
     return metrics
@@ -512,6 +519,8 @@ def _cmd_finetune(config: dict, out_dir: Path, config_dir: Path, workers: int) -
         key = "holdout_fraction" if holdout_start < 1 else "fraction"
         raise ConfigError(f"finetune.{key} {section[key]!r} leaves no timestep of {total} "
                           f"to fine-tune on")
+    # both checkpoints are checked before the first fine-tuning step
+    scored = _recon_models(model, "heldout_mse", config, config_dir)
     digest_before = parameter_digest(model)
 
     ft_cfg = TrainConfig(lr=section["lr"], optimizer=section["optimizer"],
@@ -525,8 +534,8 @@ def _cmd_finetune(config: dict, out_dir: Path, config_dir: Path, workers: int) -
         "n_finetune_timesteps": n_fit,
         "frozen_digest_unchanged": digest_before == digest_after,
         "n_new_subjects": len(result.new_indices),
-        **_recon_metrics(model, _take_all(dataset, np.arange(holdout_start, total)),
-                         "heldout_mse", config, config_dir),
+        **_recon_metrics(scored, _take_all(dataset, np.arange(holdout_start, total)),
+                         "heldout_mse"),
     }
     checkpoint.save_model(model, out_dir / "model.ckpt", config_hash(config))
     result.history.to_csv(out_dir / "history.csv")
@@ -549,7 +558,8 @@ def _cmd_evaluate(config: dict, out_dir: Path, config_dir: Path, workers: int) -
     if section["recon"] and model.spec.objective == "classifier":
         metrics["test_accuracy"] = evaluate_loss(model, eval_set)[1]["accuracy"]
     elif section["recon"]:
-        metrics.update(_recon_metrics(model, eval_set, "test_mse", section, config_dir))
+        metrics.update(_recon_metrics(_recon_models(model, "test_mse", section, config_dir),
+                                      eval_set, "test_mse"))
 
     if section["probe_embeddings"]:
         x, idx, labels = stacked(eval_set, model)

@@ -7,6 +7,13 @@ and a divergence check.  Everything is deterministic given the config seed.
 square factor by QR after each ``orth_every`` steps, stops early on
 validation loss and keeps a best-validation snapshot.
 
+``hyperparameter_sweep`` runs the same epoch loop (``_train_epochs``) once
+for every group of cells that differ only in ``epochs``: a cell capped at 30
+epochs sees the first 30 epochs of its 60-epoch twin (same seed, shuffles
+and patience counter), so the group trains up to its largest cap and records
+each smaller cap's row on the way.  Every row equals what a stand-alone
+``train`` with that cap gives.
+
 ``evaluate_loss`` is the one scoring pass: validation, sweep test metrics and
 every score the CLI reports (``train``'s test metric, ``evaluate``'s and
 ``finetune``'s reconstruction errors) are the full-batch loss of a model on
@@ -195,15 +202,27 @@ def _fit(model: Model, x, idx, labels, config: TrainConfig, params: dict[str, np
         yield epoch_loss / x.shape[0], step
 
 
-def train(model: Model, train_set: MultiSubjectDataset, val_set: MultiSubjectDataset,
-          config: TrainConfig) -> tuple[Model, TrainHistory]:
-    """Optimize ``model`` in place; returns it restored to the best-validation epoch.
+def _best_metrics(history: TrainHistory) -> dict:
+    """Validation loss (and accuracy, for a classifier) of the best epoch; empty before one."""
+    if history.best_epoch < 0:
+        return {}
+    metrics = {"val_loss": history.val_losses[history.best_epoch]}
+    metric = history.val_metrics[history.best_epoch]
+    if metric is not None:
+        metrics["val_accuracy"] = metric
+    return metrics
 
-    Every ``orth_every`` steps each decomposed map's square factor is
-    re-orthonormalized by QR.  Raises DivergenceError with the offending step
-    index if the loss leaves the finite range.
+
+def _train_epochs(model: Model, train_set: MultiSubjectDataset, val_set: MultiSubjectDataset,
+                  config: TrainConfig, history: TrainHistory):
+    """``train``'s epoch loop: optimizes ``model`` in place and fills ``history``.
+
+    Yields the best-validation snapshot so far once before the first epoch
+    (``None``: no epoch has run) and once after every epoch.  Ends after
+    ``config.epochs`` epochs, or after the epoch that leaves validation loss
+    without improvement for ``early_stop_patience`` epochs.  The model holds
+    the live weights at every yield.
     """
-    started = time.perf_counter()
     x, idx, labels = stacked(train_set, model)
     if x.shape[0] == 0:
         raise EmptySubset("training set has no timesteps")
@@ -212,10 +231,10 @@ def train(model: Model, train_set: MultiSubjectDataset, val_set: MultiSubjectDat
         if config.orth_every and step % config.orth_every == 0:
             _reproject(model)
 
-    history = TrainHistory(config_hash=config.digest())
     best_val = math.inf
-    best_snap = model.snapshot()
+    best_snap = None
     since_best = 0
+    yield best_snap
     epochs = _fit(model, x, idx, labels, config, model.params(), 0, reproject)
     for epoch, (train_loss, step) in enumerate(epochs):
         history.n_steps = step
@@ -233,17 +252,27 @@ def train(model: Model, train_set: MultiSubjectDataset, val_set: MultiSubjectDat
             since_best = 0
         else:
             since_best += 1
-            if config.early_stop_patience is not None and since_best >= config.early_stop_patience:
-                break
+        yield best_snap
+        if config.early_stop_patience is not None and since_best >= config.early_stop_patience:
+            return
 
-    if history.best_epoch >= 0:
+
+def train(model: Model, train_set: MultiSubjectDataset, val_set: MultiSubjectDataset,
+          config: TrainConfig) -> tuple[Model, TrainHistory]:
+    """Optimize ``model`` in place; returns it restored to the best-validation epoch.
+
+    Every ``orth_every`` steps each decomposed map's square factor is
+    re-orthonormalized by QR.  Raises DivergenceError with the offending step
+    index if the loss leaves the finite range.
+    """
+    started = time.perf_counter()
+    history = TrainHistory(config_hash=config.digest())
+    for best_snap in _train_epochs(model, train_set, val_set, config, history):
+        pass
+    if best_snap is not None:
         model.restore(best_snap)
     history.wall_clock_seconds = time.perf_counter() - started
-    if history.val_losses:
-        history.final_metrics = {"val_loss": history.val_losses[history.best_epoch]}
-        metric = history.val_metrics[history.best_epoch]
-        if metric is not None:
-            history.final_metrics["val_accuracy"] = metric
+    history.final_metrics = _best_metrics(history)
     return model, history
 
 
@@ -369,27 +398,72 @@ _SPEC_FIELDS = set(ModelSpec.__dataclass_fields__)
 _CONFIG_FIELDS = set(TrainConfig.__dataclass_fields__) - {"seed"}  # seeds are their own axis
 
 
-def _sweep_cell(args):
-    (index, setting, seed, spec, base_config, train_set, val_set, test_set) = args
-    row = {"setting_index": index, "seed": seed, "error": None,
-           "val_loss": math.nan, "val_metric": math.nan, "test_metric": math.nan}
-    row.update(setting)
+def _cell_error(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _record(row: dict, model: Model, best_snap, history: TrainHistory, test_set) -> None:
+    """Fill ``row`` with what ``train`` stopped at ``history``'s last epoch would report.
+
+    The test split is scored on ``best_snap``; the live weights are put back
+    afterwards, so training can go on.  A failure is recorded in the row.
+    """
     try:
-        cell_spec = replace(spec, **{k: v for k, v in setting.items() if k in _SPEC_FIELDS})
-        config = replace(base_config, seed=seed,
-                         **{k: v for k, v in setting.items() if k in _CONFIG_FIELDS})
-        model = build_model(cell_spec, SeededRng(seed).derive("init").seed,
-                            subject_ids=[r.subject_id for r in train_set.subjects])
-        model, history = train(model, train_set, val_set, config)
-        row["val_loss"] = history.final_metrics.get("val_loss", math.nan)
-        row["val_metric"] = history.final_metrics.get(
-            "val_accuracy", row["val_loss"])
+        best = _best_metrics(history)
+        row["val_loss"] = best.get("val_loss", math.nan)
+        row["val_metric"] = best.get("val_accuracy", row["val_loss"])
         if test_set is not None:
-            test_loss, test_terms = evaluate_loss(model, test_set)
+            live = model.snapshot()
+            if best_snap is not None:
+                model.restore(best_snap)
+            try:
+                test_loss, test_terms = evaluate_loss(model, test_set)
+            finally:
+                model.restore(live)
             row["test_metric"] = test_terms.get("accuracy", test_loss)
     except Exception as exc:  # cell failures must not abort the sweep
-        row["error"] = f"{type(exc).__name__}: {exc}"
-    return row
+        row["error"] = _cell_error(exc)
+
+
+def _sweep_cell(job):
+    """Run one seed's sweep cells whose settings differ only in ``epochs``; returns their rows.
+
+    The group trains one model, up to its largest epoch cap.  When training
+    reaches a cap, or stops early before it, that cap's rows get what a
+    stand-alone ``train`` with that cap reports: the best-validation epoch
+    among its first ``cap`` epochs, and the test metric of that epoch's
+    snapshot.  Training then goes on from the live weights.  A row fails
+    alone when its own ``TrainConfig`` is invalid; a failure in training
+    fails every row whose cap it had not reached yet.
+    """
+    cells, seed, spec, base_config, train_set, val_set, test_set = job
+    rows = [{"setting_index": index, "seed": seed, "error": None, "val_loss": math.nan,
+             "val_metric": math.nan, "test_metric": math.nan, **setting}
+            for index, setting in cells]
+    pending = [(None, row) for row in rows]  # (TrainConfig, row) of the rows still waiting
+    try:
+        cell_spec = replace(spec, **{k: v for k, v in cells[0][1].items() if k in _SPEC_FIELDS})
+        pending = []
+        for row, (_, setting) in zip(rows, cells):
+            try:
+                pending.append((replace(base_config, seed=seed, **{
+                    k: v for k, v in setting.items() if k in _CONFIG_FIELDS}), row))
+            except Exception as exc:  # epochs, the one key that differs, is out of range
+                row["error"] = _cell_error(exc)
+        if pending:
+            pending.sort(key=lambda item: item[0].epochs)
+            model = build_model(cell_spec, SeededRng(seed).derive("init").seed,
+                                subject_ids=[r.subject_id for r in train_set.subjects])
+            history = TrainHistory()
+            for best_snap in _train_epochs(model, train_set, val_set, pending[-1][0], history):
+                while pending and pending[0][0].epochs == history.n_epochs:
+                    _record(pending.pop(0)[1], model, best_snap, history, test_set)
+            for _, row in pending:  # stopped early: every larger cap ends here too
+                _record(row, model, best_snap, history, test_set)
+    except Exception as exc:  # cell failures must not abort the sweep
+        for _, row in pending:
+            row["error"] = _cell_error(exc)
+    return rows
 
 
 @dataclass
@@ -429,6 +503,11 @@ def hyperparameter_sweep(base_spec: ModelSpec, base_config: TrainConfig, setting
     excluded from the means; when every cell fails there is no winner and
     ``SweepFailed`` is raised with the first cell's error.  Results are merged
     in (setting, seed) order regardless of worker scheduling.
+
+    Cells with one seed whose settings differ only in ``epochs`` share one
+    training run up to their largest cap (see ``_sweep_cell``); each row is
+    the one a separate run of its cell would give.  At most ``workers``
+    processes run the groups, and none when there is only one group.
     """
     seeds = list(seeds)
     if not settings or not seeds:
@@ -443,15 +522,23 @@ def hyperparameter_sweep(base_spec: ModelSpec, base_config: TrainConfig, setting
     unknown = {key for setting in settings for key in setting} - _SPEC_FIELDS - _CONFIG_FIELDS
     if unknown:
         raise ConfigError(f"unknown sweep setting keys {sorted(unknown)}")
-    jobs = [(i, setting, seed, base_spec, base_config, train_set, val_set, test_set)
-            for i, setting in enumerate(settings) for seed in seeds]
+    groups: dict[str, tuple] = {}  # (seed, cells): cells that differ only in epochs
+    for i, setting in enumerate(settings):
+        shared = sorted((k, v) for k, v in setting.items() if k != "epochs")
+        for seed in seeds:
+            groups.setdefault(repr((seed, shared)), (seed, []))[1].append((i, setting))
+    jobs = [(cells, seed, base_spec, base_config, train_set, val_set, test_set)
+            for seed, cells in groups.values()]
 
+    # a fork pool starts every worker at the first submit: start no more than there are jobs
+    workers = min(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_cell, jobs, chunksize=1))
+            group_rows = list(pool.map(_sweep_cell, jobs, chunksize=1))
     else:
-        rows = [_sweep_cell(job) for job in jobs]
-    rows.sort(key=lambda r: (r["setting_index"], r["seed"]))
+        group_rows = [_sweep_cell(job) for job in jobs]
+    rows = sorted((row for group in group_rows for row in group),
+                  key=lambda r: (r["setting_index"], r["seed"]))
     if all(r["error"] for r in rows):
         raise SweepFailed(f"all {len(rows)} sweep cells failed; the first: {rows[0]['error']}")
 

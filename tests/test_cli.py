@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from subjmap import cli
 from subjmap.checkpoint import save_model
 from subjmap.cli import _load_config, _write_json, config_tables, main
 from subjmap.datasets import (SubjectData, half_moons, load_dataset, rotate_subjects, save_dataset,
@@ -576,6 +577,74 @@ class TestEvaluateAnalyzeFinetune:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and named in err
         assert not (tmp_path / "out" / "results.json").exists()
+
+    @pytest.mark.parametrize("checkpoint,baseline,code,message", [
+        ("clf.ckpt", None, 1, "config error: heldout_mse needs a checkpoint that reconstructs"),
+        ("model.ckpt", "clf.ckpt", 1,
+         "config error: baseline_mse needs a checkpoint that reconstructs"),
+        ("model.ckpt", "missing.ckpt", 2, "runtime error: FileNotFoundError"),
+    ])
+    def test_finetune_checks_checkpoints_before_fine_tuning(self, tmp_path, capsys, monkeypatch,
+                                                            checkpoint, baseline, code, message):
+        # each case used to fail only after every fine-tuning epoch had run
+        monkeypatch.setattr(cli, "finetune_subjects",
+                            lambda *args: pytest.fail("fine-tuning ran before the checks"))
+        new_data, _ = synth_group_dataset(2, 40, 8, 3, 1.0, seed=3)
+        for rec in new_data.subjects:
+            rec.subject_id = "new_" + rec.subject_id
+        save_dataset(new_data, tmp_path / "new.smds")
+        for name, objective in (("model", "autoencoder"), ("clf", "classifier")):
+            spec = ModelSpec("decomposed", objective, 8, 4, 2, 3, (6,),
+                             n_classes=2 if objective == "classifier" else None)
+            save_model(build_model(spec, 0, subject_ids=["s0", "s1", "s2"]),
+                       tmp_path / f"{name}.ckpt")
+        cfg = write_config(tmp_path / "ft.json", {
+            "data": {"path": str(tmp_path / "new.smds")},
+            "checkpoint": str(tmp_path / checkpoint),
+            "baseline_checkpoint": baseline and str(tmp_path / baseline),
+            "finetune": {"epochs": 1},
+        })
+        capsys.readouterr()
+        assert main(["finetune", "--config", cfg, "--out", str(tmp_path / "ft")]) == code
+        assert capsys.readouterr().err.startswith(message)
+        assert not (tmp_path / "ft" / "results.json").exists()
+
+    def test_finetune_of_group_checkpoint_is_no_subject_weights(self, tmp_path, synth_file,
+                                                               capsys):
+        spec = ModelSpec("group", "autoencoder", 8, 4, 2, 6, (6,))
+        save_model(build_model(spec, 0, subject_ids=load_dataset(synth_file).subject_ids),
+                   tmp_path / "group.ckpt")
+        new_data, _ = synth_group_dataset(2, 40, 8, 3, 1.0, seed=3)
+        for rec in new_data.subjects:
+            rec.subject_id = "new_" + rec.subject_id
+        save_dataset(new_data, tmp_path / "new.smds")
+        cfg = write_config(tmp_path / "ft.json", {
+            "data": {"path": str(tmp_path / "new.smds")},
+            "checkpoint": str(tmp_path / "group.ckpt"),
+            "finetune": {"epochs": 1},
+        })
+        capsys.readouterr()
+        assert main(["finetune", "--config", cfg, "--out", str(tmp_path / "ft")]) == 2
+        assert capsys.readouterr().err.startswith("runtime error: NoSubjectWeights:")
+        assert not (tmp_path / "ft" / "results.json").exists()
+
+    def test_analyze_of_one_group_dataset_is_group_count_error(self, tmp_path, capsys):
+        data, _ = synth_group_dataset(4, 30, 8, 3, 0.0, seed=41)
+        for rec in data.subjects:
+            rec.group = 0
+        save_dataset(data, tmp_path / "data.smds")
+        spec = ModelSpec("decomposed", "autoencoder", 8, 4, 2, 4, (6,))
+        save_model(build_model(spec, 0, subject_ids=data.subject_ids), tmp_path / "model.ckpt")
+        cfg = write_config(tmp_path / "analyze.json", {
+            "data": {"path": str(tmp_path / "data.smds")},
+            "checkpoint": str(tmp_path / "model.ckpt"),
+            "analysis": {"k": 3},
+        })
+        capsys.readouterr()
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "analysis")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: GroupCountError: need exactly two groups")
+        assert not (tmp_path / "analysis" / "results.json").exists()
 
     def test_finetune_on_registered_subjects_is_named_error(self, tmp_path, synth_file, capsys):
         cfg = write_config(tmp_path / "train.json", train_config(synth_file, epochs=1))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from subjmap.datasets import MultiSubjectDataset, SubjectData, synth_group_dataset, split, FirstSecondHalf
-from subjmap.errors import ConfigError, DimensionError, InvalidP
+from subjmap.errors import ConfigError, DimensionError, GroupCountError, InvalidP
 from subjmap.linalg import SeededRng, qr_orthonormalize
 from subjmap.models import ModelSpec, build_model
 from subjmap.stats import (
@@ -248,7 +248,7 @@ class TestPipeline:
         for rec in data.subjects:
             rec.group = 0
         model = self.make_trained(data, seed=7)
-        with pytest.raises(ValueError):
+        with pytest.raises(GroupCountError, match=r"exactly two groups, found \[0\]"):
             group_difference_pipeline(model, data, k=3, seed=0)
 
     def test_report_csv(self, tmp_path):

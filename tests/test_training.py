@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,15 +8,17 @@ import pytest
 from subjmap.datasets import (MultiSubjectDataset, SubjectData, synth_group_dataset, split,
                               stacked, FirstSecondHalf, _take_all)
 from subjmap import training
-from subjmap.errors import (ConfigError, DivergenceError, EmptySubset, MissingLabels, ShapeError,
-                            SweepFailed)
+from subjmap.errors import (ConfigError, DivergenceError, EmptySubset, MissingLabels,
+                            NoSubjectWeights, ShapeError, SweepFailed)
 from subjmap.linalg import SeededRng
 from subjmap.models import Model, ModelSpec, build_model, decode, encode, loss, loss_and_grads
 from subjmap.maps import GroupMap
 from subjmap.models import DenseLayer
 from subjmap.training import (
     Adam,
+    SweepResult,
     TrainConfig,
+    add_subjects,
     evaluate_loss,
     finetune_subjects,
     grad_check,
@@ -295,6 +298,15 @@ class TestFinetune:
         with pytest.raises(ValueError):
             finetune_subjects(model, MultiSubjectDataset(data.subjects[:1]), TrainConfig(epochs=1))
 
+    def test_add_subjects_to_group_model_is_no_subject_weights(self):
+        data = toy_dataset(labelled=False)
+        model = build_model(toy_spec(variant="group"), seed=0, subject_ids=data.subject_ids)
+        before = parameter_digest(model)
+        with pytest.raises(NoSubjectWeights, match="group models"):
+            add_subjects(model, ["new"])
+        assert model.subject_ids == tuple(data.subject_ids)
+        assert parameter_digest(model) == before
+
 
 class TestSweep:
     def test_single_cell_sweep(self):
@@ -393,6 +405,160 @@ class TestSweep:
         keys = [(r["setting_index"], r["seed"]) for r in res1.rows]
         assert keys == sorted(keys)
         assert [r["val_loss"] for r in res1.rows] == [r["val_loss"] for r in res2.rows]
+
+
+def _comparable(rows):
+    # NaN never equals NaN, and rows from worker processes hold their own NaN objects
+    return [{k: None if isinstance(v, float) and math.isnan(v) else v for k, v in row.items()}
+            for row in rows]
+
+
+def _one_cap_sweeps(settings, seeds, config, data):
+    """Rows of one sweep per distinct epoch cap, concatenated in ``settings`` order."""
+    rows = []
+    for epochs in dict.fromkeys(s["epochs"] for s in settings):
+        indices = [i for i, s in enumerate(settings) if s["epochs"] == epochs]
+        res = hyperparameter_sweep(toy_spec(objective="classifier"), config,
+                                   [settings[i] for i in indices], seeds, data, data, data)
+        rows += [dict(row, setting_index=indices[row["setting_index"]]) for row in res.rows]
+    return sorted(rows, key=lambda r: (r["setting_index"], r["seed"]))
+
+
+def _csv_bytes(rows, path):
+    SweepResult(rows, [], 0, "val_accuracy").to_csv(path)
+    return path.read_bytes()
+
+
+class TestSharedEpochRuns:
+    """Cells that differ only in ``epochs`` train once; every row is its stand-alone row."""
+
+    SETTINGS = [{"epochs": epochs, "lr": lr} for epochs in (0, 3, 5) for lr in (0.05, 0.3)]
+
+    @pytest.mark.parametrize("patience", [None, 1])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rows_equal_one_cap_sweeps(self, tmp_path, patience, workers):
+        data = toy_dataset(t=30)
+        config = TrainConfig(batch_size=16, early_stop_patience=patience)
+        if patience is not None:  # early stopping must fire before the largest cap
+            model = build_model(toy_spec(objective="classifier"), SeededRng(2).derive("init").seed,
+                                subject_ids=data.subject_ids)
+            _, history = train(model, data, data, replace(config, lr=0.3, epochs=5, seed=2))
+            assert history.n_epochs < 5
+        shared = hyperparameter_sweep(toy_spec(objective="classifier"), config, self.SETTINGS,
+                                      [1, 2], data, data, data, workers=workers)
+        separate = _one_cap_sweeps(self.SETTINGS, [1, 2], config, data)
+        assert not any(row["error"] for row in separate)
+        assert _comparable(shared.rows) == _comparable(separate)
+        assert (_csv_bytes(shared.rows, tmp_path / "shared.csv")
+                == _csv_bytes(separate, tmp_path / "separate.csv"))
+
+    def test_one_run_per_group(self, monkeypatch):
+        data = toy_dataset(t=30)
+        runs = []
+        real = training._train_epochs
+        monkeypatch.setattr(training, "_train_epochs",
+                            lambda *args: runs.append(args[3].epochs) or real(*args))
+        hyperparameter_sweep(toy_spec(objective="classifier"), TrainConfig(batch_size=16),
+                             self.SETTINGS, [1, 2], data, data, data)
+        assert runs == [5] * 4  # two learning rates x two seeds, each up to the largest cap
+
+    def test_duplicate_settings_get_the_same_row(self):
+        data = toy_dataset(t=30)
+        settings = [{"epochs": 3, "lr": 0.05}, {"epochs": 3, "lr": 0.05}, {"epochs": 5, "lr": 0.05}]
+        config = TrainConfig(batch_size=16)
+        rows = hyperparameter_sweep(toy_spec(objective="classifier"), config, settings, [1],
+                                    data, data, data).rows
+        assert dict(rows[1], setting_index=0) == rows[0]
+        assert _comparable(rows) == _comparable(_one_cap_sweeps(settings, [1], config, data))
+
+    def test_bad_epoch_cap_fails_its_row_alone(self):
+        data = toy_dataset(t=30)
+        settings = [{"epochs": 3}, {"epochs": -1}, {"epochs": 5}]
+        config = TrainConfig(batch_size=16)
+        rows = hyperparameter_sweep(toy_spec(objective="classifier"), config, settings, [1],
+                                    data, data, data).rows
+        assert rows[1]["error"].startswith("ConfigError: epochs must be an integer >= 0")
+        assert math.isnan(rows[1]["val_loss"]) and math.isnan(rows[1]["test_metric"])
+        kept = [settings[0], settings[2]]
+        expected = _one_cap_sweeps(kept, [1], config, data)
+        assert _comparable([rows[0], dict(rows[2], setting_index=1)]) == _comparable(expected)
+
+    def test_divergence_between_caps_keeps_the_smaller_cap(self, monkeypatch):
+        # toy_dataset(t=30) has 90 rows: 6 steps of 16 per epoch, so the loss
+        # turns NaN at step 20, after epoch 3 and before epoch 5
+        data = toy_dataset(t=30)
+        settings = [{"epochs": 0}, {"epochs": 3}, {"epochs": 5}]
+        config = TrainConfig(batch_size=16)
+        expected = _one_cap_sweeps(settings[:2], [1], config, data)
+        real = training.loss_and_grads
+
+        def diverging(model, *args):
+            model.steps_taken = getattr(model, "steps_taken", 0) + 1
+            value, terms, grads = real(model, *args)
+            return (math.nan if model.steps_taken >= 20 else value), terms, grads
+
+        monkeypatch.setattr(training, "loss_and_grads", diverging)
+        rows = hyperparameter_sweep(toy_spec(objective="classifier"), config, settings, [1],
+                                    data, data, data).rows
+        assert _comparable(rows[:2]) == _comparable(expected)
+        assert rows[2]["error"] == "DivergenceError: non-finite loss at step 19"
+        assert math.isnan(rows[2]["val_loss"]) and math.isnan(rows[2]["test_metric"])
+
+    def test_build_failure_fails_its_whole_group(self, monkeypatch):
+        data = toy_dataset(t=30)
+        settings = [{"first_layer_width": width, "epochs": epochs}
+                    for width in (3, 4) for epochs in (3, 5)]
+        real = training.build_model
+
+        def build(spec, *args, **kwargs):
+            if spec.first_layer_width == 3:
+                raise RuntimeError("no model of width 3")
+            return real(spec, *args, **kwargs)
+
+        monkeypatch.setattr(training, "build_model", build)
+        rows = hyperparameter_sweep(toy_spec(objective="classifier"), TrainConfig(batch_size=16),
+                                    settings, [1], data, data, data).rows
+        assert [row["error"] for row in rows] == ["RuntimeError: no model of width 3"] * 2 + [None] * 2
+        assert all(math.isnan(row["val_loss"]) for row in rows[:2])
+
+
+class TestSweepPool:
+    """The sweep starts no more worker processes than it has groups of cells."""
+
+    @pytest.fixture()
+    def pool_sizes(self, monkeypatch):
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(training, "ProcessPoolExecutor", InlinePool)
+        return sizes
+
+    def test_pool_capped_at_the_group_count(self, pool_sizes):
+        data = toy_dataset(labelled=False, t=30)
+        settings = [{"lr": 0.01, "epochs": 1}, {"lr": 0.01, "epochs": 2}, {"lr": 0.03, "epochs": 1}]
+        res = hyperparameter_sweep(toy_spec(), TrainConfig(batch_size=16), settings, [1],
+                                   data, data, workers=8)
+        assert pool_sizes == [2]
+        assert len(res.rows) == 3 and not any(row["error"] for row in res.rows)
+
+    def test_one_group_runs_inline(self, pool_sizes):
+        data = toy_dataset(labelled=False, t=30)
+        res = hyperparameter_sweep(toy_spec(), TrainConfig(batch_size=16),
+                                   [{"epochs": 1}, {"epochs": 2}], [1], data, data, workers=8)
+        assert pool_sizes == []
+        assert len(res.rows) == 2
 
 
 def test_parameter_digest_excludes_only_named_rows():
