@@ -1,11 +1,13 @@
 """Dense linear algebra kernels and the seeded randomness substrate.
 
-Everything operates on float64 numpy arrays.  QR orthonormalization is
-hand-written: Householder reflections with the R-diagonal forced
-positive.  The SVD is LAPACK's (``numpy.linalg.svd``), and PCA
-diagonalizes the sample covariance with it.  Across LAPACK builds their
-results agree to roundoff, not bit for bit, and a singular vector may come
-back with the opposite sign.
+Everything operates on float64 numpy arrays.  QR orthonormalization and
+the SVD are LAPACK's (``numpy.linalg.qr`` and ``numpy.linalg.svd``); QR
+flips columns so that the R-diagonal is positive, and PCA diagonalizes
+the sample covariance with the SVD.  Across LAPACK builds their results
+agree to roundoff, not bit for bit.  A singular vector may come back with
+either sign, so ``pin_signs`` fixes each one by its largest-magnitude
+entry wherever the sign reaches a result (``pca`` and FastICA's
+whitening).
 
 Randomness is drawn from numpy's Philox bit generator, a counter-based
 generator whose full stream is determined by a 64-bit key.  Component
@@ -17,7 +19,6 @@ draw in an experiment.
 from __future__ import annotations
 
 import hashlib
-import math
 
 import numpy as np
 
@@ -74,41 +75,27 @@ class SeededRng:
 
 
 def qr_orthonormalize(m) -> np.ndarray:
-    """Orthonormalize the columns of ``m`` (r >= c) via Householder QR.
+    """Orthonormalize the columns of ``m`` (r >= c) via LAPACK's reduced QR.
 
-    Returns Q with Q.T @ Q = I and span(Q) = span(m).  The implicit R has a
-    positive diagonal, which pins the sign of every column and makes the
-    routine idempotent up to float roundoff.
+    Returns Q with Q.T @ Q = I and span(Q) = span(m).  Each column of Q is
+    signed so that the implicit R has a positive diagonal, which pins the
+    sign of every column and makes the routine idempotent up to float
+    roundoff.
 
-    Raises RankDeficient when a pivot column norm falls below 1e-12.
+    Raises RankDeficient, naming the first pivot, when some |R_jj| falls
+    below 1e-12.
     """
     a = as_matrix(m, "m")
     r, c = a.shape
     if r < c:
         raise ShapeError(f"need rows >= cols, got {r}x{c}")
-
-    work = a.copy()
-    reflectors: list[np.ndarray] = []
-    for j in range(c):
-        x = work[j:, j].copy()
-        norm_x = math.sqrt(float(x @ x))
-        if norm_x < 1e-12:
-            raise RankDeficient(f"pivot {j} has norm {norm_x:.3e} < 1e-12")
-        v = x
-        v[0] += math.copysign(norm_x, x[0] if x[0] != 0.0 else 1.0)
-        v /= math.sqrt(float(v @ v))
-        work[j:, j:] -= 2.0 * np.outer(v, v @ work[j:, j:])
-        reflectors.append(v)
-
-    q = np.eye(r, c)
-    for j in range(c - 1, -1, -1):
-        v = reflectors[j]
-        q[j:, :] -= 2.0 * np.outer(v, v @ q[j:, :])
-
-    # Householder leaves R_jj = -sign(x_0)*|x|; flip columns so diag(R) > 0.
-    signs = np.sign(np.diag(work)[:c])
-    signs[signs == 0.0] = 1.0
-    return q * signs
+    q, rr = np.linalg.qr(a)
+    pivots = np.diag(rr)
+    small = np.flatnonzero(np.abs(pivots) < 1e-12)
+    if small.size:
+        j = int(small[0])
+        raise RankDeficient(f"pivot {j} has norm {abs(pivots[j]):.3e} < 1e-12")
+    return q * np.sign(pivots)
 
 
 def svd_small(m):
@@ -124,6 +111,17 @@ def svd_small(m):
         return np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"SVD of a {a.shape[0]}x{a.shape[1]} matrix: {exc}") from exc
+
+
+def pin_signs(columns: np.ndarray) -> np.ndarray:
+    """A copy of ``columns`` with each column's largest-magnitude entry positive.
+
+    Singular vectors are defined only up to sign, and LAPACK builds differ
+    in the sign they return; this rule makes the choice a function of the
+    vector alone.
+    """
+    hot = np.argmax(np.abs(columns), axis=0)
+    return columns * np.where(columns[hot, np.arange(columns.shape[1])] < 0, -1.0, 1.0)
 
 
 def pca(x, k: int):
@@ -147,10 +145,6 @@ def pca(x, k: int):
     cov = (centered.T @ centered) / (n - 1)
     eigvecs, eigvals, _ = svd_small(cov)
 
-    components = eigvecs[:, :k].copy()
-    for j in range(k):
-        hot = int(np.argmax(np.abs(components[:, j])))
-        if components[hot, j] < 0:
-            components[:, j] = -components[:, j]
+    components = pin_signs(eigvecs[:, :k])
     scores = centered @ components
     return components, scores, eigvals[:k].copy()

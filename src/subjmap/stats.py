@@ -21,7 +21,7 @@ import numpy as np
 
 from .datasets import atomic_write
 from .errors import ConfigError, DimensionError, GroupCountError, InvalidP, ShapeError
-from .linalg import SeededRng, as_matrix, svd_small
+from .linalg import SeededRng, as_matrix, pin_signs, svd_small
 from .models import Model, latent_traversal
 
 DEFAULT_TRAVERSAL_GRID = tuple(np.linspace(-3.0, 3.0, 11))
@@ -51,9 +51,10 @@ def fastica(x, k: int, seed: int = 0, max_iter: int = 500, tol: float = 1e-6) ->
 
     Rows of ``x`` are mixed observations, columns are samples (spatial ICA
     treats each measurement location as one sample).  Rows are centered
-    internally, whitened by PCA to ``k`` dimensions, and iterated until the
-    largest column update falls below ``tol``.  Hitting ``max_iter`` is
-    recorded on the result, not raised.
+    internally, whitened by PCA to ``k`` dimensions (each eigenvector signed
+    by ``pin_signs``, so the result does not hang on LAPACK's sign choice),
+    and iterated until the largest column update falls below ``tol``.
+    Hitting ``max_iter`` is recorded on the result, not raised.
     """
     xm = as_matrix(x, "x")
     n, width = xm.shape
@@ -69,7 +70,8 @@ def fastica(x, k: int, seed: int = 0, max_iter: int = 500, tol: float = 1e-6) ->
     if eigvals[k - 1] <= 1e-12 * max(eigvals[0], 1e-300):
         raise DimensionError(f"whitening rank below k={k}")
     sing = np.sqrt(eigvals[:k])
-    left = eigvecs[:, :k] if n <= width else centered @ eigvecs[:, :k] / sing
+    top = pin_signs(eigvecs[:, :k])
+    left = top if n <= width else centered @ top / sing
     whitening = math.sqrt(width) * (left / sing).T  # k x n
     z = whitening @ centered  # k x width, cov over samples = I
 

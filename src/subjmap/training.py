@@ -67,14 +67,28 @@ class TrainConfig:
     grad_clip: float | None = None
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be finite and positive, got {self.lr!r}")
         if not is_count(self.batch_size, 1):
             raise ConfigError(f"batch_size must be an integer >= 1, got {self.batch_size!r}")
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
         if not is_count(self.epochs, 0):
             raise ConfigError(f"epochs must be an integer >= 0, got {self.epochs!r}")
+        for key in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, key) < 1.0:
+                raise ConfigError(f"{key} must lie in [0, 1), got {getattr(self, key)!r}")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ConfigError(f"eps must be finite and positive, got {self.eps!r}")
+        if not is_count(self.orth_every, 0):
+            raise ConfigError(f"orth_every must be an integer >= 0, got {self.orth_every!r}")
+        if self.early_stop_patience is not None and not is_count(self.early_stop_patience, 1):
+            raise ConfigError(f"early_stop_patience must be an integer >= 1 or null, "
+                              f"got {self.early_stop_patience!r}")
+        if self.grad_clip is not None and not (math.isfinite(self.grad_clip)
+                                               and self.grad_clip > 0):
+            raise ConfigError(f"grad_clip must be finite and positive or null, "
+                              f"got {self.grad_clip!r}")
 
     def digest(self) -> str:
         return canonical_digest(asdict(self))

@@ -127,6 +127,19 @@ class TestConfigValues:
         ("analyze", "analysis", "q", -1),
         ("analyze", "analysis", "q", 0),
         ("analyze", "analysis", "q", 1),
+        # out-of-range training values: grad_clip -1 reversed every update and 0
+        # froze every weight, patience 0 or -3 stopped after one epoch, beta1 1.0
+        # ended in a NonFiniteError from the QR and 1.5 trained; all exited 0 or 2
+        ("train", "train", "grad_clip", -1.0),
+        ("train", "train", "grad_clip", 0),
+        ("train", "train", "early_stop_patience", 0),
+        ("train", "train", "early_stop_patience", -3),
+        ("train", "train", "beta1", 1.0),
+        ("train", "train", "beta1", 1.5),
+        ("train", "train", "beta2", 1),
+        ("train", "train", "eps", 0),
+        ("train", "train", "orth_every", -1),
+        ("sweep", "train", "grad_clip", -1.0),
     ])
     def test_bad_value_is_config_error(self, tmp_path, synth_file, capsys,
                                        command, section, key, value):
@@ -290,6 +303,17 @@ class TestSweepCommand:
         assert "SweepFailed: all 1 sweep cells failed" in capsys.readouterr().err
         assert not (out / "results.json").exists()
 
+
+    def test_out_of_range_axis_value_fails_its_rows_alone(self, tmp_path, synth_file):
+        payload = train_config(synth_file, epochs=1)
+        payload["sweep"] = {"axes": {"grad_clip": [-1.0, 1.0]}, "seeds": [1]}
+        cfg = write_config(tmp_path / "c.json", payload)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--workers", "1"]) == 0
+        assert read_results(out)["metrics"]["n_errors"] == 1
+        rows = list(csv.DictReader((out / "sweep.csv").open()))
+        assert rows[0]["error"].startswith("ConfigError: grad_clip")
+        assert rows[1]["error"] == ""
 
     def test_autoencoder_default_metric_picks_lowest_val_loss(self, tmp_path, synth_file):
         # the default used to be val_accuracy, which ranks an autoencoder's val

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,54 @@ def power_iteration_eigs(sym, n_eigs, iters=5000):
     return np.array(eigs)
 
 
+def householder_q(m):
+    """Oracle: Householder QR (Golub & Van Loan 5.2), Q signed so that diag(R) > 0."""
+    work = np.array(m, dtype=np.float64)
+    r, c = work.shape
+    reflectors = []
+    for j in range(c):
+        v = work[j:, j].copy()
+        v[0] += math.copysign(np.linalg.norm(v), v[0] if v[0] != 0.0 else 1.0)
+        v /= np.linalg.norm(v)
+        work[j:, j:] -= 2.0 * np.outer(v, v @ work[j:, j:])
+        reflectors.append(v)
+    q = np.eye(r, c)
+    for j in range(c - 1, -1, -1):
+        v = reflectors[j]
+        q[j:, :] -= 2.0 * np.outer(v, v @ q[j:, :])
+    return q * np.sign(np.diag(work))
+
+
+# the shapes re-projection (square U of width 8, 10, 16) and simulation use
+QR_SHAPES = [(8, 8), (10, 10), (16, 16), (40, 6), (20000, 6)]
+
+
 class TestQrOrthonormalize:
+    @pytest.mark.parametrize("shape", QR_SHAPES)
+    def test_triangular_factor_with_positive_diagonal(self, shape):
+        m = SeededRng(shape[0]).normal(shape)
+        r = qr_orthonormalize(m).T @ m
+        scale = np.linalg.norm(m, axis=0).max()
+        assert np.abs(np.tril(r, -1)).max() <= 1e-12 * scale
+        assert np.all(np.diag(r) > 1e-12 * scale)
+
+    @pytest.mark.parametrize("shape", QR_SHAPES)
+    def test_matches_householder_oracle(self, shape):
+        m = SeededRng(shape[1]).normal(shape)
+        np.testing.assert_allclose(qr_orthonormalize(m), householder_q(m), rtol=0, atol=1e-12)
+
+    def test_dependent_third_column_names_pivot_2(self):
+        m = SeededRng(5).normal((6, 2))
+        with pytest.raises(RankDeficient, match=r"^pivot 2 has norm .* < 1e-12$"):
+            qr_orthonormalize(np.hstack([m, m[:, :1] + m[:, 1:]]))
+
+    def test_zero_first_column_names_pivot_0(self):
+        m = SeededRng(6).normal((6, 3))
+        m[:, 0] = 0.0
+        with pytest.raises(RankDeficient, match=r"^pivot 0 has norm 0\.000e\+00 < 1e-12$"):
+            qr_orthonormalize(m)
+
+
     def test_identity_fixed_point(self):
         np.testing.assert_allclose(qr_orthonormalize(np.eye(3)), np.eye(3), atol=1e-14)
 

@@ -6,6 +6,7 @@ import pytest
 from subjmap.datasets import MultiSubjectDataset, SubjectData, synth_group_dataset, split, FirstSecondHalf
 from subjmap.errors import ConfigError, DimensionError, GroupCountError, InvalidP
 from subjmap.linalg import SeededRng, qr_orthonormalize
+from subjmap import stats
 from subjmap.models import ModelSpec, build_model
 from subjmap.stats import (
     bh_fdr,
@@ -191,6 +192,26 @@ class TestFastica:
     def test_k_out_of_range(self):
         with pytest.raises(DimensionError):
             fastica(np.ones((3, 10)), k=4)
+
+    @pytest.mark.parametrize("shape", [(6, 300), (300, 6)])
+    def test_whitening_signs_do_not_follow_lapack(self, monkeypatch, shape):
+        # an eigenvector's sign is LAPACK's choice; it used to flip whitening rows
+        # and so change the sources and every analyze result
+        x = SeededRng(14).uniform(-1, 1, shape)
+        plain = fastica(x, k=4, seed=7, max_iter=50)
+        svd_small = stats.svd_small
+
+        def flipping_svd(m):
+            u, s, vt = svd_small(m)
+            u, vt = u.copy(), vt.copy()
+            u[:, 1::2] *= -1.0
+            vt[1::2] *= -1.0
+            return u, s, vt
+
+        monkeypatch.setattr(stats, "svd_small", flipping_svd)
+        flipped = fastica(x, k=4, seed=7, max_iter=50)
+        for field in ("sources", "mixing", "whitening"):
+            assert np.array_equal(getattr(flipped, field), getattr(plain, field)), field
 
     def test_max_iter_flagged_not_fatal(self):
         x = SeededRng(12).normal((4, 300))

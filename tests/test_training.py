@@ -157,6 +157,38 @@ class TestGradClip:
         assert losses[0] != losses[1]
 
 
+class TestConfigRanges:
+    # each was accepted: grad_clip -1 reversed every update and 0 froze every
+    # weight, patience 0 or -3 stopped after one epoch, beta1 1.0 ended in a
+    # NonFiniteError from the QR and beta1 1.5 trained without complaint; an
+    # infinite lr or eps ended in a raw ValueError from the config digest
+    @pytest.mark.parametrize("key,value", [
+        ("grad_clip", -1.0), ("grad_clip", 0.0), ("grad_clip", math.inf),
+        ("grad_clip", math.nan), ("early_stop_patience", 0), ("early_stop_patience", -3),
+        ("early_stop_patience", 2.5), ("beta1", 1.0), ("beta1", 1.5), ("beta1", -0.1),
+        ("beta2", 1.0), ("beta2", math.nan), ("eps", 0.0), ("eps", -1e-8), ("eps", math.inf),
+        ("lr", math.inf), ("lr", math.nan),
+        ("orth_every", -1), ("orth_every", 1.5),
+    ])
+    def test_out_of_range_value_is_config_error(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            TrainConfig(**{key: value})
+
+    def test_edge_values_accepted(self):
+        TrainConfig(grad_clip=1e-12, early_stop_patience=1, beta1=0.0, beta2=0.0, eps=1e-300,
+                    orth_every=0)
+        TrainConfig(grad_clip=None, early_stop_patience=None)
+
+    def test_bad_value_fails_its_sweep_row_alone(self):
+        data = toy_dataset(labelled=False, t=30)
+        res = hyperparameter_sweep(
+            toy_spec(), TrainConfig(epochs=2, batch_size=16),
+            settings=[{"grad_clip": -1.0}, {"grad_clip": 1.0}], seeds=[1],
+            train_set=data, val_set=data, metric="val_loss")
+        assert res.rows[0]["error"].startswith("ConfigError: grad_clip")
+        assert res.rows[1]["error"] is None and res.winner_index == 1
+
+
 class TestAdam:
     def test_zero_gradient_is_noop(self):
         p = {"w": np.array([1.0, -2.0, 3.0])}
