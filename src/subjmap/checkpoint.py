@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import atomic_write
-from .errors import ChecksumMismatch, ParseError, ShapeMismatch, VersionUnsupported
+from .errors import ParseError, ShapeError
 from .models import Model, ModelSpec, build_model
 
 MAGIC = b"SMCP"
@@ -78,10 +78,10 @@ def load_model(path) -> tuple[Model, str]:
     if not isinstance(header, dict):
         raise ParseError("checkpoint header is not a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
-        raise VersionUnsupported(f"checkpoint version {header.get('format_version')}")
+        raise ParseError(f"checkpoint version {header.get('format_version')}")
 
     try:
-        spec = ModelSpec.from_dict(header["spec"])
+        spec = ModelSpec(**header["spec"])
         init_seed = int(header.get("init_seed", 0))
         subject_ids = list(header["subject_ids"])
         # name -> (shape, offset, crc32)
@@ -94,12 +94,12 @@ def load_model(path) -> tuple[Model, str]:
     data_start = header_end + ((-header_end) % 8)
 
     if set(stored) != set(params):
-        raise ShapeMismatch(
+        raise ShapeError(
             f"blob names {sorted(stored)} do not match model parameters {sorted(params)}")
     for name, arr in params.items():
         shape, offset, crc32 = stored[name]
         if shape != arr.shape:
-            raise ShapeMismatch(
+            raise ShapeError(
                 f"blob {name!r} has shape {list(shape)}, model expects {list(arr.shape)}")
         begin = data_start + offset
         end = begin + arr.size * 8
@@ -107,6 +107,6 @@ def load_model(path) -> tuple[Model, str]:
             raise ParseError(f"truncated blob {name!r} at byte {len(blob)}")
         raw = blob[begin:end]
         if zlib.crc32(raw) != crc32:
-            raise ChecksumMismatch(f"blob {name!r} failed its checksum")
+            raise ParseError(f"blob {name!r} failed its checksum")
         arr[...] = np.frombuffer(raw, dtype="<f8").reshape(arr.shape)
     return model, header.get("config_hash", "")

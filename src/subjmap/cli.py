@@ -407,6 +407,7 @@ def _cmd_simulate(config: dict, out_dir: Path, config_dir: Path, workers: int) -
 
 def _cmd_train(config: dict, out_dir: Path, config_dir: Path, workers: int) -> _Outputs:
     root = SeededRng(config["seed"])
+    train_cfg = TrainConfig(**config["train"], seed=root.derive("train").seed)
     # no reference to the loaded dataset outlives the split: only the partitions stay in memory
     train_set, val_set, test_set = _split_from_config(
         _load_data(config["data"], config_dir), config["data"]["split"], root)
@@ -415,8 +416,7 @@ def _cmd_train(config: dict, out_dir: Path, config_dir: Path, workers: int) -> _
     spec = ModelSpec(**config["model"], input_size=train_set.n_features,
                      n_subjects=train_set.n_subjects)
     model = build_model(spec, root.derive("init").seed, subject_ids=train_set.subject_ids)
-    model, history = train(model, train_set, val_set,
-                           TrainConfig(**config["train"], seed=root.derive("train").seed))
+    model, history = train(model, train_set, val_set, train_cfg)
 
     checkpoint.save_model(model, out_dir / "model.ckpt", config_hash(config))
     history.to_csv(out_dir / "history.csv")
@@ -443,6 +443,7 @@ def _cmd_sweep(config: dict, out_dir: Path, config_dir: Path, workers: int) -> _
         if not values:
             raise ConfigError(f"sweep.axes.{key} must list at least one value")
 
+    base_cfg = TrainConfig(**config["train"])
     root = SeededRng(config["seed"])
     train_set, val_set, test_set = _split_from_config(
         _load_data(config["data"], config_dir), config["data"]["split"], root)
@@ -450,7 +451,6 @@ def _cmd_sweep(config: dict, out_dir: Path, config_dir: Path, workers: int) -> _
         raise ConfigError("sweep needs a split scheme that produces a validation set")
     spec = ModelSpec(**config["model"], input_size=train_set.n_features,
                      n_subjects=train_set.n_subjects)
-    base_cfg = TrainConfig(**config["train"])
     keys = sorted(axes)
     settings = [dict(zip(keys, combo))
                 for combo in itertools.product(*(axes[k] for k in keys))]
@@ -504,9 +504,12 @@ def _recon_metrics(scored: dict, dataset: MultiSubjectDataset, key: str) -> dict
 
 def _cmd_finetune(config: dict, out_dir: Path, config_dir: Path, workers: int) -> _Outputs:
     root = SeededRng(config["seed"])
+    section = config["finetune"]
+    ft_cfg = TrainConfig(lr=section["lr"], optimizer=section["optimizer"],
+                         epochs=section["epochs"], batch_size=section["batch_size"],
+                         seed=root.derive("finetune").seed, early_stop_patience=None)
     dataset = _load_data(config["data"], config_dir)
     model, _ = checkpoint.load_model(_relative(config, config_dir, "checkpoint"))
-    section = config["finetune"]
 
     total = _common_length(dataset)
     holdout_start = total - int(round(section["holdout_fraction"] * total))
@@ -522,10 +525,6 @@ def _cmd_finetune(config: dict, out_dir: Path, config_dir: Path, workers: int) -
     # both checkpoints are checked before the first fine-tuning step
     scored = _recon_models(model, "heldout_mse", config, config_dir)
     digest_before = parameter_digest(model)
-
-    ft_cfg = TrainConfig(lr=section["lr"], optimizer=section["optimizer"],
-                         epochs=section["epochs"], batch_size=section["batch_size"],
-                         seed=root.derive("finetune").seed, early_stop_patience=None)
     result = finetune_subjects(model, _take_all(dataset, np.arange(n_fit)), ft_cfg)
     digest_after = parameter_digest(model, tuple(int(i) for i in result.new_indices))
 
@@ -553,6 +552,23 @@ def _cmd_evaluate(config: dict, out_dir: Path, config_dir: Path, workers: int) -
     eval_set = test_set if test_set is not None else dataset
     model, _ = checkpoint.load_model(_relative(config, config_dir, "checkpoint"))
 
+    # every input is checked before anything is scored or written
+    if section["subject_circle"]:
+        if model.spec.variant != "decomposed":
+            raise ConfigError("subject_circle needs a decomposed model")
+        if section["angles_path"]:
+            true_angles = np.array(_read_angles(_relative(section, config_dir, "angles_path"),
+                                                model.subject_ids))
+    if section["probe_subject_weights"]:
+        param = model.enc_map.subject_param
+        if param is None:
+            raise ConfigError("probe_subject_weights needs a subject or decomposed model")
+        groups = dataset.groups()
+        if (groups < 0).any():
+            raise ConfigError("probe_subject_weights needs group labels on every subject")
+    if section["probe_embeddings"] and eval_set.labels is None:
+        raise ConfigError("probe_embeddings needs timestep labels in the dataset")
+
     metrics: dict = {}
     files: list[str] = []
     if section["recon"] and model.spec.objective == "classifier":
@@ -563,20 +579,12 @@ def _cmd_evaluate(config: dict, out_dir: Path, config_dir: Path, workers: int) -
 
     if section["probe_embeddings"]:
         x, idx, labels = stacked(eval_set, model)
-        if labels is None:
-            raise ConfigError("probe_embeddings needs timestep labels in the dataset")
         latents = encode(model, x, idx).z
         probe = probe_classify(latents, labels, n_folds=section["probe_folds"],
                                seed=root.derive("probe").seed, label_name="timestep_label")
         metrics["embedding_probe"] = probe.to_json()
 
     if section["probe_subject_weights"]:
-        param = model.enc_map.subject_param
-        if param is None:
-            raise ConfigError("probe_subject_weights needs a subject or decomposed model")
-        groups = dataset.groups()
-        if (groups < 0).any():
-            raise ConfigError("probe_subject_weights needs group labels on every subject")
         rows = model.enc_map.params()[param]
         rows = rows.reshape(rows.shape[0], -1)
         order = model.index_of(dataset.subject_ids)
@@ -585,21 +593,17 @@ def _cmd_evaluate(config: dict, out_dir: Path, config_dir: Path, workers: int) -
         metrics["subject_weight_probe"] = probe.to_json()
 
     if section["subject_circle"]:
-        if model.spec.variant != "decomposed":
-            raise ConfigError("subject_circle needs a decomposed model")
         coords = subject_weight_pca(model.enc_map.s)
         fit = circle_fit(coords)
         metrics["circle"] = fit.to_json()
+        if section["angles_path"]:
+            recovered = polar_angles(coords, fit.center)
+            metrics["circle"]["angle_correlation"] = circular_correlation(recovered, true_angles)
         with atomic_write(out_dir / "subject_pca.csv", "w", encoding="utf-8") as fh:
             fh.write("subject_id,pc1,pc2\n")
             for sid, (a, b) in zip(model.subject_ids, coords):
                 fh.write(f"{sid},{float(a)!r},{float(b)!r}\n")
         files.append("subject_pca.csv")
-        if section["angles_path"]:
-            path = _relative(section, config_dir, "angles_path")
-            true_angles = np.array(_read_angles(path, model.subject_ids))
-            recovered = polar_angles(coords, fit.center)
-            metrics["circle"]["angle_correlation"] = circular_correlation(recovered, true_angles)
 
     return metrics, files
 

@@ -34,16 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    InvalidFraction,
-    LabelOutOfRange,
-    MissingManifestField,
-    NonFiniteError,
-    ParseError,
-    ShapeError,
-    ShapeMismatch,
-)
+from .errors import ConfigError, LabelOutOfRange, NonFiniteError, ParseError, ShapeError
 from .linalg import SeededRng, as_matrix, is_count, qr_orthonormalize
 
 MAGIC = b"SMDS"
@@ -95,7 +86,7 @@ class MultiSubjectDataset:
         subjects = list(subjects)
         widths = sorted({rec.data.shape[1] for rec in subjects})
         if len(widths) > 1:
-            raise ShapeMismatch(f"subjects disagree on feature width: {widths}")
+            raise ShapeError(f"subjects disagree on feature width: {widths}")
         self._lay_out(_records(subjects), widths[0] if widths else 0, metadata)
         for rec, mine in zip(subjects, self.subjects):
             mine.data[...] = rec.data
@@ -125,7 +116,7 @@ class MultiSubjectDataset:
         if block is None:
             block = np.empty(shape)
         elif block.shape != shape:
-            raise ShapeMismatch(f"block has shape {block.shape}, records need {shape}")
+            raise ShapeError(f"block has shape {block.shape}, records need {shape}")
         self.block = block
         self.metadata = {} if metadata is None else metadata
         labels = [rec_labels for _, _, rec_labels, _ in records]
@@ -192,14 +183,20 @@ def stacked(dataset: MultiSubjectDataset, model=None):
 
 # --- generators -------------------------------------------------------------
 
+def _at_least(key: str, value, low) -> None:
+    """A generator argument below its floor is a ConfigError naming its config key."""
+    if value < low:
+        raise ConfigError(f"{key} must be at least {low}, got {value!r}")
+
+
 def half_moons(n: int, noise: float, seed: int):
     """Two interleaved half circles with per-coordinate Gaussian noise.
 
     Class 0 is the upper unit arc; class 1 the lower arc shifted by (1, 0.5).
     Classes are balanced with the extra point (odd n) going to class 0.
     """
-    if n < 2:
-        raise ValueError(f"need at least 2 samples, got {n}")
+    _at_least("n_samples", n, 2)
+    _at_least("noise", noise, 0)
     n0 = math.ceil(n / 2)
     n1 = n - n0
     t0 = np.linspace(0.0, math.pi, n0)
@@ -230,6 +227,7 @@ def rotate_subjects(samples, labels, n_subjects: int, seed: int, angles=None):
     way column vectors do under R(theta_i).  Angles default to U[-2pi, 2pi]
     draws (a double cover of the circle, interpreted mod 2pi downstream).
     """
+    _at_least("n_subjects", n_subjects, 1)
     base = as_matrix(samples, "samples")
     if base.shape[1] != 2:
         raise ShapeError(f"rotation generator needs 2-D samples, got width {base.shape[1]}")
@@ -292,7 +290,7 @@ class SubjectHoldout:
 def _common_length(dataset: MultiSubjectDataset) -> int:
     lengths = {rec.n_timesteps for rec in dataset.subjects}
     if len(lengths) != 1:
-        raise ShapeMismatch(f"timestep split needs equal lengths, got {sorted(lengths)}")
+        raise ShapeError(f"timestep split needs equal lengths, got {sorted(lengths)}")
     return lengths.pop()
 
 
@@ -323,16 +321,19 @@ def split(dataset: MultiSubjectDataset, scheme):
     sample indices for every subject so subjects stay aligned.
     """
     if isinstance(scheme, TimestepFraction):
-        if not 0.0 < scheme.test_fraction < 1.0 or not 0.0 <= scheme.val_fraction < 1.0:
-            raise InvalidFraction(
-                f"fractions out of range: test={scheme.test_fraction} val={scheme.val_fraction}")
+        if not 0.0 < scheme.test_fraction < 1.0:
+            raise ConfigError(f"test_fraction must lie in (0, 1), got {scheme.test_fraction!r}")
+        if not 0.0 <= scheme.val_fraction < 1.0:
+            raise ConfigError(f"val_fraction must lie in [0, 1), got {scheme.val_fraction!r}")
         total = _common_length(dataset)
         order = SeededRng(scheme.seed).permutation(total)
         n_test = int(round(scheme.test_fraction * total))
         n_val = int(round(scheme.val_fraction * (total - n_test)))
         n_train = total - n_test - n_val
         if n_train < 1 or n_test < 1:
-            raise InvalidFraction(f"degenerate split sizes ({n_train}, {n_val}, {n_test})")
+            raise ConfigError(f"test_fraction {scheme.test_fraction!r} and val_fraction "
+                              f"{scheme.val_fraction!r} leave degenerate split sizes "
+                              f"({n_train}, {n_val}, {n_test}) of {total} timesteps")
         test_rows = np.sort(order[:n_test])
         val_rows = np.sort(order[n_test:n_test + n_val])
         train_rows = np.sort(order[n_test + n_val:])
@@ -348,8 +349,9 @@ def split(dataset: MultiSubjectDataset, scheme):
 
     if isinstance(scheme, SubjectHoldout):
         if not 1 <= scheme.n_holdout < dataset.n_subjects:
-            raise InvalidFraction(
-                f"cannot hold out {scheme.n_holdout} of {dataset.n_subjects} subjects")
+            raise ConfigError(f"n_holdout {scheme.n_holdout!r} must lie in "
+                              f"[1, {dataset.n_subjects}): cannot hold out "
+                              f"{scheme.n_holdout} of {dataset.n_subjects} subjects")
         order = SeededRng(scheme.seed).permutation(dataset.n_subjects)
         held = set(order[:scheme.n_holdout].tolist())
         train = [rec for i, rec in enumerate(dataset.subjects) if i not in held]
@@ -389,13 +391,17 @@ def synth_group_dataset(n_subjects: int, n_timesteps: int, n_features: int, late
     manifold while subjects reweight a richer set of spatial patterns, so a
     shared-map model cannot absorb subject differences into its latent code.
     """
+    if n_subjects < 2 or n_subjects % 2:
+        raise ConfigError(f"n_subjects must be even and positive for balanced groups, "
+                          f"got {n_subjects!r}")
+    _at_least("n_timesteps", n_timesteps, 1)
+    _at_least("latent_dim", latent_dim, 1)
+    _at_least("trajectory_rank", trajectory_rank, 1)
+    _at_least("noise_level", noise_level, 0)
+    _at_least("subject_scale", subject_scale, 0)
     if latent_dim > n_features:
-        raise ShapeError(f"latent_dim {latent_dim} exceeds n_features {n_features}")
-    if n_subjects % 2:
-        raise ValueError("n_subjects must be even for balanced groups")
+        raise ConfigError(f"latent_dim {latent_dim} exceeds n_features {n_features}")
     rank = min(trajectory_rank, latent_dim)
-    if rank < 1:
-        raise ValueError("trajectory_rank must be >= 1")
     root = SeededRng(seed)
 
     walk = np.cumsum(root.derive("latents").normal((n_timesteps, rank)), axis=0)
@@ -560,7 +566,7 @@ def _load_csv(manifest_path) -> MultiSubjectDataset:
     if not isinstance(manifest, dict):
         raise ParseError(f"manifest {manifest_path} is not a JSON object")
     if "subjects" not in manifest:
-        raise MissingManifestField("manifest lacks 'subjects'")
+        raise ParseError("manifest lacks 'subjects'")
 
     def check(ok: bool, field: str, want: str) -> None:
         if not ok:
@@ -575,7 +581,7 @@ def _load_csv(manifest_path) -> MultiSubjectDataset:
     for entry in entries:
         for req in ("subject_id", "csv_path"):
             if req not in entry:
-                raise MissingManifestField(f"manifest subject entry lacks {req!r}")
+                raise ParseError(f"manifest subject entry lacks {req!r}")
             check(isinstance(entry[req], str), req, "a string")
         check(entry.get("label_path") is None or isinstance(entry["label_path"], str),
               "label_path", "a string or null")
@@ -593,7 +599,7 @@ def _load_csv(manifest_path) -> MultiSubjectDataset:
             raise ParseError(f"{csv_path}: rows differ in length")
         data = np.asarray(rows, dtype=np.float64)
         if expect_n is not None and data.shape[1] != expect_n:
-            raise ShapeMismatch(
+            raise ShapeError(
                 f"subject {entry['subject_id']!r} has width {data.shape[1]}, manifest says {expect_n}")
         labels = None
         if entry.get("label_path"):

@@ -6,11 +6,11 @@ class SubjmapError(Exception):
 
 
 class ShapeError(SubjmapError, ValueError):
-    """An array has the wrong dimensionality or an inconsistent width."""
+    """An array or a size argument does not fit the operation.
 
-
-class DimensionError(SubjmapError, ValueError):
-    """A dimension argument is out of its valid range."""
+    A wrong dimensionality, disagreeing widths or lengths, too few rows, or an
+    index or count out of its range.
+    """
 
 
 class NonFiniteError(SubjmapError, ValueError):
@@ -61,24 +61,16 @@ class EmptySubset(SubjmapError, ValueError):
     """A data subset selection came out empty."""
 
 
-class InvalidFraction(SubjmapError, ValueError):
-    """A split fraction is outside its valid range."""
-
-
 class ParseError(SubjmapError, ValueError):
-    """A serialized artifact could not be decoded."""
+    """A stored file cannot be read.
+
+    Bad magic, an unsupported version, a failed checksum, a malformed header, a
+    missing or mistyped field, or a file truncated mid-record.
+    """
 
 
 class LabelOutOfRange(SubjmapError, ValueError):
     """A label does not fit the packed dataset format's int32."""
-
-
-class ShapeMismatch(SubjmapError, ValueError):
-    """Stored shapes disagree with declared or expected shapes."""
-
-
-class MissingManifestField(SubjmapError, KeyError):
-    """A dataset manifest lacks a required field."""
 
 
 class DegenerateFold(SubjmapError, ValueError):
@@ -91,14 +83,6 @@ class DegenerateGeometry(SubjmapError, ValueError):
 
 class InvalidP(SubjmapError, ValueError):
     """A p-value lies outside [0, 1]."""
-
-
-class ChecksumMismatch(SubjmapError, ValueError):
-    """A stored blob failed its checksum."""
-
-
-class VersionUnsupported(SubjmapError, ValueError):
-    """A container format version is not supported."""
 
 
 class ConfigError(SubjmapError, ValueError):

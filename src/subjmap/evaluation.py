@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateFold, DegenerateGeometry, DimensionError
+from .errors import ConfigError, DegenerateFold, DegenerateGeometry, ShapeError
 from .linalg import SeededRng, as_matrix, is_count, pca, svd_small
 
 
@@ -63,9 +63,9 @@ def probe_classify(embeddings, labels, n_folds: int = 5, kernel_gamma="auto",
     x = as_matrix(embeddings, "embeddings")
     y = np.asarray(labels, dtype=np.int64).ravel()
     if y.shape[0] != x.shape[0]:
-        raise DimensionError(f"{y.shape[0]} labels for {x.shape[0]} embeddings")
+        raise ShapeError(f"{y.shape[0]} labels for {x.shape[0]} embeddings")
     if x.shape[0] < n_folds:
-        raise DimensionError(f"{x.shape[0]} samples cannot fill {n_folds} folds")
+        raise ShapeError(f"{x.shape[0]} samples cannot fill {n_folds} folds")
 
     classes = np.unique(y)
     if classes.size < 2:
@@ -109,9 +109,9 @@ def subject_weight_pca(s) -> np.ndarray:
     """First two principal-component scores of the per-subject weight rows."""
     sm = as_matrix(s, "s")
     if sm.shape[0] < 3:
-        raise DimensionError(f"need at least 3 subjects, got {sm.shape[0]}")
+        raise ShapeError(f"need at least 3 subjects, got {sm.shape[0]}")
     if sm.shape[1] < 2:
-        raise DimensionError(f"need at least 2 weight columns, got {sm.shape[1]}")
+        raise ShapeError(f"need at least 2 weight columns, got {sm.shape[1]}")
     _, scores, _ = pca(sm, 2)
     return scores
 
@@ -131,7 +131,7 @@ def circle_fit(coords) -> CircleFit:
     """Algebraic (Kasa) least-squares circle through 2-D points."""
     pts = as_matrix(coords, "coords")
     if pts.shape[0] < 3 or pts.shape[1] != 2:
-        raise DimensionError(f"need at least 3 points in 2-D, got {pts.shape}")
+        raise ShapeError(f"need at least 3 points in 2-D, got {pts.shape}")
     centered = pts - pts.mean(axis=0)
     _, sv, _ = svd_small(centered)
     if sv[1] <= 1e-12 * max(sv[0], 1e-300):
@@ -166,7 +166,7 @@ def circular_correlation(a, b) -> float:
     alpha = np.asarray(a, dtype=np.float64).ravel()
     beta = np.asarray(b, dtype=np.float64).ravel()
     if alpha.shape != beta.shape or alpha.size < 2:
-        raise DimensionError("angle sequences must match and have length >= 2")
+        raise ShapeError("angle sequences must match and have length >= 2")
     mean_a = math.atan2(float(np.sin(alpha).sum()), float(np.cos(alpha).sum()))
     mean_b = math.atan2(float(np.sin(beta).sum()), float(np.cos(beta).sum()))
     sa = np.sin(alpha - mean_a)

@@ -22,7 +22,7 @@ import hashlib
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError, NonFiniteError, RankDeficient, ShapeError
+from .errors import ConvergenceError, NonFiniteError, RankDeficient, ShapeError
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -137,9 +137,9 @@ def pca(x, k: int):
     xm = as_matrix(x, "x")
     n, d = xm.shape
     if n < 2:
-        raise DimensionError(f"pca needs at least 2 rows, got {n}")
+        raise ShapeError(f"pca needs at least 2 rows, got {n}")
     if not 1 <= k <= min(n, d):
-        raise DimensionError(f"k={k} out of range for {n}x{d} input")
+        raise ShapeError(f"k={k} out of range for {n}x{d} input")
 
     centered = xm - xm.mean(axis=0)
     cov = (centered.T @ centered) / (n - 1)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, MissingLabels, ShapeError, UnknownSubject
+from .errors import ConfigError, MissingLabels, ShapeError, UnknownSubject
 from .linalg import SeededRng, is_count
 from .maps import VARIANTS, DecomposedMap, GroupMap, SubjectMap, glorot_uniform
 
@@ -79,10 +79,6 @@ class ModelSpec:
         d = asdict(self)
         d["trunk_widths"] = list(self.trunk_widths)
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelSpec":
-        return cls(**d)
 
 
 class DenseLayer:
@@ -256,8 +252,6 @@ def _encoder_forward(model: Model, x, subject_idx, rng, keep_cache: bool = False
     """
     spec = model.spec
     xb = np.asarray(x, dtype=np.float64)
-    if xb.ndim != 2 or xb.shape[1] != spec.input_size:
-        raise ShapeError(f"expected batch of width {spec.input_size}, got {xb.shape}")
     h0, map_cache = model.enc_map.forward(xb, subject_idx)
     map_cache = map_cache if keep_cache else None
     head, layer_caches = _run_layers(model.enc_layers, h0)
@@ -387,7 +381,7 @@ def latent_traversal(model: Model, dim: int, grid, subject_idx=None) -> np.ndarr
     if spec.objective == "classifier":
         raise ValueError("latent traversal needs a decoding objective")
     if not 0 <= dim < spec.latent_size:
-        raise DimensionError(f"latent dim {dim} out of range [0, {spec.latent_size})")
+        raise ShapeError(f"latent dim {dim} out of range [0, {spec.latent_size})")
     grid = np.asarray(grid, dtype=np.float64).ravel()
     if subject_idx is None:
         subject_idx = np.arange(model.n_subjects)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import atomic_write
-from .errors import ConfigError, DimensionError, GroupCountError, InvalidP, ShapeError
+from .errors import ConfigError, GroupCountError, InvalidP, ShapeError
 from .linalg import SeededRng, as_matrix, pin_signs, svd_small
 from .models import Model, latent_traversal
 
@@ -59,7 +59,7 @@ def fastica(x, k: int, seed: int = 0, max_iter: int = 500, tol: float = 1e-6) ->
     xm = as_matrix(x, "x")
     n, width = xm.shape
     if not 1 <= k <= min(n, width):
-        raise DimensionError(f"k={k} out of range for {n}x{width} input")
+        raise ShapeError(f"k={k} out of range for {n}x{width} input")
 
     centered = xm - xm.mean(axis=1, keepdims=True)
     # eigendecompose whichever Gram is small; both carry the singular spectrum
@@ -68,7 +68,7 @@ def fastica(x, k: int, seed: int = 0, max_iter: int = 500, tol: float = 1e-6) ->
     else:
         eigvecs, eigvals, _ = svd_small(centered.T @ centered)  # width x width
     if eigvals[k - 1] <= 1e-12 * max(eigvals[0], 1e-300):
-        raise DimensionError(f"whitening rank below k={k}")
+        raise ShapeError(f"whitening rank below k={k}")
     sing = np.sqrt(eigvals[:k])
     top = pin_signs(eigvecs[:, :k])
     left = top if n <= width else centered @ top / sing
@@ -167,7 +167,7 @@ def welch_t_test(a, b) -> tuple[float, float]:
     xa = np.asarray(a, dtype=np.float64).ravel()
     xb = np.asarray(b, dtype=np.float64).ravel()
     if xa.size < 2 or xb.size < 2:
-        raise DimensionError(f"both groups need >= 2 values, got {xa.size} and {xb.size}")
+        raise ShapeError(f"both groups need >= 2 values, got {xa.size} and {xb.size}")
     na, nb = xa.size, xb.size
     ma, mb = float(xa.mean()), float(xb.mean())
     va, vb = float(xa.var(ddof=1)), float(xb.var(ddof=1))
@@ -191,7 +191,7 @@ def bh_fdr(pvals, q: float = 0.05) -> tuple[np.ndarray, np.ndarray]:
         raise ConfigError(f"q must lie in (0, 1), got {q!r}")
     p = np.asarray(pvals, dtype=np.float64).ravel()
     if p.size == 0:
-        raise DimensionError("need at least one p-value")
+        raise ShapeError("need at least one p-value")
     if np.any((p < 0) | (p > 1)) or not np.all(np.isfinite(p)):
         raise InvalidP(f"p-values outside [0, 1]: {p[(p < 0) | (p > 1) | ~np.isfinite(p)]}")
     m = p.size

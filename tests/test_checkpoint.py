@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from subjmap.checkpoint import load_model, save_model
-from subjmap.errors import ChecksumMismatch, ParseError, VersionUnsupported
+from subjmap.errors import ParseError
 from subjmap.linalg import SeededRng
 from subjmap.models import ModelSpec, build_model, loss
 
@@ -68,7 +68,7 @@ class TestCorruption:
         raw = bytearray(path.read_bytes())
         raw[-3] ^= 0xFF  # inside the last blob's payload
         path.write_bytes(bytes(raw))
-        with pytest.raises(ChecksumMismatch) as err:
+        with pytest.raises(ParseError, match="failed its checksum") as err:
             load_model(path)
         assert "dec_map" in str(err.value)
 
@@ -94,7 +94,7 @@ class TestCorruption:
         swapped = raw.replace(b'"format_version":1', b'"format_version":9', 1)
         assert swapped != raw
         path.write_bytes(swapped)
-        with pytest.raises(VersionUnsupported):
+        with pytest.raises(ParseError, match="checkpoint version 9"):
             load_model(path)
 
     @pytest.mark.parametrize("old,new", [
@@ -133,4 +133,15 @@ class TestCorruption:
         header_len = int.from_bytes(raw[4:8], "little")
         path.write_bytes(raw[:8] + b"[" + b" " * (header_len - 2) + b"]" + raw[8 + header_len:])
         with pytest.raises(ParseError, match="not a JSON object"):
+            load_model(path)
+
+    def test_spec_not_an_object(self, tmp_path):
+        # ModelSpec(**spec) raises TypeError for a non-mapping, which is a malformed header
+        path = tmp_path / "m.ckpt"
+        save_model(make_model(), path)
+        raw = path.read_bytes()
+        start = raw.index(b'"spec":{') + len(b'"spec":')
+        end = raw.index(b"}", start) + 1
+        path.write_bytes(raw[:start] + b"[" + b" " * (end - start - 2) + b"]" + raw[end:])
+        with pytest.raises(ParseError, match="malformed checkpoint header: TypeError"):
             load_model(path)

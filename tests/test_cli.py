@@ -173,6 +173,71 @@ class TestConfigValues:
         assert "ParseError" in capsys.readouterr().err
 
 
+class TestChecksBeforeWork:
+    @pytest.mark.parametrize("command", ["train", "sweep", "finetune"])
+    def test_bad_train_option_exits_one_before_the_data_is_read(self, tmp_path, capsys,
+                                                                  command):
+        # lr -1 with a missing data file exited 2 with FileNotFoundError
+        missing = tmp_path / "missing.smds"
+        payload = {
+            "train": train_config(missing),
+            "sweep": dict(train_config(missing), sweep={"axes": {"epochs": [1]}, "seeds": [1]}),
+            "finetune": {"data": {"path": str(missing)}, "checkpoint": "missing.ckpt"},
+        }[command]
+        payload.setdefault(command if command == "finetune" else "train", {})["lr"] = -1
+        cfg = write_config(tmp_path / "c.json", payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: lr must be finite and positive, got -1")
+
+    @pytest.mark.parametrize("split_values,message", [
+        ({"test_fraction": 1.5}, "test_fraction must lie in (0, 1), got 1.5"),
+        ({"test_fraction": 0}, "test_fraction must lie in (0, 1), got 0"),
+        ({"val_fraction": 1.0}, "val_fraction must lie in [0, 1), got 1.0"),
+        ({"test_fraction": 0.999}, "test_fraction 0.999 and val_fraction 0.2 leave degenerate "
+                                   "split sizes (0, 0, 40) of 40 timesteps"),
+        ({"scheme": "subject_holdout"}, "n_holdout 0 must lie in [1, 6)"),
+        ({"scheme": "subject_holdout", "n_holdout": 6}, "n_holdout 6 must lie in [1, 6)"),
+    ])
+    def test_bad_split_value_is_config_error(self, tmp_path, synth_file, capsys,
+                                             split_values, message):
+        # each exited 2 as a runtime InvalidFraction that did not name the key
+        payload = train_config(synth_file, epochs=1)
+        payload["data"]["split"].update(split_values)
+        cfg = write_config(tmp_path / "c.json", payload)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not (tmp_path / "out" / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("values,key", [
+        # n_samples 1 ended in a raw ValueError and n_subjects -2 or 0 in numpy's
+        # "negative dimensions" or a ShapeError, each with exit 2
+        ({"n_samples": 1}, "n_samples"),
+        ({"n_subjects": -2}, "n_subjects"),
+        ({"n_subjects": 0}, "n_subjects"),
+        # a negative noise exited 0 and added no noise
+        ({"noise": -0.1}, "noise"),
+        ({"generator": "synth_group", "n_subjects": 3}, "n_subjects"),
+        ({"generator": "synth_group", "n_subjects": 0}, "n_subjects"),
+        ({"generator": "synth_group", "n_subjects": -2}, "n_subjects"),
+        ({"generator": "synth_group", "trajectory_rank": 0}, "trajectory_rank"),
+        # named trajectory_rank, not latent_dim
+        ({"generator": "synth_group", "latent_dim": 0}, "latent_dim"),
+        ({"generator": "synth_group", "latent_dim": 9}, "latent_dim"),
+        # exited 0 and wrote a dataset with no rows
+        ({"generator": "synth_group", "n_timesteps": 0}, "n_timesteps"),
+        ({"generator": "synth_group", "noise_level": -0.05}, "noise_level"),
+        ({"generator": "synth_group", "subject_scale": -0.3}, "subject_scale"),
+    ])
+    def test_out_of_range_simulate_value_is_config_error(self, tmp_path, capsys, values, key):
+        data = {"n_samples": 20, "n_subjects": 4, "n_timesteps": 10, "n_features": 8,
+                "latent_dim": 3, **values}
+        cfg = write_config(tmp_path / "c.json", {"data": data})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {key} ")
+        assert not (tmp_path / "out" / "data.smds").exists()
+
+
 class TestSimulate:
     def test_half_moons_simulation_outputs(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {
@@ -536,6 +601,7 @@ class TestEvaluateAnalyzeFinetune:
         assert main(["evaluate", "--config", cfge, "--out", str(tmp_path / "eval")]) == 2
         err = capsys.readouterr().err
         assert "ParseError" in err and "angles.csv" in err and named in err
+        assert not (tmp_path / "eval" / "subject_pca.csv").exists()
 
     def test_finetune_and_evaluate_score_the_held_out_half_alike(self, tmp_path, synth_file):
         # T=40: holdout_fraction 0.5 holds out the rows first_second_half tests on
@@ -704,4 +770,5 @@ class TestEvaluateAnalyzeFinetune:
         })
         capsys.readouterr()
         assert main(["finetune", "--config", cfgf, "--out", str(tmp_path / "ft")]) == 2
-        assert "ShapeMismatch" in capsys.readouterr().err
+        assert ("runtime error: ShapeError: timestep split needs equal lengths, got [30, 40]"
+                in capsys.readouterr().err)

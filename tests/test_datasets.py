@@ -24,15 +24,7 @@ from subjmap.datasets import (
     stacked,
     synth_group_dataset,
 )
-from subjmap.errors import (
-    InvalidFraction,
-    LabelOutOfRange,
-    MissingManifestField,
-    NonFiniteError,
-    ParseError,
-    ShapeError,
-    ShapeMismatch,
-)
+from subjmap.errors import ConfigError, LabelOutOfRange, NonFiniteError, ParseError, ShapeError
 from subjmap.linalg import SeededRng
 from subjmap.models import ModelSpec, build_model
 
@@ -167,9 +159,9 @@ class TestSplit:
             np.testing.assert_array_equal(rec.labels, a)
 
     def test_invalid_fraction(self):
-        with pytest.raises(InvalidFraction):
+        with pytest.raises(ConfigError, match=r"test_fraction must lie in \(0, 1\), got 1\.5"):
             split(self.make(10), TimestepFraction(1.5, 0.1))
-        with pytest.raises(InvalidFraction):
+        with pytest.raises(ConfigError, match=r"n_holdout 99 must lie in \[1, 3\)"):
             split(self.make(10), SubjectHoldout(99))
 
 
@@ -207,7 +199,7 @@ class TestSynthGroupDataset:
         assert data.groups().sum() == 5
 
     def test_odd_subject_count_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="n_subjects must be even and positive"):
             synth_group_dataset(7, 5, 6, 2, 1.0, seed=0)
 
 
@@ -324,7 +316,7 @@ class TestSerialization:
         manifest = {"n_features": 5,
                     "subjects": [{"subject_id": "oddball", "csv_path": "subj.csv"}]}
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(ShapeMismatch) as err:
+        with pytest.raises(ShapeError, match="has width 2, manifest says 5") as err:
             load_dataset(tmp_path / "manifest.json", fmt="csv")
         assert "oddball" in str(err.value)
 
@@ -376,7 +368,7 @@ class TestSerialization:
 
     def test_manifest_missing_field(self, tmp_path):
         (tmp_path / "manifest.json").write_text(json.dumps({"subjects": [{"group": 1}]}))
-        with pytest.raises(MissingManifestField):
+        with pytest.raises(ParseError, match="manifest subject entry lacks 'subject_id'"):
             load_dataset(tmp_path / "manifest.json", fmt="csv")
 
 

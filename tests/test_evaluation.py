@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from subjmap.errors import ConfigError, DegenerateFold, DegenerateGeometry, DimensionError
+from subjmap.errors import ConfigError, DegenerateFold, DegenerateGeometry, ShapeError
 from subjmap.evaluation import (
     circle_fit,
     circular_correlation,
@@ -65,7 +65,7 @@ class TestProbeClassify:
             probe_classify(x, y, n_folds=3, seed=0)
 
     def test_fold_count_exceeding_samples(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ShapeError, match="3 samples cannot fill 5 folds"):
             probe_classify(np.ones((3, 2)), [0, 1, 0], n_folds=5)
 
     @pytest.mark.parametrize("n_folds", [1, 0, -2, 2.5])
@@ -130,9 +130,9 @@ class TestSubjectWeightPca:
                     or np.allclose(base[:, j], -other[:, j], atol=1e-10))
 
     def test_too_few_rows_or_columns(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ShapeError, match="need at least 3 subjects, got 2"):
             subject_weight_pca(np.ones((2, 4)))
-        with pytest.raises(DimensionError):
+        with pytest.raises(ShapeError, match="need at least 2 weight columns, got 1"):
             subject_weight_pca(np.ones((5, 1)))
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from subjmap.errors import ConvergenceError, DimensionError, RankDeficient, ShapeError
+from subjmap.errors import ConvergenceError, RankDeficient, ShapeError
 from subjmap.linalg import SeededRng, pca, qr_orthonormalize, svd_small
 
 
@@ -201,13 +201,13 @@ class TestPca:
 
     def test_k_out_of_range(self):
         x = SeededRng(1).normal((10, 3))
-        with pytest.raises(DimensionError):
+        with pytest.raises(ShapeError, match="k=4 out of range for 10x3 input"):
             pca(x, 4)
-        with pytest.raises(DimensionError):
+        with pytest.raises(ShapeError, match="k=0 out of range for 10x3 input"):
             pca(x, 0)
 
     def test_needs_two_rows(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ShapeError, match="pca needs at least 2 rows, got 1"):
             pca(np.ones((1, 3)), 1)
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from subjmap.errors import DimensionError, MissingLabels, ShapeError, UnknownSubject
+from subjmap.errors import MissingLabels, ShapeError, UnknownSubject
 from subjmap.linalg import SeededRng
 from subjmap.maps import DecomposedMap, GroupMap
 from subjmap.models import (
@@ -201,7 +201,7 @@ class TestLatentTraversal:
         assert out.shape == (3, 11, 20)
 
     def test_dim_out_of_range(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ShapeError, match=r"latent dim 4 out of range \[0, 4\)"):
             latent_traversal(self.build(), 4, [0.0])
 
     def test_classifier_rejected(self):
@@ -226,7 +226,7 @@ class TestSpecValidation:
         spec = ModelSpec(variant="subject", objective="vae", input_size=6,
                          first_layer_width=4, latent_size=2, n_subjects=5,
                          trunk_widths=(8, 4), beta=0.5)
-        assert ModelSpec.from_dict(spec.to_dict()) == spec
+        assert ModelSpec(**spec.to_dict()) == spec
 
     def test_build_model_deterministic(self):
         spec = ModelSpec(variant="decomposed", objective="autoencoder", input_size=6,

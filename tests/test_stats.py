@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from subjmap.datasets import MultiSubjectDataset, SubjectData, synth_group_dataset, split, FirstSecondHalf
-from subjmap.errors import ConfigError, DimensionError, GroupCountError, InvalidP
+from subjmap.errors import ConfigError, GroupCountError, InvalidP, ShapeError
 from subjmap.linalg import SeededRng, qr_orthonormalize
 from subjmap import stats
 from subjmap.models import ModelSpec, build_model
@@ -78,7 +78,7 @@ class TestWelch:
         assert 0.03 <= hits / 1000 <= 0.07
 
     def test_small_groups_rejected(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ShapeError, match="both groups need >= 2 values, got 1 and 2"):
             welch_t_test([1.0], [1.0, 2.0])
 
     def test_betainc_bounds(self):
@@ -190,7 +190,7 @@ class TestFastica:
         assert np.array_equal(a.sources, b.sources)
 
     def test_k_out_of_range(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ShapeError, match="k=4 out of range for 3x10 input"):
             fastica(np.ones((3, 10)), k=4)
 
     @pytest.mark.parametrize("shape", [(6, 300), (300, 6)])
