@@ -12,11 +12,8 @@ from .linalg import SeededRng, pca, qr_orthonormalize, svd_small
 from .maps import DecomposedMap, GroupMap, ParamRegime, SubjectMap, param_count
 from .models import LatentBatch, Model, ModelSpec, build_model, decode, encode, latent_traversal, loss
 from .datasets import (
-    FirstSecondHalf,
     MultiSubjectDataset,
     SubjectData,
-    SubjectHoldout,
-    TimestepFraction,
     half_moons,
     load_dataset,
     rotate_subjects,
@@ -42,9 +39,8 @@ __all__ = [
     "DecomposedMap", "GroupMap", "SubjectMap", "ParamRegime", "param_count",
     "LatentBatch", "Model", "ModelSpec", "build_model", "decode", "encode",
     "latent_traversal", "loss",
-    "FirstSecondHalf", "MultiSubjectDataset", "SubjectData", "SubjectHoldout",
-    "TimestepFraction", "half_moons", "load_dataset", "rotate_subjects",
-    "save_dataset", "split", "synth_group_dataset",
+    "MultiSubjectDataset", "SubjectData", "half_moons", "load_dataset",
+    "rotate_subjects", "save_dataset", "split", "synth_group_dataset",
     "TrainConfig", "TrainHistory", "finetune_subjects", "grad_check",
     "hyperparameter_sweep", "train",
     "circle_fit", "circular_correlation", "probe_classify", "recon_improvement",

@@ -26,11 +26,8 @@ import numpy as np
 
 from . import checkpoint
 from .datasets import (
-    FirstSecondHalf,
     MultiSubjectDataset,
     SubjectData,
-    SubjectHoldout,
-    TimestepFraction,
     _common_length,
     _take_all,
     atomic_write,
@@ -298,20 +295,6 @@ def _load_data(section: dict, config_dir: Path) -> MultiSubjectDataset:
     return dataset
 
 
-def _split_from_config(dataset, section: dict, root: SeededRng):
-    scheme = section["scheme"]
-    if scheme == "timestep_fraction":
-        return split(dataset, TimestepFraction(section["test_fraction"], section["val_fraction"],
-                                               seed=root.derive("split").seed))
-    if scheme == "first_second_half":
-        return split(dataset, FirstSecondHalf())
-    if scheme == "subject_holdout":
-        return split(dataset, SubjectHoldout(section["n_holdout"], seed=root.derive("split").seed))
-    if scheme == "none":
-        return dataset, None, None
-    raise ConfigError(f"unknown split scheme {scheme!r}")
-
-
 def config_hash(config: dict) -> str:
     """Digest of the semantically meaningful config (output location excluded)."""
     return canonical_digest({k: v for k, v in config.items() if k != "out_dir"})
@@ -409,8 +392,8 @@ def _cmd_train(config: dict, out_dir: Path, config_dir: Path, workers: int) -> _
     root = SeededRng(config["seed"])
     train_cfg = TrainConfig(**config["train"], seed=root.derive("train").seed)
     # no reference to the loaded dataset outlives the split: only the partitions stay in memory
-    train_set, val_set, test_set = _split_from_config(
-        _load_data(config["data"], config_dir), config["data"]["split"], root)
+    train_set, val_set, test_set = split(_load_data(config["data"], config_dir),
+                                         **config["data"]["split"], seed=root.derive("split").seed)
     if val_set is None:
         val_set = test_set if test_set is not None else train_set
     spec = ModelSpec(**config["model"], input_size=train_set.n_features,
@@ -445,8 +428,8 @@ def _cmd_sweep(config: dict, out_dir: Path, config_dir: Path, workers: int) -> _
 
     base_cfg = TrainConfig(**config["train"])
     root = SeededRng(config["seed"])
-    train_set, val_set, test_set = _split_from_config(
-        _load_data(config["data"], config_dir), config["data"]["split"], root)
+    train_set, val_set, test_set = split(_load_data(config["data"], config_dir),
+                                         **config["data"]["split"], seed=root.derive("split").seed)
     if val_set is None:
         raise ConfigError("sweep needs a split scheme that produces a validation set")
     spec = ModelSpec(**config["model"], input_size=train_set.n_features,
@@ -548,7 +531,7 @@ def _cmd_evaluate(config: dict, out_dir: Path, config_dir: Path, workers: int) -
         raise ConfigError(f"eval.probe_folds must be at least 2, got {section['probe_folds']!r}")
     root = SeededRng(config["seed"])
     dataset = _load_data(config["data"], config_dir)
-    _, _, test_set = _split_from_config(dataset, config["data"]["split"], root)
+    _, _, test_set = split(dataset, **config["data"]["split"], seed=root.derive("split").seed)
     eval_set = test_set if test_set is not None else dataset
     model, _ = checkpoint.load_model(_relative(config, config_dir, "checkpoint"))
 
@@ -629,8 +612,19 @@ def _cmd_analyze(config: dict, out_dir: Path, config_dir: Path, workers: int) ->
     section = config["analysis"]
     if not 0.0 < section["q"] < 1.0:
         raise ConfigError(f"analysis.q must lie in (0, 1), got {section['q']!r}")
+    for key in ("k", "grid_points", "max_iter"):
+        if section[key] < 1:
+            raise ConfigError(f"analysis.{key} must be at least 1, got {section[key]!r}")
+    if not (math.isfinite(section["tol"]) and section["tol"] >= 0):
+        raise ConfigError(f"analysis.tol must be finite and at least 0, got {section['tol']!r}")
     dataset = _load_data(config["data"], config_dir)
     model, _ = checkpoint.load_model(_relative(config, config_dir, "checkpoint"))
+    # the ICA input is one row per (subject, latent dimension, grid point), one column per feature
+    n_rows = dataset.n_subjects * model.spec.latent_size * section["grid_points"]
+    if section["k"] > min(n_rows, model.spec.input_size):
+        raise ConfigError(f"analysis.k {section['k']!r} exceeds the {n_rows} traversal rows "
+                          f"(subjects x latent_size x grid_points) or the input width "
+                          f"{model.spec.input_size}")
     grid = np.linspace(section["grid_min"], section["grid_max"], section["grid_points"])
     report, ica = group_difference_pipeline(
         model, dataset, grid=grid, k=section["k"], q=section["q"],
@@ -692,8 +686,10 @@ def main(argv=None) -> int:
                         help="parallel workers for sweep cells (default: cpu count)")
     args = parser.parse_args(argv)
 
-    workers = args.workers if args.workers else (os.cpu_count() or 1)
     try:
+        if args.workers is not None and args.workers < 1:
+            raise ConfigError(f"--workers must be at least 1, got {args.workers}")
+        workers = args.workers or os.cpu_count() or 1
         config, out_dir = _load_config(args.config, args.command, args.seed, args.out)
         started = time.time()
         metrics, files = _COMMANDS[args.command](config, out_dir,

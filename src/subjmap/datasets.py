@@ -1,4 +1,4 @@
-"""Synthetic multi-subject data, split schemes, and the packed container.
+"""Synthetic multi-subject data, the train/val/test split, and the packed container.
 
 The rotated half-moons benchmark treats every sample as one timestep: the
 same base samples are rotated by one random angle per subject, so every
@@ -15,6 +15,11 @@ each subject's ``data`` is a view of its rows.  One method lays out every
 dataset, allocating the block and building the views, and each producer
 then fills the rows in place: splits copy into a new block once, the loader
 reads a file straight into it, and ``stacked`` hands it out without copying.
+
+``split`` is the one owner of the ``data.split.scheme`` names
+(``timestep_fraction``, ``first_second_half``, ``subject_holdout`` and
+``none``): it takes the ``data.split`` config keys as keyword arguments, the
+way ``load_dataset`` takes the ``data.format`` name.
 
 Binary container (all little-endian): magic ``SMDS``, version u16, N u32,
 M u32, then per subject: id length u32 + UTF-8 bytes, group i32 (-1 = none),
@@ -265,28 +270,6 @@ def center_subjects(dataset: MultiSubjectDataset) -> MultiSubjectDataset:
 
 # --- split schemes ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class TimestepFraction:
-    """Random per-timestep split with identical indices for every subject."""
-
-    test_fraction: float = 0.8
-    val_fraction: float = 0.1  # applied to what remains after the test cut
-    seed: int = 0
-
-
-@dataclass(frozen=True)
-class FirstSecondHalf:
-    """Train on the leading half of each timeseries, test on the rest."""
-
-
-@dataclass(frozen=True)
-class SubjectHoldout:
-    """Hold out whole subjects; the held-out set becomes the test split."""
-
-    n_holdout: int
-    seed: int = 0
-
-
 def _common_length(dataset: MultiSubjectDataset) -> int:
     lengths = {rec.n_timesteps for rec in dataset.subjects}
     if len(lengths) != 1:
@@ -314,25 +297,37 @@ def _take_all(dataset: MultiSubjectDataset, rows) -> MultiSubjectDataset:
     return taken
 
 
-def split(dataset: MultiSubjectDataset, scheme):
-    """Partition a dataset into (train, val, test); val may be None.
+def split(dataset: MultiSubjectDataset, scheme: str, *, test_fraction: float = 0.8,
+          val_fraction: float = 0.1, n_holdout: int = 0, seed: int = 0):
+    """Partition a dataset into (train, val, test) by the ``data.split`` scheme name.
 
-    Partitions are disjoint and exhaustive.  Timestep schemes reuse the same
-    sample indices for every subject so subjects stay aligned.
+    - ``timestep_fraction``: a random ``test_fraction`` of the timesteps is
+      the test set and ``val_fraction`` of the rest the validation set (None
+      when it rounds to no rows); the ``seed`` draws the rows.
+    - ``first_second_half``: train on the leading half of each timeseries
+      (the middle row goes to train), test on the rest; val is None.
+    - ``subject_holdout``: ``n_holdout`` whole subjects, drawn by ``seed``,
+      are the test set; val is None.
+    - ``none``: ``(dataset, None, None)``, the dataset itself.
+
+    Each scheme reads only its own keyword arguments.  Partitions are
+    disjoint and exhaustive, and the timestep schemes cut the same rows from
+    every subject, so subjects stay aligned.  An unknown scheme or a value
+    out of range is a ConfigError that names its key.
     """
-    if isinstance(scheme, TimestepFraction):
-        if not 0.0 < scheme.test_fraction < 1.0:
-            raise ConfigError(f"test_fraction must lie in (0, 1), got {scheme.test_fraction!r}")
-        if not 0.0 <= scheme.val_fraction < 1.0:
-            raise ConfigError(f"val_fraction must lie in [0, 1), got {scheme.val_fraction!r}")
+    if scheme == "timestep_fraction":
+        if not 0.0 < test_fraction < 1.0:
+            raise ConfigError(f"test_fraction must lie in (0, 1), got {test_fraction!r}")
+        if not 0.0 <= val_fraction < 1.0:
+            raise ConfigError(f"val_fraction must lie in [0, 1), got {val_fraction!r}")
         total = _common_length(dataset)
-        order = SeededRng(scheme.seed).permutation(total)
-        n_test = int(round(scheme.test_fraction * total))
-        n_val = int(round(scheme.val_fraction * (total - n_test)))
+        order = SeededRng(seed).permutation(total)
+        n_test = int(round(test_fraction * total))
+        n_val = int(round(val_fraction * (total - n_test)))
         n_train = total - n_test - n_val
         if n_train < 1 or n_test < 1:
-            raise ConfigError(f"test_fraction {scheme.test_fraction!r} and val_fraction "
-                              f"{scheme.val_fraction!r} leave degenerate split sizes "
+            raise ConfigError(f"test_fraction {test_fraction!r} and val_fraction "
+                              f"{val_fraction!r} leave degenerate split sizes "
                               f"({n_train}, {n_val}, {n_test}) of {total} timesteps")
         test_rows = np.sort(order[:n_test])
         val_rows = np.sort(order[n_test:n_test + n_val])
@@ -340,26 +335,29 @@ def split(dataset: MultiSubjectDataset, scheme):
         val = _take_all(dataset, val_rows) if n_val else None
         return _take_all(dataset, train_rows), val, _take_all(dataset, test_rows)
 
-    if isinstance(scheme, FirstSecondHalf):
+    if scheme == "first_second_half":
         total = _common_length(dataset)
         cut = math.ceil(total / 2)
         first = _take_all(dataset, np.arange(cut))
         second = _take_all(dataset, np.arange(cut, total))
         return first, None, second
 
-    if isinstance(scheme, SubjectHoldout):
-        if not 1 <= scheme.n_holdout < dataset.n_subjects:
-            raise ConfigError(f"n_holdout {scheme.n_holdout!r} must lie in "
+    if scheme == "subject_holdout":
+        if not 1 <= n_holdout < dataset.n_subjects:
+            raise ConfigError(f"n_holdout {n_holdout!r} must lie in "
                               f"[1, {dataset.n_subjects}): cannot hold out "
-                              f"{scheme.n_holdout} of {dataset.n_subjects} subjects")
-        order = SeededRng(scheme.seed).permutation(dataset.n_subjects)
-        held = set(order[:scheme.n_holdout].tolist())
+                              f"{n_holdout} of {dataset.n_subjects} subjects")
+        order = SeededRng(seed).permutation(dataset.n_subjects)
+        held = set(order[:n_holdout].tolist())
         train = [rec for i, rec in enumerate(dataset.subjects) if i not in held]
         test = [rec for i, rec in enumerate(dataset.subjects) if i in held]
         meta = dict(dataset.metadata)
         return (MultiSubjectDataset(train, meta), None, MultiSubjectDataset(test, meta))
 
-    raise TypeError(f"unknown split scheme {scheme!r}")
+    if scheme == "none":
+        return dataset, None, None
+
+    raise ConfigError(f"unknown split scheme {scheme!r}")
 
 
 # --- planted-effect generator ------------------------------------------------

@@ -18,9 +18,6 @@ import pytest
 
 from subjmap.cli import main as cli_main
 from subjmap.datasets import (
-    FirstSecondHalf,
-    SubjectHoldout,
-    TimestepFraction,
     _take_all,
     center_subjects,
     half_moons,
@@ -68,7 +65,8 @@ def halfmoons_world():
     dataset, truth = rotate_subjects(samples, labels, 100,
                                      seed=SeededRng(42).derive("rotations").seed)
     dataset = center_subjects(dataset)
-    train_set, val_set, test_set = split(dataset, TimestepFraction(0.8, 0.1, seed=42))
+    train_set, val_set, test_set = split(dataset, "timestep_fraction", test_fraction=0.8,
+                                         val_fraction=0.1, seed=42)
     return dataset, truth, train_set, val_set, test_set
 
 
@@ -104,7 +102,7 @@ def finetune_study():
     for seed in range(5):
         data, _ = synth_group_dataset(48, t_total, n_vox, style, 1.0,
                                       seed=500 + seed, subject_scale=0.8)
-        seen, _, unseen = split(data, SubjectHoldout(8, seed=5))
+        seen, _, unseen = split(data, "subject_holdout", n_holdout=8, seed=5)
         seen_tr = _take_all(seen, np.arange(0, 160))
         seen_va = _take_all(seen, np.arange(160, t_total))
         models = {}
@@ -140,7 +138,7 @@ def finetune_study():
 
 
 def _train_decomposed_autoencoder(data, width, seed):
-    tr, _, va = split(data, FirstSecondHalf())
+    tr, _, va = split(data, "first_second_half")
     spec = ModelSpec(variant="decomposed", objective="autoencoder",
                      input_size=data.n_features, first_layer_width=width, latent_size=2,
                      n_subjects=data.n_subjects, trunk_widths=(16,))
@@ -282,7 +280,7 @@ def test_criterion_7_subject_weight_separability():
     for effect in (2.0, 0.0):
         data, truth = synth_group_dataset(80, 200, 60, 6, effect, seed=11,
                                           subject_scale=0.3, trajectory_rank=6)
-        tr, _, va = split(data, FirstSecondHalf())
+        tr, _, va = split(data, "first_second_half")
         spec = ModelSpec(variant="decomposed", objective="autoencoder", input_size=60,
                          first_layer_width=6, latent_size=3, n_subjects=80,
                          trunk_widths=(16,))
@@ -314,7 +312,7 @@ def test_criterion_8_group_difference_pipeline():
     for seed in range(20):
         null_data, _ = synth_group_dataset(40, 120, 40, 6, 0.0, seed=1000 + seed,
                                            subject_scale=0.3)
-        tr, _, va = split(null_data, FirstSecondHalf())
+        tr, _, va = split(null_data, "first_second_half")
         spec = ModelSpec(variant="decomposed", objective="autoencoder", input_size=40,
                          first_layer_width=10, latent_size=2, n_subjects=40,
                          trunk_widths=(16,))

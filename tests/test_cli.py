@@ -198,16 +198,59 @@ class TestChecksBeforeWork:
                                    "split sizes (0, 0, 40) of 40 timesteps"),
         ({"scheme": "subject_holdout"}, "n_holdout 0 must lie in [1, 6)"),
         ({"scheme": "subject_holdout", "n_holdout": 6}, "n_holdout 6 must lie in [1, 6)"),
+        ({"scheme": "bogus"}, "unknown split scheme 'bogus'"),
     ])
     def test_bad_split_value_is_config_error(self, tmp_path, synth_file, capsys,
                                              split_values, message):
-        # each exited 2 as a runtime InvalidFraction that did not name the key
+        # each bad value exited 2 as a runtime InvalidFraction that did not name the key;
+        # the unknown scheme is checked by split itself now, no longer by the CLI
         payload = train_config(synth_file, epochs=1)
         payload["data"]["split"].update(split_values)
         cfg = write_config(tmp_path / "c.json", payload)
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith(f"config error: {message}")
         assert not (tmp_path / "out" / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("workers", ["-2", "0"])
+    def test_workers_below_one_exits_one_before_a_file_is_read(self, tmp_path, capsys, workers):
+        # -2 ran the sweep serially and 0 meant the CPU count; both exited 0
+        payload = dict(train_config(tmp_path / "missing.smds"),
+                       sweep={"axes": {"epochs": [1]}, "seeds": [1]})
+        cfg = write_config(tmp_path / "c.json", payload)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out"),
+                     "--workers", workers]) == 1
+        assert capsys.readouterr().err == (f"config error: --workers must be at least 1, "
+                                           f"got {workers}\n")
+
+    @pytest.mark.parametrize("analysis,message", [
+        # k 99 ran the whole traversal, then exited 2 with a ShapeError from the ICA
+        ({"k": 99}, "analysis.k 99 exceeds the 88 traversal rows (subjects x latent_size x "
+                    "grid_points) or the input width 12"),
+        ({"k": 13}, "analysis.k 13 exceeds the 88 traversal rows"),
+        ({"k": 9, "grid_points": 1}, "analysis.k 9 exceeds the 8 traversal rows"),
+        ({"k": 0}, "analysis.k must be at least 1, got 0"),
+        # grid_points 0 exited 2 with an error that blamed k
+        ({"grid_points": 0}, "analysis.grid_points must be at least 1, got 0"),
+        # max_iter 0 and tol -1 exited 0
+        ({"max_iter": 0}, "analysis.max_iter must be at least 1, got 0"),
+        ({"tol": -1}, "analysis.tol must be finite and at least 0, got -1"),
+    ])
+    def test_bad_analysis_value_exits_one_before_the_traversal(self, tmp_path, capsys,
+                                                              monkeypatch, analysis, message):
+        cfg = _analyze_config(tmp_path, analysis)
+        monkeypatch.setattr(cli, "group_difference_pipeline",
+                            lambda *args, **kwargs: pytest.fail("the traversal started"))
+        capsys.readouterr()
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not (tmp_path / "out").exists()
+
+    def test_edge_analysis_values_run(self, tmp_path):
+        # tol 0 runs every iteration (the group_study benchmark's setting)
+        cfg = _analyze_config(tmp_path, {"k": 2, "grid_points": 1, "max_iter": 1, "tol": 0})
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        metrics = read_results(tmp_path / "out")["metrics"]
+        assert metrics["n_sources"] == 2 and metrics["ica_iterations"] == 1
 
     @pytest.mark.parametrize("values,key", [
         # n_samples 1 ended in a raw ValueError and n_subjects -2 or 0 in numpy's
@@ -274,6 +317,19 @@ class TestSimulate:
         assert len(truth["direction_voxels"]) == 8
         ds = load_dataset(out / "data.smds")
         assert ds.groups().tolist() == [0, 1, 0, 1, 0, 1]
+
+
+def _analyze_config(tmp_path, analysis):
+    """An analyze config over 4 subjects of width 12 and an untrained 2-latent model."""
+    data, _ = synth_group_dataset(4, 30, 12, 3, 1.0, seed=41)
+    save_dataset(data, tmp_path / "data.smds")
+    spec = ModelSpec("decomposed", "autoencoder", 12, 4, 2, 4, (6,))
+    save_model(build_model(spec, 0, subject_ids=data.subject_ids), tmp_path / "model.ckpt")
+    return write_config(tmp_path / "analyze.json", {
+        "data": {"path": str(tmp_path / "data.smds")},
+        "checkpoint": str(tmp_path / "model.ckpt"),
+        "analysis": analysis,
+    })
 
 
 def train_config(data_path, variant="decomposed", epochs=4):

@@ -8,11 +8,8 @@ import numpy as np
 import pytest
 
 from subjmap.datasets import (
-    FirstSecondHalf,
     MultiSubjectDataset,
     SubjectData,
-    SubjectHoldout,
-    TimestepFraction,
     _take_all,
     center_subjects,
     half_moons,
@@ -24,6 +21,7 @@ from subjmap.datasets import (
     stacked,
     synth_group_dataset,
 )
+from subjmap.cli import SCHEMAS
 from subjmap.errors import ConfigError, LabelOutOfRange, NonFiniteError, ParseError, ShapeError
 from subjmap.linalg import SeededRng
 from subjmap.models import ModelSpec, build_model
@@ -124,12 +122,13 @@ class TestSplit:
         return MultiSubjectDataset(recs, {})
 
     def test_paper_timestep_sizes(self):
-        tr, va, te = split(self.make(1000), TimestepFraction(0.8, 0.1, seed=1))
+        tr, va, te = split(self.make(1000), "timestep_fraction", test_fraction=0.8,
+                           val_fraction=0.1, seed=1)
         assert (tr.subjects[0].n_timesteps, va.subjects[0].n_timesteps,
                 te.subjects[0].n_timesteps) == (180, 20, 800)
 
     def test_first_second_half_sizes(self):
-        tr, va, te = split(self.make(1976), FirstSecondHalf())
+        tr, va, te = split(self.make(1976), "first_second_half")
         assert va is None
         assert tr.subjects[0].n_timesteps == 988 and te.subjects[0].n_timesteps == 988
 
@@ -137,7 +136,7 @@ class TestSplit:
         rng = SeededRng(1)
         recs = [SubjectData(f"s{i:03d}", rng.normal((2, 2))) for i in range(368)]
         ds = MultiSubjectDataset(recs, {})
-        tr, va, te = split(ds, SubjectHoldout(74, seed=2))
+        tr, va, te = split(ds, "subject_holdout", n_holdout=74, seed=2)
         assert va is None and tr.n_subjects == 294 and te.n_subjects == 74
         assert set(tr.subject_ids).isdisjoint(te.subject_ids)
 
@@ -146,23 +145,60 @@ class TestSplit:
         marker = np.arange(101, dtype=float)
         for rec in ds.subjects:
             rec.data[:, 0] = marker
-        tr, va, te = split(ds, TimestepFraction(0.5, 0.2, seed=3))
+        tr, va, te = split(ds, "timestep_fraction", test_fraction=0.5, val_fraction=0.2, seed=3)
         pieces = [part.subjects[0].data[:, 0] for part in (tr, va, te)]
         combined = np.sort(np.concatenate(pieces))
         np.testing.assert_array_equal(combined, marker)
 
     def test_same_indices_across_subjects(self):
         ds = self.make(50)
-        tr, _, _ = split(ds, TimestepFraction(0.5, 0.1, seed=4))
+        tr, _, _ = split(ds, "timestep_fraction", test_fraction=0.5, val_fraction=0.1, seed=4)
         a = tr.subjects[0].labels
         for rec in tr.subjects[1:]:
             np.testing.assert_array_equal(rec.labels, a)
 
     def test_invalid_fraction(self):
         with pytest.raises(ConfigError, match=r"test_fraction must lie in \(0, 1\), got 1\.5"):
-            split(self.make(10), TimestepFraction(1.5, 0.1))
+            split(self.make(10), "timestep_fraction", test_fraction=1.5, val_fraction=0.1)
         with pytest.raises(ConfigError, match=r"n_holdout 99 must lie in \[1, 3\)"):
-            split(self.make(10), SubjectHoldout(99))
+            split(self.make(10), "subject_holdout", n_holdout=99)
+
+    def test_none_returns_the_dataset_itself(self):
+        ds = self.make(10)
+        tr, va, te = split(ds, "none")
+        assert tr is ds and va is None and te is None
+
+    @pytest.mark.parametrize("scheme", ["bogus", "timestep fraction", None])
+    def test_unknown_scheme_is_config_error(self, scheme):
+        # an unknown scheme object raised TypeError, and a name was checked only by the CLI
+        with pytest.raises(ConfigError, match=f"^unknown split scheme {scheme!r}$"):
+            split(self.make(10), scheme)
+
+    def test_defaults(self):
+        ds = self.make(100)
+        for got, want in zip(split(ds, "timestep_fraction"),
+                             split(ds, "timestep_fraction", test_fraction=0.8, val_fraction=0.1,
+                                   seed=0)):
+            assert np.array_equal(got.block, want.block)
+        with pytest.raises(ConfigError, match=r"^n_holdout 0 must lie in \[1, 3\)"):
+            split(ds, "subject_holdout")
+
+    @pytest.mark.parametrize("scheme,own_keys", [
+        ("timestep_fraction", {"test_fraction": 0.5, "val_fraction": 0.2, "seed": 5}),
+        ("first_second_half", {}),
+        ("subject_holdout", {"n_holdout": 1, "seed": 5}),
+        ("none", {}),
+    ])
+    def test_takes_the_config_section_as_keywords(self, scheme, own_keys):
+        # every data.split key is a keyword of split, and each scheme reads only its own
+        section = {key: default
+                   for key, (_, default) in SCHEMAS["train"]["data"]["split"].items()}
+        section.update(scheme=scheme, test_fraction=0.5, val_fraction=0.2, n_holdout=1)
+        ds = self.make(10)
+        for got, want in zip(split(ds, **section, seed=5), split(ds, scheme, **own_keys)):
+            assert (got is None) == (want is None)
+            assert got is None or (got.subject_ids == want.subject_ids
+                                   and np.array_equal(got.block, want.block))
 
 
 class TestSynthGroupDataset:
@@ -431,9 +467,10 @@ class TestBlockStorage:
         even, _ = synth_group_dataset(4, 12, 5, 2, 1.0, seed=3)
         parts = [built, loaded, load_dataset(tmp_path / "manifest.json", fmt="csv"),
                  pickle.loads(pickle.dumps(built)), _take_all(built, np.arange(1, 5)),
-                 center_subjects(loaded), even, *split(even, FirstSecondHalf())[::2],
-                 *[p for p in split(even, TimestepFraction(0.5, 0.2, seed=1)) if p is not None],
-                 *split(loaded, SubjectHoldout(1, seed=2))[::2],
+                 center_subjects(loaded), even, *split(even, "first_second_half")[::2],
+                 *[p for p in split(even, "timestep_fraction", test_fraction=0.5,
+                                    val_fraction=0.2, seed=1) if p is not None],
+                 *split(loaded, "subject_holdout", n_holdout=1, seed=2)[::2],
                  MultiSubjectDataset(loaded.subjects[1:3])]
         for ds in parts:
             x, idx, labels = stacked(ds)
@@ -469,7 +506,7 @@ class TestBlockStorage:
         ds, _ = synth_group_dataset(4, 8, 3, 2, 1.0, seed=1)
         calls = []
         monkeypatch.setattr(MultiSubjectDataset, "_check_finite", lambda self: calls.append(1))
-        train, _, test = split(ds, FirstSecondHalf())
+        train, _, test = split(ds, "first_second_half")
         assert calls == []
         assert np.array_equal(train.subjects[2].data, ds.subjects[2].data[:4])
         assert not np.shares_memory(train.block, ds.block)

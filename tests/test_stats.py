@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from subjmap.datasets import MultiSubjectDataset, SubjectData, synth_group_dataset, split, FirstSecondHalf
+from subjmap.datasets import MultiSubjectDataset, SubjectData, synth_group_dataset, split
 from subjmap.errors import ConfigError, GroupCountError, InvalidP, ShapeError
 from subjmap.linalg import SeededRng, qr_orthonormalize
 from subjmap import stats
@@ -221,7 +221,7 @@ class TestFastica:
 
 class TestPipeline:
     def make_trained(self, data, seed=0):
-        tr, _, va = split(data, FirstSecondHalf())
+        tr, _, va = split(data, "first_second_half")
         spec = ModelSpec(variant="decomposed", objective="autoencoder",
                          input_size=data.n_features, first_layer_width=10, latent_size=2,
                          n_subjects=data.n_subjects, trunk_widths=(12,))

@@ -5,8 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from subjmap.datasets import (MultiSubjectDataset, SubjectData, synth_group_dataset, split,
-                              stacked, FirstSecondHalf, _take_all)
+from subjmap.datasets import (MultiSubjectDataset, SubjectData, synth_group_dataset, stacked,
+                              _take_all)
 from subjmap import training
 from subjmap.errors import (ConfigError, DivergenceError, EmptySubset, MissingLabels,
                             NoSubjectWeights, ShapeError, SweepFailed)
