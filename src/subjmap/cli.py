@@ -29,6 +29,7 @@ from .datasets import (
     MultiSubjectDataset,
     SubjectData,
     _common_length,
+    _split_plan,
     _take_all,
     atomic_write,
     center_subjects,
@@ -391,6 +392,7 @@ def _cmd_simulate(config: dict, out_dir: Path, config_dir: Path, workers: int) -
 def _cmd_train(config: dict, out_dir: Path, config_dir: Path, workers: int) -> _Outputs:
     root = SeededRng(config["seed"])
     train_cfg = TrainConfig(**config["train"], seed=root.derive("train").seed)
+    _split_plan(**config["data"]["split"])  # the split keys are checked before the file is read
     # no reference to the loaded dataset outlives the split: only the partitions stay in memory
     train_set, val_set, test_set = split(_load_data(config["data"], config_dir),
                                          **config["data"]["split"], seed=root.derive("split").seed)
@@ -428,6 +430,7 @@ def _cmd_sweep(config: dict, out_dir: Path, config_dir: Path, workers: int) -> _
 
     base_cfg = TrainConfig(**config["train"])
     root = SeededRng(config["seed"])
+    _split_plan(**config["data"]["split"])
     train_set, val_set, test_set = split(_load_data(config["data"], config_dir),
                                          **config["data"]["split"], seed=root.derive("split").seed)
     if val_set is None:
@@ -530,6 +533,7 @@ def _cmd_evaluate(config: dict, out_dir: Path, config_dir: Path, workers: int) -
     if section["probe_folds"] < 2:
         raise ConfigError(f"eval.probe_folds must be at least 2, got {section['probe_folds']!r}")
     root = SeededRng(config["seed"])
+    _split_plan(**config["data"]["split"])
     dataset = _load_data(config["data"], config_dir)
     _, _, test_set = split(dataset, **config["data"]["split"], seed=root.derive("split").seed)
     eval_set = test_set if test_set is not None else dataset

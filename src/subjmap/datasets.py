@@ -297,6 +297,67 @@ def _take_all(dataset: MultiSubjectDataset, rows) -> MultiSubjectDataset:
     return taken
 
 
+def _split_plan(scheme: str, test_fraction: float = 0.8, val_fraction: float = 0.1,
+                n_holdout: int = 0):
+    """``split``'s scheme dispatch: checks what needs no data, returns ``cut(dataset, seed)``.
+
+    An unknown scheme and a fraction out of range raise ConfigError here, so
+    a caller can check a ``data.split`` section before it reads the data.
+    The checks that need the data (degenerate sizes, ``n_holdout`` against
+    the subject count) run in ``cut``.
+    """
+    if scheme == "timestep_fraction":
+        if not 0.0 < test_fraction < 1.0:
+            raise ConfigError(f"test_fraction must lie in (0, 1), got {test_fraction!r}")
+        if not 0.0 <= val_fraction < 1.0:
+            raise ConfigError(f"val_fraction must lie in [0, 1), got {val_fraction!r}")
+
+        def cut(dataset: MultiSubjectDataset, seed: int):
+            total = _common_length(dataset)
+            order = SeededRng(seed).permutation(total)
+            n_test = int(round(test_fraction * total))
+            n_val = int(round(val_fraction * (total - n_test)))
+            n_train = total - n_test - n_val
+            if n_train < 1 or n_test < 1:
+                raise ConfigError(f"test_fraction {test_fraction!r} and val_fraction "
+                                  f"{val_fraction!r} leave degenerate split sizes "
+                                  f"({n_train}, {n_val}, {n_test}) of {total} timesteps")
+            test_rows = np.sort(order[:n_test])
+            val_rows = np.sort(order[n_test:n_test + n_val])
+            train_rows = np.sort(order[n_test + n_val:])
+            val = _take_all(dataset, val_rows) if n_val else None
+            return _take_all(dataset, train_rows), val, _take_all(dataset, test_rows)
+        return cut
+
+    if scheme == "first_second_half":
+        def cut(dataset: MultiSubjectDataset, seed: int):
+            total = _common_length(dataset)
+            half = math.ceil(total / 2)
+            first = _take_all(dataset, np.arange(half))
+            second = _take_all(dataset, np.arange(half, total))
+            return first, None, second
+        return cut
+
+    if scheme == "subject_holdout":
+        def cut(dataset: MultiSubjectDataset, seed: int):
+            if not 1 <= n_holdout < dataset.n_subjects:
+                raise ConfigError(f"n_holdout {n_holdout!r} must lie in "
+                                  f"[1, {dataset.n_subjects}): cannot hold out "
+                                  f"{n_holdout} of {dataset.n_subjects} subjects")
+            order = SeededRng(seed).permutation(dataset.n_subjects)
+            held = set(order[:n_holdout].tolist())
+            train = [rec for i, rec in enumerate(dataset.subjects) if i not in held]
+            test = [rec for i, rec in enumerate(dataset.subjects) if i in held]
+            meta = dict(dataset.metadata)
+            return (MultiSubjectDataset(train, meta), None, MultiSubjectDataset(test, meta))
+        return cut
+
+    if scheme == "none":
+        return lambda dataset, seed: (dataset, None, None)
+
+    raise ConfigError(f"unknown split scheme {scheme!r}")
+
+
 def split(dataset: MultiSubjectDataset, scheme: str, *, test_fraction: float = 0.8,
           val_fraction: float = 0.1, n_holdout: int = 0, seed: int = 0):
     """Partition a dataset into (train, val, test) by the ``data.split`` scheme name.
@@ -313,51 +374,10 @@ def split(dataset: MultiSubjectDataset, scheme: str, *, test_fraction: float = 0
     Each scheme reads only its own keyword arguments.  Partitions are
     disjoint and exhaustive, and the timestep schemes cut the same rows from
     every subject, so subjects stay aligned.  An unknown scheme or a value
-    out of range is a ConfigError that names its key.
+    out of range is a ConfigError that names its key; ``_split_plan`` makes
+    the checks that need no data, before any row is cut.
     """
-    if scheme == "timestep_fraction":
-        if not 0.0 < test_fraction < 1.0:
-            raise ConfigError(f"test_fraction must lie in (0, 1), got {test_fraction!r}")
-        if not 0.0 <= val_fraction < 1.0:
-            raise ConfigError(f"val_fraction must lie in [0, 1), got {val_fraction!r}")
-        total = _common_length(dataset)
-        order = SeededRng(seed).permutation(total)
-        n_test = int(round(test_fraction * total))
-        n_val = int(round(val_fraction * (total - n_test)))
-        n_train = total - n_test - n_val
-        if n_train < 1 or n_test < 1:
-            raise ConfigError(f"test_fraction {test_fraction!r} and val_fraction "
-                              f"{val_fraction!r} leave degenerate split sizes "
-                              f"({n_train}, {n_val}, {n_test}) of {total} timesteps")
-        test_rows = np.sort(order[:n_test])
-        val_rows = np.sort(order[n_test:n_test + n_val])
-        train_rows = np.sort(order[n_test + n_val:])
-        val = _take_all(dataset, val_rows) if n_val else None
-        return _take_all(dataset, train_rows), val, _take_all(dataset, test_rows)
-
-    if scheme == "first_second_half":
-        total = _common_length(dataset)
-        cut = math.ceil(total / 2)
-        first = _take_all(dataset, np.arange(cut))
-        second = _take_all(dataset, np.arange(cut, total))
-        return first, None, second
-
-    if scheme == "subject_holdout":
-        if not 1 <= n_holdout < dataset.n_subjects:
-            raise ConfigError(f"n_holdout {n_holdout!r} must lie in "
-                              f"[1, {dataset.n_subjects}): cannot hold out "
-                              f"{n_holdout} of {dataset.n_subjects} subjects")
-        order = SeededRng(seed).permutation(dataset.n_subjects)
-        held = set(order[:n_holdout].tolist())
-        train = [rec for i, rec in enumerate(dataset.subjects) if i not in held]
-        test = [rec for i, rec in enumerate(dataset.subjects) if i in held]
-        meta = dict(dataset.metadata)
-        return (MultiSubjectDataset(train, meta), None, MultiSubjectDataset(test, meta))
-
-    if scheme == "none":
-        return dataset, None, None
-
-    raise ConfigError(f"unknown split scheme {scheme!r}")
+    return _split_plan(scheme, test_fraction, val_fraction, n_holdout)(dataset, seed)
 
 
 # --- planted-effect generator ------------------------------------------------

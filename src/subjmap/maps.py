@@ -18,6 +18,13 @@ live purely in the linear part, in the one parameter that each family names
 as its ``subject_param`` (``None`` for ``GroupMap``).  ``forward`` adds the
 bias in place into the product it just made: the same sum as
 ``product + bias``, without a second batch-sized array (B x N for an output map).
+
+A per-subject gradient sums the batch rows of each subject.  ``backward``
+builds it with one ``np.bincount`` over the flat element index
+``idx * inner + arange(inner)``.  ``bincount`` adds in input order, as
+numpy's unbuffered ``add.at`` does, so the two give the same bits; numpy
+does not document that order, so ``tests/test_maps.py`` keeps the ``add.at``
+scatter as the oracle.
 """
 
 from __future__ import annotations
@@ -53,6 +60,18 @@ def _check_idx(subject_idx, n_rows: int, n_subjects: int) -> np.ndarray:
         bad = idx[(idx < 0) | (idx >= n_subjects)][0]
         raise UnknownSubject(f"subject index {bad} has no weights (n_subjects={n_subjects})")
     return idx
+
+
+def _scatter_rows(idx: np.ndarray, rows: np.ndarray, shape: tuple) -> np.ndarray:
+    """Zeros of ``shape`` with each ``rows[b]`` added into entry ``idx[b]``, in batch order.
+
+    One ``bincount`` over the flat index of every element: it adds in input
+    order, as an unbuffered ``add.at`` into zeros does, so the sums are
+    bit-identical to that scatter, which the tests keep as the oracle.
+    """
+    inner = math.prod(shape[1:])
+    flat = (idx[:, None] * inner + np.arange(inner)).ravel()
+    return np.bincount(flat, rows.ravel(), minlength=shape[0] * inner).reshape(shape)
 
 
 class GroupMap:
@@ -147,9 +166,8 @@ class SubjectMap(_PerSubject):
 
     def backward(self, grad_out, cache, need_input_grad: bool = True):
         (xb, idx), g = cache, grad_out
-        grad_w = np.zeros_like(self.w)
-        np.add.at(grad_w, idx, np.einsum("bi,bo->bio", xb, g))
-        grads = {"w": grad_w, "bias": g.sum(axis=0)}
+        grads = {"w": _scatter_rows(idx, np.einsum("bi,bo->bio", xb, g), self.w.shape),
+                 "bias": g.sum(axis=0)}
         grad_x = np.einsum("bo,bio->bi", g, self.w[idx]) if need_input_grad else None
         return grad_x, grads
 
@@ -235,8 +253,7 @@ class DecomposedMap(_PerSubject):
         first, second = (self.v, self.u) if self.direction == "reduce" else (self.u, self.v)
         grad_second = g.T @ scaled         # out x L
         grad_scaled = g @ second           # B x L
-        grad_s = np.zeros_like(self.s)
-        np.add.at(grad_s, idx, grad_scaled * proj)
+        grad_s = _scatter_rows(idx, grad_scaled * proj, self.s.shape)
         grad_proj = grad_scaled * s_rows
         grad_first = xb.T @ grad_proj      # in x L
         grad_x = grad_proj @ first.T if need_input_grad else None

@@ -3,6 +3,10 @@
 One mini-batch loop (``_fit``) does all optimization: seeded shuffling,
 mini-batches that may mix subjects, SGD or Adam, optional gradient clipping
 and a divergence check.  Everything is deterministic given the config seed.
+``Adam`` keeps its moments as one flat vector each, laid out by its first
+step's parameters (row views ``s[start:]`` when fine-tuning), and steps them
+with the per-array arithmetic in the same order, so training is bit-for-bit
+that of a per-array Adam; a later step with another layout raises ShapeError.
 ``train`` runs it over every parameter, re-projects each decomposed map's
 square factor by QR after each ``orth_every`` steps, stops early on
 validation loss and keeps a best-validation snapshot.
@@ -128,31 +132,61 @@ class Sgd:
 
 
 class Adam:
+    """Adam (Kingma & Ba 2015) with its moments held as one flat vector each.
+
+    The first ``step`` fixes the layout: the names and shapes of ``params``,
+    in order.  ``m`` and ``v`` are flat arrays over that layout.  A step
+    concatenates the gradients once and builds the update in one flat scratch
+    array, so it makes a fixed number of array calls whatever the number of
+    parameters, plus one in-place subtraction per parameter.
+    Elementwise the arithmetic, and its order, is the textbook per-array
+    update, so the result is bit-for-bit that of stepping each array alone.
+    The parameters may be views, such as the rows ``s[start:]`` that
+    fine-tuning passes; each is updated in place.  A later step whose
+    parameters differ in name, order or shape raises ShapeError: the moments
+    are never silently reset.
+    """
+
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.layout: list[tuple[str, tuple]] | None = None
+        self.m = self.v = None
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+        layout = [(name, p.shape) for name, p in params.items()]
+        if self.layout is None:
+            self.layout = layout
+            sizes = [p.size for p in params.values()]
+            self.m, self.v, self._update = (np.zeros(sum(sizes)) for _ in range(3))
+            self._update_views = [chunk.reshape(p.shape) for chunk, p in zip(
+                np.split(self._update, np.cumsum(sizes)[:-1]), params.values())]
+        elif layout != self.layout:
+            raise ShapeError(f"Adam's moments are laid out for {self.layout}; "
+                             f"this step passes {layout}")
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
-        for name, p in params.items():
-            g = grads[name]
-            if name not in self.m:
-                self.m[name] = np.zeros_like(p)
-                self.v[name] = np.zeros_like(p)
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        update, m, v = self._update, self.m, self.v
+        g = np.concatenate([grads[name].ravel() for name in params])
+        np.multiply(g, 1.0 - self.beta1, out=update)
+        m *= self.beta1
+        m += update                          # m*b1 + (1-b1)*g
+        np.multiply(g, 1.0 - self.beta2, out=update)
+        update *= g
+        v *= self.beta2
+        v += update                          # v*b2 + ((1-b2)*g)*g
+        np.divide(m, b1c, out=update)
+        update *= self.lr                    # lr*(m/b1c)
+        np.divide(v, b2c, out=g)
+        np.sqrt(g, out=g)
+        g += self.eps                        # sqrt(v/b2c) + eps
+        update /= g
+        for p, delta in zip(params.values(), self._update_views):
+            p -= delta
 
 
 def make_optimizer(config: TrainConfig):

@@ -211,6 +211,27 @@ class TestChecksBeforeWork:
         assert capsys.readouterr().err.startswith(f"config error: {message}")
         assert not (tmp_path / "out" / "model.ckpt").exists()
 
+    @pytest.mark.parametrize("command", ["train", "sweep", "evaluate"])
+    @pytest.mark.parametrize("split_values,message", [
+        ({"scheme": "bogus"}, "unknown split scheme 'bogus'"),
+        ({"test_fraction": 1.5}, "test_fraction must lie in (0, 1), got 1.5"),
+        ({"val_fraction": -0.1}, "val_fraction must lie in [0, 1), got -0.1"),
+    ])
+    def test_bad_split_value_exits_one_before_the_data_is_read(self, tmp_path, capsys,
+                                                               command, split_values, message):
+        # with a missing data file each exited 2 with runtime error: FileNotFoundError
+        payload = {
+            "train": train_config(tmp_path / "missing.smds"),
+            "sweep": dict(train_config(tmp_path / "missing.smds"),
+                          sweep={"axes": {"epochs": [1]}, "seeds": [1]}),
+            "evaluate": {"data": {"path": str(tmp_path / "missing.smds")},
+                         "checkpoint": "missing.ckpt"},
+        }[command]
+        payload["data"].setdefault("split", {}).update(split_values)
+        cfg = write_config(tmp_path / "c.json", payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+
     @pytest.mark.parametrize("workers", ["-2", "0"])
     def test_workers_below_one_exits_one_before_a_file_is_read(self, tmp_path, capsys, workers):
         # -2 ran the sweep serially and 0 meant the CPU count; both exited 0

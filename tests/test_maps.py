@@ -132,6 +132,74 @@ class TestBackward:
         assert not np.array_equal(grads["s"][1], grads2["s"][1])
 
 
+def add_at_subject_grad(m, g, cache):
+    """The per-subject gradient by ``np.zeros_like`` + ``np.add.at``: the scatter's oracle."""
+    if isinstance(m, SubjectMap):
+        xb, idx = cache
+        ref = np.zeros_like(m.w)
+        np.add.at(ref, idx, np.einsum("bi,bo->bio", xb, g))
+        return ref
+    _, idx, proj, _, _ = cache
+    second = m.u if m.direction == "reduce" else m.v
+    ref = np.zeros_like(m.s)
+    np.add.at(ref, idx, (g @ second) * proj)
+    return ref
+
+
+SCATTER_MAKERS = [  # (rng, wide width, hidden width, subjects) -> map
+    lambda rng, n_wide, n_hidden, m: SubjectMap.initialize(n_wide, n_hidden, m, rng),
+    lambda rng, n_wide, n_hidden, m: DecomposedMap.initialize(n_wide, n_hidden, m, rng, "reduce"),
+    lambda rng, n_wide, n_hidden, m: DecomposedMap.initialize(n_wide, n_hidden, m, rng, "expand"),
+]
+SCATTER_IDS = ["subject", "decomposed-reduce", "decomposed-expand"]
+
+
+class TestSubjectScatter:
+    """``backward``'s per-subject gradient equals the ``np.add.at`` scatter bit for bit."""
+
+    @staticmethod
+    def assert_matches_add_at(m, x, ids, g):
+        _, cache = m.forward(x, ids)
+        _, grads = m.backward(g, cache)
+        got, ref = grads[m.subject_param], add_at_subject_grad(m, g, cache)
+        assert got.shape == ref.shape
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+    @pytest.mark.parametrize("maker", SCATTER_MAKERS, ids=SCATTER_IDS)
+    def test_random_cases(self, maker):
+        rng = SeededRng(20)
+        for _ in range(210):
+            n_subjects = int(rng.integers(1, 7))
+            batch = int(rng.integers(1, 40))
+            m = maker(rng, int(rng.integers(1, 6)), int(rng.integers(1, 5)), n_subjects)
+            m.params()[m.subject_param][...] = rng.normal(m.params()[m.subject_param].shape)
+            x = rng.normal((batch, m.n_in))
+            g = rng.normal((batch, m.n_out))
+            g[rng.uniform(size=g.shape) < 0.2] = -0.0  # signed zeros must sum alike
+            self.assert_matches_add_at(m, x, rng.integers(0, n_subjects, batch), g)
+
+    @pytest.mark.parametrize("maker", SCATTER_MAKERS, ids=SCATTER_IDS)
+    @pytest.mark.parametrize("n_subjects,ids", [
+        (3, [1, 1, 1, 1, 1]),      # repeated indices, subjects 0 and 2 without rows
+        (5, [4, 0, 4, 0, 4, 2]),   # interleaved repeats, subjects 1 and 3 without rows
+        (4, [2]),                  # B = 1
+        (1, [0, 0, 0, 0]),         # a single subject
+        (1, [0]),                  # B = 1 and a single subject
+    ])
+    def test_edge_cases(self, maker, n_subjects, ids):
+        rng = SeededRng(21)
+        m = maker(rng, 4, 3, n_subjects)
+        ids = np.array(ids)
+        x = rng.normal((ids.size, m.n_in))
+        g = rng.normal((ids.size, m.n_out))
+        g[0] = -0.0
+        self.assert_matches_add_at(m, x, ids, g)
+        _, grads = m.backward(g, m.forward(x, ids)[1])
+        absent = np.setdiff1d(np.arange(n_subjects), ids)
+        assert not grads[m.subject_param][absent].any()
+
+
 class TestParamCount:
     def test_worked_example_large_study(self):
         regime = ParamRegime(150_000, 10, 1200)

@@ -189,7 +189,80 @@ class TestConfigRanges:
         assert res.rows[1]["error"] is None and res.winner_index == 1
 
 
+class PerArrayAdam:
+    """Adam stepping each parameter array on its own: the oracle for the flat ``Adam``."""
+
+    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self.m, self.v = {}, {}
+
+    def step(self, params, grads):
+        self.t += 1
+        b1c = 1.0 - self.beta1 ** self.t
+        b2c = 1.0 - self.beta2 ** self.t
+        for name, p in params.items():
+            g = grads[name]
+            if name not in self.m:
+                self.m[name] = np.zeros_like(p)
+                self.v[name] = np.zeros_like(p)
+            m = self.m[name]
+            v = self.v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+
+
 class TestAdam:
+    @staticmethod
+    def mixed_params(rng):
+        """3-D, 2-D and 1-D arrays, and per-subject row views as fine-tuning passes them."""
+        model = {"enc_map.w": rng.normal((5, 3, 4)), "trunk.0.w": rng.normal((4, 6)),
+                 "trunk.0.b": rng.normal(6), "dec_map.s": rng.normal((7, 4))}
+        params = dict(model, **{"enc_map.w": model["enc_map.w"][3:],
+                                "dec_map.s": model["dec_map.s"][3:]})
+        return model, params
+
+    @pytest.mark.parametrize("lr,betas", [(0.01, (0.9, 0.999)), (0.3, (0.5, 0.0))])
+    def test_flat_state_matches_per_array_steps(self, lr, betas):
+        flat_model, flat_params = self.mixed_params(SeededRng(7))
+        ref_model, ref_params = self.mixed_params(SeededRng(7))
+        flat, ref = Adam(lr, *betas), PerArrayAdam(lr, *betas)
+        rng = SeededRng(8)
+        for step in range(500):
+            grads = {name: rng.normal(p.shape) * 10.0 ** rng.integers(-6, 3)
+                     for name, p in ref_params.items()}
+            grads["trunk.0.b"][step % 6] = 0.0 if step % 2 else -0.0
+            flat.step(flat_params, grads)
+            ref.step(ref_params, grads)
+        for name in ref_model:
+            assert flat_model[name].tobytes() == ref_model[name].tobytes(), name
+        # the rows before the views were never touched
+        untouched, _ = self.mixed_params(SeededRng(7))
+        assert flat_model["dec_map.s"][:3].tobytes() == untouched["dec_map.s"][:3].tobytes()
+
+    @pytest.mark.parametrize("change", ["shape", "name", "order", "count"])
+    def test_changed_parameter_layout_raises(self, change):
+        _, params = self.mixed_params(SeededRng(7))
+        opt = Adam(lr=0.1)
+        opt.step(params, {name: np.ones_like(p) for name, p in params.items()})
+        m, v = opt.m.copy(), opt.v.copy()
+        names = list(params)
+        if change == "shape":
+            params["dec_map.s"] = np.zeros((5, 4))
+        elif change == "name":
+            params["renamed"] = params.pop("trunk.0.b")
+        elif change == "order":
+            params = {name: params[name] for name in reversed(names)}
+        else:
+            del params["trunk.0.w"]
+        with pytest.raises(ShapeError, match="laid out for"):
+            opt.step(params, {name: np.ones_like(p) for name, p in params.items()})
+        assert opt.t == 1
+        assert np.array_equal(opt.m, m) and np.array_equal(opt.v, v)
+
     def test_zero_gradient_is_noop(self):
         p = {"w": np.array([1.0, -2.0, 3.0])}
         before = p["w"].copy()
