@@ -296,6 +296,19 @@ def _load_data(section: dict, config_dir: Path) -> MultiSubjectDataset:
     return dataset
 
 
+def _load_split(config: dict, config_dir: Path, root: SeededRng, need_val: bool = False):
+    """``(dataset, (train, val, test))``: the data read and split by ``data.split``.
+
+    ``data.split`` is checked before the file is read, and with ``need_val``
+    so is whether the scheme can give a validation set at all.
+    """
+    section = config["data"]["split"]
+    if not _split_plan(**section)[1] and need_val:
+        raise ConfigError("sweep needs a split scheme that produces a validation set")
+    dataset = _load_data(config["data"], config_dir)
+    return dataset, split(dataset, **section, seed=root.derive("split").seed)
+
+
 def config_hash(config: dict) -> str:
     """Digest of the semantically meaningful config (output location excluded)."""
     return canonical_digest({k: v for k, v in config.items() if k != "out_dir"})
@@ -392,10 +405,8 @@ def _cmd_simulate(config: dict, out_dir: Path, config_dir: Path, workers: int) -
 def _cmd_train(config: dict, out_dir: Path, config_dir: Path, workers: int) -> _Outputs:
     root = SeededRng(config["seed"])
     train_cfg = TrainConfig(**config["train"], seed=root.derive("train").seed)
-    _split_plan(**config["data"]["split"])  # the split keys are checked before the file is read
     # no reference to the loaded dataset outlives the split: only the partitions stay in memory
-    train_set, val_set, test_set = split(_load_data(config["data"], config_dir),
-                                         **config["data"]["split"], seed=root.derive("split").seed)
+    train_set, val_set, test_set = _load_split(config, config_dir, root)[1]
     if val_set is None:
         val_set = test_set if test_set is not None else train_set
     spec = ModelSpec(**config["model"], input_size=train_set.n_features,
@@ -430,11 +441,9 @@ def _cmd_sweep(config: dict, out_dir: Path, config_dir: Path, workers: int) -> _
 
     base_cfg = TrainConfig(**config["train"])
     root = SeededRng(config["seed"])
-    _split_plan(**config["data"]["split"])
-    train_set, val_set, test_set = split(_load_data(config["data"], config_dir),
-                                         **config["data"]["split"], seed=root.derive("split").seed)
+    train_set, val_set, test_set = _load_split(config, config_dir, root, need_val=True)[1]
     if val_set is None:
-        raise ConfigError("sweep needs a split scheme that produces a validation set")
+        raise ConfigError("sweep needs a validation set; val_fraction gives it no rows")
     spec = ModelSpec(**config["model"], input_size=train_set.n_features,
                      n_subjects=train_set.n_subjects)
     keys = sorted(axes)
@@ -533,9 +542,7 @@ def _cmd_evaluate(config: dict, out_dir: Path, config_dir: Path, workers: int) -
     if section["probe_folds"] < 2:
         raise ConfigError(f"eval.probe_folds must be at least 2, got {section['probe_folds']!r}")
     root = SeededRng(config["seed"])
-    _split_plan(**config["data"]["split"])
-    dataset = _load_data(config["data"], config_dir)
-    _, _, test_set = split(dataset, **config["data"]["split"], seed=root.derive("split").seed)
+    dataset, (_, _, test_set) = _load_split(config, config_dir, root)
     eval_set = test_set if test_set is not None else dataset
     model, _ = checkpoint.load_model(_relative(config, config_dir, "checkpoint"))
 

@@ -299,12 +299,13 @@ def _take_all(dataset: MultiSubjectDataset, rows) -> MultiSubjectDataset:
 
 def _split_plan(scheme: str, test_fraction: float = 0.8, val_fraction: float = 0.1,
                 n_holdout: int = 0):
-    """``split``'s scheme dispatch: checks what needs no data, returns ``cut(dataset, seed)``.
+    """``split``'s scheme dispatch: checks what needs no data, returns ``(cut, gives_val)``.
 
     An unknown scheme and a fraction out of range raise ConfigError here, so
     a caller can check a ``data.split`` section before it reads the data.
     The checks that need the data (degenerate sizes, ``n_holdout`` against
-    the subject count) run in ``cut``.
+    the subject count) run in ``cut(dataset, seed)``.  ``gives_val`` is
+    False when no data can give the scheme a validation set.
     """
     if scheme == "timestep_fraction":
         if not 0.0 < test_fraction < 1.0:
@@ -327,7 +328,7 @@ def _split_plan(scheme: str, test_fraction: float = 0.8, val_fraction: float = 0
             train_rows = np.sort(order[n_test + n_val:])
             val = _take_all(dataset, val_rows) if n_val else None
             return _take_all(dataset, train_rows), val, _take_all(dataset, test_rows)
-        return cut
+        return cut, val_fraction > 0
 
     if scheme == "first_second_half":
         def cut(dataset: MultiSubjectDataset, seed: int):
@@ -336,7 +337,7 @@ def _split_plan(scheme: str, test_fraction: float = 0.8, val_fraction: float = 0
             first = _take_all(dataset, np.arange(half))
             second = _take_all(dataset, np.arange(half, total))
             return first, None, second
-        return cut
+        return cut, False
 
     if scheme == "subject_holdout":
         def cut(dataset: MultiSubjectDataset, seed: int):
@@ -350,10 +351,10 @@ def _split_plan(scheme: str, test_fraction: float = 0.8, val_fraction: float = 0
             test = [rec for i, rec in enumerate(dataset.subjects) if i in held]
             meta = dict(dataset.metadata)
             return (MultiSubjectDataset(train, meta), None, MultiSubjectDataset(test, meta))
-        return cut
+        return cut, False
 
     if scheme == "none":
-        return lambda dataset, seed: (dataset, None, None)
+        return (lambda dataset, seed: (dataset, None, None)), False
 
     raise ConfigError(f"unknown split scheme {scheme!r}")
 
@@ -377,7 +378,7 @@ def split(dataset: MultiSubjectDataset, scheme: str, *, test_fraction: float = 0
     out of range is a ConfigError that names its key; ``_split_plan`` makes
     the checks that need no data, before any row is cut.
     """
-    return _split_plan(scheme, test_fraction, val_fraction, n_holdout)(dataset, seed)
+    return _split_plan(scheme, test_fraction, val_fraction, n_holdout)[0](dataset, seed)
 
 
 # --- planted-effect generator ------------------------------------------------
@@ -616,7 +617,8 @@ def _load_csv(manifest_path) -> MultiSubjectDataset:
         if len({len(row) for row in rows}) > 1:
             raise ParseError(f"{csv_path}: rows differ in length")
         data = np.asarray(rows, dtype=np.float64)
-        if expect_n is not None and data.shape[1] != expect_n:
+        # an empty file gives shape (0,): SubjectData rejects it as not 2-D
+        if expect_n is not None and data.ndim == 2 and data.shape[1] != expect_n:
             raise ShapeError(
                 f"subject {entry['subject_id']!r} has width {data.shape[1]}, manifest says {expect_n}")
         labels = None

@@ -3,10 +3,10 @@
 One mini-batch loop (``_fit``) does all optimization: seeded shuffling,
 mini-batches that may mix subjects, SGD or Adam, optional gradient clipping
 and a divergence check.  Everything is deterministic given the config seed.
-``Adam`` keeps its moments as one flat vector each, laid out by its first
-step's parameters (row views ``s[start:]`` when fine-tuning), and steps them
-with the per-array arithmetic in the same order, so training is bit-for-bit
-that of a per-array Adam; a later step with another layout raises ShapeError.
+The optimizer is bound once to the arrays it trains (row views ``s[start:]``
+when fine-tuning) and steps with their gradients as one flat vector, whose
+norm clipping bounds.  ``Adam``'s flat moments follow the per-array arithmetic
+in the same order, so training is bit-for-bit that of a per-array Adam.
 ``train`` runs it over every parameter, re-projects each decomposed map's
 square factor by QR after each ``orth_every`` steps, stops early on
 validation loss and keeps a best-validation snapshot.
@@ -123,55 +123,51 @@ class TrainHistory:
 
 
 class Sgd:
-    def __init__(self, lr: float):
-        self.lr = lr
+    """SGD on the arrays (or views) ``params``, each updated in place by ``step(g)``.
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
-        for name, p in params.items():
-            p -= self.lr * grads[name]
-
-
-class Adam:
-    """Adam (Kingma & Ba 2015) with its moments held as one flat vector each.
-
-    The first ``step`` fixes the layout: the names and shapes of ``params``,
-    in order.  ``m`` and ``v`` are flat arrays over that layout.  A step
-    concatenates the gradients once and builds the update in one flat scratch
-    array, so it makes a fixed number of array calls whatever the number of
-    parameters, plus one in-place subtraction per parameter.
-    Elementwise the arithmetic, and its order, is the textbook per-array
-    update, so the result is bit-for-bit that of stepping each array alone.
-    The parameters may be views, such as the rows ``s[start:]`` that
-    fine-tuning passes; each is updated in place.  A later step whose
-    parameters differ in name, order or shape raises ShapeError: the moments
-    are never silently reset.
+    ``g`` is the flat gradient: the gradients of ``params`` raveled and concatenated.
     """
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params, lr: float):
+        self.params = list(params)
         self.lr = lr
+        sizes = [p.size for p in self.params]
+        self._update = np.zeros(sum(sizes))
+        self._update_views = [chunk.reshape(p.shape) for chunk, p in zip(
+            np.split(self._update, np.cumsum(sizes)[:-1]), self.params)]
+
+    def _apply(self) -> None:
+        for p, delta in zip(self.params, self._update_views):
+            p -= delta
+
+    def step(self, g: np.ndarray) -> None:
+        np.multiply(g, self.lr, out=self._update)
+        self._apply()
+
+
+class Adam(Sgd):
+    """Adam (Kingma & Ba 2015) with its moments held as one flat vector each.
+
+    ``m`` and ``v`` are laid out as the flat gradient that ``step`` takes
+    (see ``Sgd``); ``step`` uses ``g`` as scratch space and overwrites it.
+    Elementwise the arithmetic, and its order, is the textbook per-array
+    update, so the result is bit-for-bit that of stepping each array alone.
+    """
+
+    def __init__(self, params, lr: float, beta1: float = 0.9, beta2: float = 0.999,
+                 eps: float = 1e-8):
+        super().__init__(params, lr)
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.layout: list[tuple[str, tuple]] | None = None
-        self.m = self.v = None
+        self.m, self.v = np.zeros_like(self._update), np.zeros_like(self._update)
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
-        layout = [(name, p.shape) for name, p in params.items()]
-        if self.layout is None:
-            self.layout = layout
-            sizes = [p.size for p in params.values()]
-            self.m, self.v, self._update = (np.zeros(sum(sizes)) for _ in range(3))
-            self._update_views = [chunk.reshape(p.shape) for chunk, p in zip(
-                np.split(self._update, np.cumsum(sizes)[:-1]), params.values())]
-        elif layout != self.layout:
-            raise ShapeError(f"Adam's moments are laid out for {self.layout}; "
-                             f"this step passes {layout}")
+    def step(self, g: np.ndarray) -> None:
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
         update, m, v = self._update, self.m, self.v
-        g = np.concatenate([grads[name].ravel() for name in params])
         np.multiply(g, 1.0 - self.beta1, out=update)
         m *= self.beta1
         m += update                          # m*b1 + (1-b1)*g
@@ -185,22 +181,14 @@ class Adam:
         np.sqrt(g, out=g)
         g += self.eps                        # sqrt(v/b2c) + eps
         update /= g
-        for p, delta in zip(params.values(), self._update_views):
-            p -= delta
+        self._apply()
 
 
-def make_optimizer(config: TrainConfig):
-    if config.optimizer == "sgd":
-        return Sgd(config.lr)
-    return Adam(config.lr, config.beta1, config.beta2, config.eps)
-
-
-def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> None:
-    total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-    if total > max_norm and total > 0:
-        scale = max_norm / total
-        for g in grads.values():
-            g *= scale
+def clip_gradients(g: np.ndarray, max_norm: float) -> None:
+    """Rescale the flat gradient ``g`` in place so that its 2-norm is at most ``max_norm``."""
+    total = float(np.linalg.norm(g))
+    if total > max_norm:
+        g *= max_norm / total
 
 
 def _reproject(model: Model) -> None:
@@ -218,18 +206,21 @@ def evaluate_loss(model: Model, dataset: MultiSubjectDataset) -> tuple[float, di
     return loss(model, *stacked(dataset, model))
 
 
-def _fit(model: Model, x, idx, labels, config: TrainConfig, params: dict[str, np.ndarray],
-         start: int, after_step):
+def _fit(model: Model, x, idx, labels, config: TrainConfig, names: list[str], start: int,
+         after_step):
     """The mini-batch loop; yields (mean training loss, steps so far) after each epoch.
 
-    ``params`` are the trainable arrays: for each name, rows ``start:`` of
-    the model parameter of that name (``start=0`` trains whole arrays).
-    ``after_step(step, loss)`` runs after every optimizer step.  The caller
-    decides when to stop by leaving the loop.  Raises DivergenceError with
-    the offending step index if the loss leaves the finite range.
+    It trains rows ``start:`` of the model parameters ``names`` (``start=0``
+    trains whole arrays) with the flat gradient of those rows alone, clipped
+    to ``grad_clip``.  ``after_step(step, loss)`` runs after every step.  The
+    caller decides when to stop by leaving the loop.  Raises DivergenceError
+    with the offending step index if the loss leaves the finite range.
     """
     rng = SeededRng(config.seed)
-    optimizer = make_optimizer(config)
+    params = model.params()
+    trainable = [params[name][start:] for name in names]
+    optimizer = (Sgd(trainable, config.lr) if config.optimizer == "sgd"
+                 else Adam(trainable, config.lr, config.beta1, config.beta2, config.eps))
     noise = rng if model.spec.objective == "vae" else None
     step = 0
     for _epoch in range(config.epochs):
@@ -241,9 +232,10 @@ def _fit(model: Model, x, idx, labels, config: TrainConfig, params: dict[str, np
             value, _, grads = loss_and_grads(model, x[rows], idx[rows], batch_labels, noise)
             if not math.isfinite(value):
                 raise DivergenceError(step)
+            g = np.concatenate([grads[name][start:].ravel() for name in names])
             if config.grad_clip is not None:
-                clip_gradients(grads, config.grad_clip)
-            optimizer.step(params, {name: grads[name][start:] for name in params})
+                clip_gradients(g, config.grad_clip)
+            optimizer.step(g)
             step += 1
             after_step(step, value)
             epoch_loss += value * len(rows)
@@ -283,7 +275,7 @@ def _train_epochs(model: Model, train_set: MultiSubjectDataset, val_set: MultiSu
     best_snap = None
     since_best = 0
     yield best_snap
-    epochs = _fit(model, x, idx, labels, config, model.params(), 0, reproject)
+    epochs = _fit(model, x, idx, labels, config, list(model.params()), 0, reproject)
     for epoch, (train_loss, step) in enumerate(epochs):
         history.n_steps = step
         val_loss, val_terms = evaluate_loss(model, val_set)
@@ -355,7 +347,7 @@ def parameter_digest(model: Model, exclude_subject_rows: tuple[int, ...] = ()) -
     Used to certify that fine-tuning left every pre-existing weight
     bit-identical.
     """
-    per_subject = _per_subject_views(model, 0)
+    per_subject = _per_subject_names(model)
     digest = hashlib.sha256()
     for name, arr in sorted(model.params().items()):
         if name in per_subject:
@@ -371,11 +363,11 @@ class FinetuneResult:
     history: TrainHistory
 
 
-def _per_subject_views(model: Model, start: int) -> dict[str, np.ndarray]:
-    """Rows ``start:`` of each map's per-subject parameter, keyed by model parameter name."""
-    return {f"{prefix}.{m.subject_param}": m.params()[m.subject_param][start:]
+def _per_subject_names(model: Model) -> list[str]:
+    """The model parameter name of each map's per-subject parameter."""
+    return [f"{prefix}.{m.subject_param}"
             for prefix, m in (("enc_map", model.enc_map), ("dec_map", model.dec_map))
-            if m is not None and m.subject_param is not None}
+            if m is not None and m.subject_param is not None]
 
 
 def add_subjects(model: Model, new_ids) -> np.ndarray:
@@ -420,12 +412,10 @@ def finetune_subjects(model: Model, new_data: MultiSubjectDataset,
 
     started = time.perf_counter()
     new_idx = add_subjects(model, new_data.subject_ids)
-    start = int(new_idx[0])
-    views = _per_subject_views(model, start)
     x, idx, labels = stacked(new_data, model)
     window: deque[float] = deque(maxlen=10)
     history = TrainHistory(config_hash=config.digest())
-    epochs = _fit(model, x, idx, labels, config, views, start,
+    epochs = _fit(model, x, idx, labels, config, _per_subject_names(model), int(new_idx[0]),
                   lambda _step, value: window.append(value))
     for train_loss, step in epochs:
         history.n_steps = step

@@ -232,6 +232,30 @@ class TestChecksBeforeWork:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith(f"config error: {message}")
 
+    @pytest.mark.parametrize("split_values", [
+        {"scheme": "first_second_half"}, {"scheme": "subject_holdout", "n_holdout": 1},
+        {"scheme": "none"}, {"val_fraction": 0},
+    ])
+    def test_sweep_split_without_validation_set_exits_one_before_the_data_is_read(
+            self, tmp_path, capsys, split_values):
+        # with a missing data file each exited 2 with runtime error: FileNotFoundError
+        payload = dict(train_config(tmp_path / "missing.smds"),
+                       sweep={"axes": {"epochs": [1]}, "seeds": [1]})
+        payload["data"]["split"].update(split_values)
+        cfg = write_config(tmp_path / "c.json", payload)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: sweep needs a split scheme that produces a validation set")
+
+    def test_sweep_validation_set_of_no_rows_is_config_error(self, tmp_path, synth_file,
+                                                             capsys):
+        payload = dict(train_config(synth_file), sweep={"axes": {"epochs": [1]}, "seeds": [1]})
+        payload["data"]["split"]["val_fraction"] = 0.01  # 0.01 of 20 rows rounds to 0
+        cfg = write_config(tmp_path / "c.json", payload)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: sweep needs a validation set; val_fraction gives it no rows")
+
     @pytest.mark.parametrize("workers", ["-2", "0"])
     def test_workers_below_one_exits_one_before_a_file_is_read(self, tmp_path, capsys, workers):
         # -2 ran the sweep serially and 0 meant the CPU count; both exited 0

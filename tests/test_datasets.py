@@ -356,6 +356,17 @@ class TestSerialization:
             load_dataset(tmp_path / "manifest.json", fmt="csv")
         assert "oddball" in str(err.value)
 
+    @pytest.mark.parametrize("n_features", [3, None])
+    def test_manifest_empty_csv_is_shape_error(self, tmp_path, n_features):
+        # with n_features the empty file raised a raw IndexError from data.shape[1]
+        (tmp_path / "subj.csv").write_text("")
+        manifest = {"subjects": [{"subject_id": "x", "csv_path": "subj.csv"}]}
+        if n_features is not None:
+            manifest["n_features"] = n_features
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ShapeError, match="'x' data must be 2-D"):
+            load_dataset(tmp_path / "manifest.json", fmt="csv")
+
     def test_manifest_ragged_csv(self, tmp_path):
         (tmp_path / "subj.csv").write_text("1,2,3\n4,5\n")
         manifest = {"subjects": [{"subject_id": "x", "csv_path": "subj.csv"}]}

@@ -16,6 +16,7 @@ from subjmap.maps import GroupMap
 from subjmap.models import DenseLayer
 from subjmap.training import (
     Adam,
+    Sgd,
     SweepResult,
     TrainConfig,
     add_subjects,
@@ -110,29 +111,23 @@ class TestTrainLoop:
 
 
 class TestGradClip:
-    def grads(self):
-        rng = SeededRng(4)
-        return {"a": rng.normal((3, 4)), "b": rng.normal(5)}
-
     @staticmethod
-    def norm(grads):
-        return math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    def norm(g):
+        return math.sqrt(sum(float(v) * float(v) for v in g))
 
     def test_above_max_norm_rescaled_to_it(self):
-        grads = self.grads()
-        total = self.norm(grads)
-        originals = {k: g.copy() for k, g in grads.items()}
-        training.clip_gradients(grads, total / 3)
-        assert self.norm(grads) == pytest.approx(total / 3, rel=1e-14)
-        for k, g in grads.items():  # one common scale: the direction is kept
-            np.testing.assert_allclose(g * 3, originals[k], rtol=1e-14)
+        g = SeededRng(4).normal(17)
+        total = self.norm(g)
+        original = g.copy()
+        training.clip_gradients(g, total / 3)
+        assert self.norm(g) == pytest.approx(total / 3, rel=1e-14)
+        np.testing.assert_allclose(g * 3, original, rtol=1e-14)  # the direction is kept
 
     def test_below_max_norm_byte_equal(self):
-        grads = self.grads()
-        originals = {k: g.copy() for k, g in grads.items()}
-        training.clip_gradients(grads, self.norm(grads) * 1.01)
-        for k, g in grads.items():
-            assert g.tobytes() == originals[k].tobytes()
+        g = SeededRng(4).normal(17)
+        original = g.copy()
+        training.clip_gradients(g, self.norm(g) * 1.01)
+        assert g.tobytes() == original.tobytes()
 
     def test_loose_clip_reproduces_unclipped_training(self):
         data = toy_dataset(labelled=False)
@@ -189,6 +184,17 @@ class TestConfigRanges:
         assert res.rows[1]["error"] is None and res.winner_index == 1
 
 
+class PerArraySgd:
+    """SGD stepping each parameter array on its own: the oracle for the flat ``Sgd``."""
+
+    def __init__(self, lr):
+        self.lr = lr
+
+    def step(self, params, grads):
+        for name, p in params.items():
+            p -= self.lr * grads[name]
+
+
 class PerArrayAdam:
     """Adam stepping each parameter array on its own: the oracle for the flat ``Adam``."""
 
@@ -225,17 +231,21 @@ class TestAdam:
                                 "dec_map.s": model["dec_map.s"][3:]})
         return model, params
 
-    @pytest.mark.parametrize("lr,betas", [(0.01, (0.9, 0.999)), (0.3, (0.5, 0.0))])
-    def test_flat_state_matches_per_array_steps(self, lr, betas):
+    @pytest.mark.parametrize("optimizer,lr,betas", [
+        ("adam", 0.01, (0.9, 0.999)), ("adam", 0.3, (0.5, 0.0)), ("sgd", 0.01, ())])
+    def test_flat_state_matches_per_array_steps(self, optimizer, lr, betas):
         flat_model, flat_params = self.mixed_params(SeededRng(7))
         ref_model, ref_params = self.mixed_params(SeededRng(7))
-        flat, ref = Adam(lr, *betas), PerArrayAdam(lr, *betas)
+        if optimizer == "adam":
+            flat, ref = Adam(flat_params.values(), lr, *betas), PerArrayAdam(lr, *betas)
+        else:
+            flat, ref = Sgd(flat_params.values(), lr), PerArraySgd(lr)
         rng = SeededRng(8)
         for step in range(500):
             grads = {name: rng.normal(p.shape) * 10.0 ** rng.integers(-6, 3)
                      for name, p in ref_params.items()}
             grads["trunk.0.b"][step % 6] = 0.0 if step % 2 else -0.0
-            flat.step(flat_params, grads)
+            flat.step(np.concatenate([grads[name].ravel() for name in flat_params]))
             ref.step(ref_params, grads)
         for name in ref_model:
             assert flat_model[name].tobytes() == ref_model[name].tobytes(), name
@@ -243,37 +253,16 @@ class TestAdam:
         untouched, _ = self.mixed_params(SeededRng(7))
         assert flat_model["dec_map.s"][:3].tobytes() == untouched["dec_map.s"][:3].tobytes()
 
-    @pytest.mark.parametrize("change", ["shape", "name", "order", "count"])
-    def test_changed_parameter_layout_raises(self, change):
-        _, params = self.mixed_params(SeededRng(7))
-        opt = Adam(lr=0.1)
-        opt.step(params, {name: np.ones_like(p) for name, p in params.items()})
-        m, v = opt.m.copy(), opt.v.copy()
-        names = list(params)
-        if change == "shape":
-            params["dec_map.s"] = np.zeros((5, 4))
-        elif change == "name":
-            params["renamed"] = params.pop("trunk.0.b")
-        elif change == "order":
-            params = {name: params[name] for name in reversed(names)}
-        else:
-            del params["trunk.0.w"]
-        with pytest.raises(ShapeError, match="laid out for"):
-            opt.step(params, {name: np.ones_like(p) for name, p in params.items()})
-        assert opt.t == 1
-        assert np.array_equal(opt.m, m) and np.array_equal(opt.v, v)
-
     def test_zero_gradient_is_noop(self):
-        p = {"w": np.array([1.0, -2.0, 3.0])}
-        before = p["w"].copy()
-        opt = Adam(lr=0.1)
-        opt.step(p, {"w": np.zeros(3)})
-        np.testing.assert_array_equal(p["w"], before)
+        w = np.array([1.0, -2.0, 3.0])
+        before = w.copy()
+        Adam([w], lr=0.1).step(np.zeros(3))
+        np.testing.assert_array_equal(w, before)
 
     def test_step_moves_against_gradient(self):
-        p = {"w": np.zeros(3)}
-        Adam(lr=0.1).step(p, {"w": np.array([1.0, -1.0, 2.0])})
-        assert np.all(p["w"][0] < 0) and p["w"][1] > 0
+        w = np.zeros(3)
+        Adam([w], lr=0.1).step(np.array([1.0, -1.0, 2.0]))
+        assert w[0] < 0 and w[1] > 0
 
 
 class TestGradCheck:
@@ -328,6 +317,27 @@ class TestFinetune:
                                                early_stop_patience=None))
         after = parameter_digest(model, tuple(int(i) for i in result.new_indices))
         assert before == after
+
+    def test_clip_above_applied_rows_norm_changes_nothing(self):
+        # the clip took the norm of every model gradient, frozen weights included: at
+        # the first step that norm is 0.087 and the new rows' is 0.016, yet a 0.05
+        # clip changed the fine-tuned rows
+        data, _ = synth_group_dataset(8, 40, 12, 3, 1.0, seed=1)
+        seen = MultiSubjectDataset(data.subjects[:6], dict(data.metadata))
+        unseen = MultiSubjectDataset(data.subjects[6:], dict(data.metadata))
+        spec = ModelSpec(variant="decomposed", objective="autoencoder", input_size=12,
+                         first_layer_width=6, latent_size=3, n_subjects=6, trunk_widths=(8,))
+        runs = []
+        for grad_clip in (None, 0.05):
+            model = build_model(spec, seed=0, subject_ids=seen.subject_ids)
+            model, _ = train(model, seen, seen,
+                             TrainConfig(lr=0.01, epochs=3, batch_size=16, seed=0))
+            result = finetune_subjects(model, unseen,
+                                       TrainConfig(lr=0.01, epochs=5, batch_size=16, seed=3,
+                                                   early_stop_patience=None,
+                                                   grad_clip=grad_clip))
+            runs.append((parameter_digest(model), result.history.train_losses))
+        assert runs[0] == runs[1]
 
     def test_single_timestep_fraction_runs(self):
         model, _, unseen, _ = self.setup_trained(seed=1)
