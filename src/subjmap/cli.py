@@ -630,6 +630,9 @@ def _cmd_analyze(config: dict, out_dir: Path, config_dir: Path, workers: int) ->
         raise ConfigError(f"analysis.tol must be finite and at least 0, got {section['tol']!r}")
     dataset = _load_data(config["data"], config_dir)
     model, _ = checkpoint.load_model(_relative(config, config_dir, "checkpoint"))
+    if model.spec.objective == "classifier":
+        raise ConfigError("analyze needs a checkpoint that reconstructs its input, "
+                          "not a classifier")
     # the ICA input is one row per (subject, latent dimension, grid point), one column per feature
     n_rows = dataset.n_subjects * model.spec.latent_size * section["grid_points"]
     if section["k"] > min(n_rows, model.spec.input_size):

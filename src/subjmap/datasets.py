@@ -286,7 +286,7 @@ def _take_all(dataset: MultiSubjectDataset, rows) -> MultiSubjectDataset:
     rows = np.asarray(rows, dtype=np.intp)
     shortest = min(rec.n_timesteps for rec in dataset.subjects)
     if rows.size and (rows.min() < 0 or rows.max() >= shortest):
-        raise IndexError(f"timestep rows out of range [0, {shortest})")
+        raise ShapeError(f"timestep rows out of range [0, {shortest})")
     taken = MultiSubjectDataset._empty(
         [(rec.subject_id, rows.size, None if rec.labels is None else rec.labels[rows], rec.group)
          for rec in dataset.subjects], dataset.n_features, dict(dataset.metadata))

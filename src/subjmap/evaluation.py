@@ -101,7 +101,7 @@ def probe_classify(embeddings, labels, n_folds: int = 5, kernel_gamma="auto",
 def recon_improvement(model_mse: float, baseline_mse: float) -> float:
     """Percentage reduction in MSE relative to a baseline model."""
     if baseline_mse <= 0:
-        raise ValueError(f"baseline MSE must be positive, got {baseline_mse}")
+        raise ConfigError(f"baseline MSE must be positive, got {baseline_mse}")
     return 100.0 * (baseline_mse - model_mse) / baseline_mse
 
 

@@ -15,9 +15,11 @@ validates both and returns ``(out, cache)``; the exact analytic
 returns ``(grad_x, grads)``, with ``grad_x`` None when not needed.  Bias
 vectors are shared across subjects in every family, so subject differences
 live purely in the linear part, in the one parameter that each family names
-as its ``subject_param`` (``None`` for ``GroupMap``).  ``forward`` adds the
-bias in place into the product it just made: the same sum as
-``product + bias``, without a second batch-sized array (B x N for an output map).
+as its ``subject_param`` (``None`` for ``GroupMap``).  With ``params()``, this
+is the layer protocol ``models.DenseLayer`` shares, so a model runs a map and
+its dense trunk as one chain.  ``forward`` adds the bias in place into the
+product it just made: the same sum as ``product + bias``, without a second
+batch-sized array (B x N for an output map).
 
 A per-subject gradient sums the batch rows of each subject.  ``backward``
 builds it with one ``np.bincount`` over the flat element index
@@ -188,7 +190,7 @@ class DecomposedMap(_PerSubject):
     def __init__(self, v: np.ndarray, u: np.ndarray, s: np.ndarray, bias: np.ndarray,
                  direction: str = "reduce"):
         if direction not in ("reduce", "expand"):
-            raise ValueError(f"direction must be 'reduce' or 'expand', got {direction!r}")
+            raise ConfigError(f"direction must be 'reduce' or 'expand', got {direction!r}")
         self.v = np.asarray(v, dtype=np.float64)
         self.u = np.asarray(u, dtype=np.float64)
         self.s = np.asarray(s, dtype=np.float64)
@@ -297,5 +299,5 @@ def param_count(variant: str, regime: ParamRegime, *, both_sides: bool = False) 
     elif variant == "decomposed":
         n = us * hs + hs * hs + hs * ns
     else:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+        raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     return 2 * n if both_sides else n

@@ -11,11 +11,16 @@ Losses:
   vae          MSE reconstruction plus beta * KL(N(mu, sigma^2) || N(0, I)),
                with log-variances clamped to [-20, 20]
 
-Every map and dense layer returns from ``forward`` the cache its ``backward``
-consumes.  ``encode``, ``decode`` and the loss share one encoder pass and one
-decoder pass, so the loss sees what they return, the same ``eps`` draw
-included.  ``loss_and_grads`` returns exact analytic gradients for every
-parameter; see ``training.grad_check`` for the finite-difference gate.
+Maps and dense layers share one protocol: ``params()``, ``forward(x,
+subject_idx) -> (out, cache)``, ``backward(grad, cache, need_input_grad)``
+and ``subject_param``.  A model is two ``(name, layer)`` chains, built once:
+the encoder ``enc_map, enc.0, ...`` and the decoder ``dec.0, ..., dec_map``
+(empty for a classifier); ``<name>.<param>`` names each parameter and
+checkpoint blob.  One forward and one backward pass walk either chain, and a
+pass without gradients keeps no layer's cache.  ``encode``, ``decode`` and
+the loss share these passes, the same ``eps`` draw included.
+``loss_and_grads`` returns exact analytic gradients for every parameter; see
+``training.grad_check`` for the finite-difference gate.
 
 Biases, tanh, the squared residual and the output gradient are computed in
 place, in arrays the pass has just made.  Each is the same IEEE operation on
@@ -84,9 +89,11 @@ class ModelSpec:
 class DenseLayer:
     """Affine layer with optional tanh."""
 
+    subject_param = None
+
     def __init__(self, w: np.ndarray, b: np.ndarray, activation: str = "tanh"):
         if activation not in ("tanh", "linear"):
-            raise ValueError(f"unknown activation {activation!r}")
+            raise ConfigError(f"unknown activation {activation!r}")
         self.w = np.asarray(w, dtype=np.float64)
         self.b = np.asarray(b, dtype=np.float64)
         self.activation = activation
@@ -95,17 +102,21 @@ class DenseLayer:
     def initialize(cls, n_in: int, n_out: int, rng: SeededRng, activation: str) -> "DenseLayer":
         return cls(glorot_uniform(rng, n_in, n_out), np.zeros(n_out), activation)
 
-    def forward(self, x: np.ndarray):
+    def params(self) -> dict[str, np.ndarray]:
+        return {"w": self.w, "b": self.b}
+
+    def forward(self, x: np.ndarray, subject_idx=None):
         y = x @ self.w
         y += self.b
         if self.activation == "tanh":
             np.tanh(y, out=y)
         return y, (x, y)
 
-    def backward(self, grad_y: np.ndarray, cache):
+    def backward(self, grad_y: np.ndarray, cache, need_input_grad: bool = True):
         x, y = cache
         pre = grad_y * (1.0 - y * y) if self.activation == "tanh" else grad_y
-        return pre @ self.w.T, {"w": x.T @ pre, "b": pre.sum(axis=0)}
+        grad_x = pre @ self.w.T if need_input_grad else None
+        return grad_x, {"w": x.T @ pre, "b": pre.sum(axis=0)}
 
 
 @dataclass
@@ -127,6 +138,12 @@ class Model:
     dec_map: GroupMap | SubjectMap | DecomposedMap | None = None
     init_seed: int = 0
 
+    def __post_init__(self):
+        self.encoder = [("enc_map", self.enc_map),
+                        *((f"enc.{i}", layer) for i, layer in enumerate(self.enc_layers))]
+        self.decoder = [*((f"dec.{i}", layer) for i, layer in enumerate(self.dec_layers)),
+                        *([("dec_map", self.dec_map)] if self.dec_map is not None else [])]
+
     @property
     def n_subjects(self) -> int:
         return len(self.subject_ids)
@@ -145,24 +162,15 @@ class Model:
                 return np.array([lookup.get(s, 0) for s in ids], dtype=np.int64)
             raise UnknownSubject(f"subject id {exc.args[0]!r} not in model") from None
 
+    def layers(self) -> list:
+        return self.encoder + self.decoder
+
     def params(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for name, arr in self.enc_map.params().items():
-            out[f"enc_map.{name}"] = arr
-        for i, layer in enumerate(self.enc_layers):
-            out[f"enc.{i}.w"] = layer.w
-            out[f"enc.{i}.b"] = layer.b
-        for i, layer in enumerate(self.dec_layers):
-            out[f"dec.{i}.w"] = layer.w
-            out[f"dec.{i}.b"] = layer.b
-        if self.dec_map is not None:
-            for name, arr in self.dec_map.params().items():
-                out[f"dec_map.{name}"] = arr
-        return out
+        return {f"{name}.{key}": arr
+                for name, layer in self.layers() for key, arr in layer.params().items()}
 
     def decomposed_maps(self) -> list[DecomposedMap]:
-        maps = [m for m in (self.enc_map, self.dec_map) if isinstance(m, DecomposedMap)]
-        return maps
+        return [layer for _, layer in self.layers() if isinstance(layer, DecomposedMap)]
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {k: v.copy() for k, v in self.params().items()}
@@ -219,19 +227,26 @@ def build_model(spec: ModelSpec, seed: int, subject_ids=None) -> Model:
                  init_seed=int(seed))
 
 
-def _run_layers(layers: list[DenseLayer], h: np.ndarray):
+def _forward(chain: list, h: np.ndarray, subject_idx, keep_caches: bool):
+    """(output, caches) of ``h`` through ``chain``.  Without ``keep_caches`` no cache outlives
+    its layer's call, so each intermediate is freed once the next layer has returned."""
     caches = []
-    for layer in layers:
-        h, cache = layer.forward(h)
-        caches.append(cache)
+    for _, layer in chain:
+        if keep_caches:
+            h, cache = layer.forward(h, subject_idx)
+            caches.append(cache)
+        else:
+            h = layer.forward(h, subject_idx)[0]
     return h, caches
 
 
-def _back_layers(layers, caches, grad, grads_out: dict, prefix: str):
-    for i in range(len(layers) - 1, -1, -1):
-        grad, layer_grads = layers[i].backward(grad, caches[i])
-        grads_out[f"{prefix}.{i}.w"] = layer_grads["w"]
-        grads_out[f"{prefix}.{i}.b"] = layer_grads["b"]
+def _backward(chain: list, caches: list, grad: np.ndarray, grads: dict, need_input_grad: bool):
+    """Gradient of ``chain``'s input; each parameter's lands in ``grads`` by its params name."""
+    for i in range(len(chain) - 1, -1, -1):
+        name, layer = chain[i]
+        grad, layer_grads = layer.backward(grad, caches[i], need_input_grad or i > 0)
+        for key, g in layer_grads.items():
+            grads[f"{name}.{key}"] = g
     return grad
 
 
@@ -243,33 +258,17 @@ def _split_head(head: np.ndarray, d: int):
     return mu, logvar, mask
 
 
-def _encoder_forward(model: Model, x, subject_idx, rng, keep_cache: bool = False):
-    """Encoder pass behind ``encode`` and the loss: (latent, xb, cache).
-
-    cache is (map_cache, layer_caches, eps, clip_mask).  map_cache is None
-    unless ``keep_cache``, so passes without gradients free it before the
-    trunk runs; eps and clip_mask are set only for the VAE, eps only with rng.
-    """
+def _encoder_forward(model: Model, x, subject_idx, rng, keep_caches: bool = False):
+    """(latent, xb, (caches, eps, clip_mask)); eps and clip_mask only for the VAE, eps with rng."""
     spec = model.spec
     xb = np.asarray(x, dtype=np.float64)
-    h0, map_cache = model.enc_map.forward(xb, subject_idx)
-    map_cache = map_cache if keep_cache else None
-    head, layer_caches = _run_layers(model.enc_layers, h0)
+    head, caches = _forward(model.encoder, xb, subject_idx, keep_caches)
     if spec.objective != "vae":
-        return LatentBatch(z=head), xb, (map_cache, layer_caches, None, None)
+        return LatentBatch(z=head), xb, (caches, None, None)
     mu, logvar, clip_mask = _split_head(head, spec.latent_size)
     eps = None if rng is None else rng.normal(mu.shape)
     z = mu.copy() if eps is None else mu + np.exp(0.5 * logvar) * eps
-    return LatentBatch(z=z, mu=mu, logvar=logvar), xb, (map_cache, layer_caches, eps, clip_mask)
-
-
-def _decoder_forward(model: Model, z, subject_idx):
-    """The decoder pass behind ``decode`` and the loss: (xhat, (layer_caches, map_cache))."""
-    if model.dec_map is None:
-        raise ValueError("classifier models have no decoder")
-    h, layer_caches = _run_layers(model.dec_layers, np.asarray(z, dtype=np.float64))
-    xhat, map_cache = model.dec_map.forward(h, subject_idx)
-    return xhat, (layer_caches, map_cache)
+    return LatentBatch(z=z, mu=mu, logvar=logvar), xb, (caches, eps, clip_mask)
 
 
 def encode(model: Model, x, subject_idx, rng: SeededRng | None = None) -> LatentBatch:
@@ -282,7 +281,9 @@ def encode(model: Model, x, subject_idx, rng: SeededRng | None = None) -> Latent
 
 
 def decode(model: Model, z, subject_idx) -> np.ndarray:
-    return _decoder_forward(model, z, subject_idx)[0]
+    if not model.decoder:
+        raise ConfigError("classifier models have no decoder")
+    return _forward(model.decoder, np.asarray(z, dtype=np.float64), subject_idx, False)[0]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -309,8 +310,8 @@ def loss_and_grads(model: Model, x, subject_idx, labels=None, rng: SeededRng | N
 
 def _loss_impl(model: Model, x, subject_idx, labels, rng, need_grads: bool):
     spec = model.spec
-    latent, xb, (emap_cache, enc_caches, eps, clip_mask) = _encoder_forward(
-        model, x, subject_idx, rng, keep_cache=need_grads)
+    latent, xb, (enc_caches, eps, clip_mask) = _encoder_forward(
+        model, x, subject_idx, rng, keep_caches=need_grads)
     batch = xb.shape[0]
     grads: dict[str, np.ndarray] = {}
 
@@ -331,7 +332,7 @@ def _loss_impl(model: Model, x, subject_idx, labels, rng, need_grads: bool):
         grad_head[np.arange(batch), y] -= 1.0
         grad_head /= batch
     else:
-        xhat, (dec_caches, dmap_cache) = _decoder_forward(model, latent.z, subject_idx)
+        xhat, dec_caches = _forward(model.decoder, latent.z, subject_idx, need_grads)
         resid = np.subtract(xhat, xb, out=xhat)  # xhat is dead: one fewer B x N array at peak
         if need_grads:
             mse = float((resid * resid).mean())
@@ -350,10 +351,7 @@ def _loss_impl(model: Model, x, subject_idx, labels, rng, need_grads: bool):
             return value, breakdown, None
 
         grad_xhat = np.multiply(resid, 2.0 / resid.size, out=resid)
-        grad_hdec, dmap_grads = model.dec_map.backward(grad_xhat, dmap_cache)
-        for name, g in dmap_grads.items():
-            grads[f"dec_map.{name}"] = g
-        grad_z = _back_layers(model.dec_layers, dec_caches, grad_hdec, grads, "dec")
+        grad_z = _backward(model.decoder, dec_caches, grad_xhat, grads, True)
         if spec.objective == "vae":
             grad_mu = grad_z + spec.beta * mu / batch
             grad_logvar = spec.beta * 0.5 * (np.exp(logvar) - 1.0) / batch
@@ -363,10 +361,7 @@ def _loss_impl(model: Model, x, subject_idx, labels, rng, need_grads: bool):
         else:
             grad_head = grad_z
 
-    grad_h0 = _back_layers(model.enc_layers, enc_caches, grad_head, grads, "enc")
-    _, emap_grads = model.enc_map.backward(grad_h0, emap_cache, need_input_grad=False)
-    for name, g in emap_grads.items():
-        grads[f"enc_map.{name}"] = g
+    _backward(model.encoder, enc_caches, grad_head, grads, False)
     return value, breakdown, grads
 
 
@@ -378,8 +373,6 @@ def latent_traversal(model: Model, dim: int, grid, subject_idx=None) -> np.ndarr
     Returns an array of shape (n_subjects, len(grid), N).
     """
     spec = model.spec
-    if spec.objective == "classifier":
-        raise ValueError("latent traversal needs a decoding objective")
     if not 0 <= dim < spec.latent_size:
         raise ShapeError(f"latent dim {dim} out of range [0, {spec.latent_size})")
     grid = np.asarray(grid, dtype=np.float64).ravel()

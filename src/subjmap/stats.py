@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import atomic_write
-from .errors import ConfigError, GroupCountError, InvalidP, ShapeError
+from .errors import ConfigError, ConvergenceError, GroupCountError, InvalidP, ShapeError
 from .linalg import SeededRng, as_matrix, pin_signs, svd_small
 from .models import Model, latent_traversal
 
@@ -131,7 +131,7 @@ def _betacf(a: float, b: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < 1e-15:
             return h
-    raise RuntimeError("incomplete beta continued fraction failed to converge")
+    raise ConvergenceError("incomplete beta continued fraction failed to converge")
 
 
 def betainc_reg(a: float, b: float, x: float) -> float:
@@ -151,7 +151,7 @@ def betainc_reg(a: float, b: float, x: float) -> float:
 def t_sf_two_sided(t: float, df: float) -> float:
     """P(|T| >= |t|) for Student's t with ``df`` degrees of freedom."""
     if df <= 0:
-        raise ValueError(f"degrees of freedom must be positive, got {df}")
+        raise ShapeError(f"degrees of freedom must be positive, got {df}")
     if t == 0.0:
         return 1.0
     return betainc_reg(df / 2.0, 0.5, df / (df + t * t))

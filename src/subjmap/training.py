@@ -364,10 +364,9 @@ class FinetuneResult:
 
 
 def _per_subject_names(model: Model) -> list[str]:
-    """The model parameter name of each map's per-subject parameter."""
-    return [f"{prefix}.{m.subject_param}"
-            for prefix, m in (("enc_map", model.enc_map), ("dec_map", model.dec_map))
-            if m is not None and m.subject_param is not None]
+    """The model parameter name of each layer's per-subject parameter."""
+    return [f"{name}.{layer.subject_param}"
+            for name, layer in model.layers() if layer.subject_param is not None]
 
 
 def add_subjects(model: Model, new_ids) -> np.ndarray:
@@ -377,15 +376,15 @@ def add_subjects(model: Model, new_ids) -> np.ndarray:
     centers each new subject in the learned weight distribution.
     """
     new_ids = tuple(new_ids)
-    if model.enc_map.subject_param is None:
+    per_subject = [layer for _, layer in model.layers() if layer.subject_param is not None]
+    if not per_subject:
         raise NoSubjectWeights("group models have no per-subject weights to add")
     clash = set(new_ids) & set(model.subject_ids)
     if clash:
         raise DuplicateSubject(f"subjects already registered: {sorted(clash)}")
     count = len(new_ids)
-    for m in (model.enc_map, model.dec_map):
-        if m is not None:
-            m.add_subjects(count)
+    for layer in per_subject:
+        layer.add_subjects(count)
     start = len(model.subject_ids)
     model.subject_ids = model.subject_ids + new_ids
     model.spec = replace(model.spec, n_subjects=model.spec.n_subjects + count)
@@ -536,11 +535,11 @@ def hyperparameter_sweep(base_spec: ModelSpec, base_config: TrainConfig, setting
 
     ``metric`` is ``"val_loss"`` (lower is better) or, when every cell trains
     a classifier, ``"val_accuracy"`` (higher is better); ``None`` picks the
-    first of these that applies.  Setting keys and the metric are checked
-    before any cell runs.  Cell failures are recorded in their row and
-    excluded from the means; when every cell fails there is no winner and
-    ``SweepFailed`` is raised with the first cell's error.  Results are merged
-    in (setting, seed) order regardless of worker scheduling.
+    first of these that applies.  The validation set, setting keys and the
+    metric are checked before any cell runs.  Cell failures are recorded in
+    their row and excluded from the means; when every cell fails there is no
+    winner and ``SweepFailed`` is raised with the first cell's error.  Results
+    are merged in (setting, seed) order regardless of worker scheduling.
 
     Cells with one seed whose settings differ only in ``epochs`` share one
     training run up to their largest cap (see ``_sweep_cell``); each row is
@@ -550,6 +549,8 @@ def hyperparameter_sweep(base_spec: ModelSpec, base_config: TrainConfig, setting
     seeds = list(seeds)
     if not settings or not seeds:
         raise ConfigError(f"sweep needs at least one setting and one seed, got seeds {seeds}")
+    if val_set is None:
+        raise ConfigError("sweep needs a validation set to rank its settings by")
     classifier = all(setting.get("objective", base_spec.objective) == "classifier"
                      for setting in settings)
     choices = ("val_accuracy", "val_loss") if classifier else ("val_loss",)

@@ -734,10 +734,12 @@ class TestEvaluateAnalyzeFinetune:
         assert tuned["baseline_mse"] == scored["baseline_mse"]
         assert tuned["improvement_pct"] == scored["improvement_pct"]
 
-    @pytest.mark.parametrize("command", ["evaluate", "finetune"])
+    @pytest.mark.parametrize("command", ["evaluate", "finetune", "analyze"])
     def test_classifier_without_reconstruction_is_config_error(self, tmp_path, capsys, command):
-        # a classifier baseline ended in MissingLabels and a fine-tuned classifier
-        # in "classifier models have no decoder", both with exit 2
+        # a classifier baseline ended in MissingLabels, a fine-tuned classifier in
+        # "classifier models have no decoder" and an analyzed one in GroupCountError
+        # (or, on data with two groups, "latent traversal needs a decoding objective"),
+        # each with exit 2
         def labelled(prefix, seed):
             samples, labels = half_moons(40, 0.1, seed)
             data, _ = rotate_subjects(samples, labels, 3, seed=seed)
@@ -758,6 +760,10 @@ class TestEvaluateAnalyzeFinetune:
                        "checkpoint": str(tmp_path / "model.ckpt"),
                        "eval": {"baseline_checkpoint": str(tmp_path / "clf.ckpt")}}
             named = "baseline_mse"
+        elif command == "analyze":
+            payload = {"data": {"path": str(tmp_path / "data.smds")},
+                       "checkpoint": str(tmp_path / "clf.ckpt"), "analysis": {"k": 1}}
+            named = "analyze"
         else:
             payload = {"data": {"path": str(tmp_path / "new_data.smds")},
                        "checkpoint": str(tmp_path / "clf.ckpt"), "finetune": {"epochs": 1}}

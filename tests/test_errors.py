@@ -43,6 +43,13 @@ def test_named_by_a_test(name):
     assert re.search(rf"\b{name}\b", TESTS), f"{name} is named by no file under tests/"
 
 
+def test_src_raises_no_builtin_error():
+    # callers catch SubjmapError; a builtin raised by the package escapes them
+    builtin = re.compile(r"\braise (ValueError|TypeError|KeyError|IndexError|RuntimeError)\b")
+    found = [line.strip() for line in SRC.splitlines() if builtin.search(line)]
+    assert not found, f"src/ raises builtins: {found}"
+
+
 def test_readme_errors_table_lists_every_class():
     assert sorted(EXIT_CODES) == CLASSES, "README's Errors table and errors.py list other classes"
 

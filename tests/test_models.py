@@ -235,6 +235,28 @@ class TestSpecValidation:
         b = build_model(spec, seed=123).params()
         assert all(np.array_equal(a[k], b[k]) for k in a)
 
+    MAP_PARAMS = {"group": ["w", "bias"], "subject": ["w", "bias"],
+                  "decomposed": ["v", "u", "s", "bias"]}
+
+    @pytest.mark.parametrize("objective", ["classifier", "autoencoder", "vae"])
+    @pytest.mark.parametrize("variant", ["group", "subject", "decomposed"])
+    def test_param_names_and_order_pinned(self, variant, objective):
+        # the checkpoint's blob names and order: renaming or reordering one breaks old files
+        spec = ModelSpec(variant=variant, objective=objective, input_size=6, first_layer_width=4,
+                         latent_size=2, n_subjects=3, trunk_widths=(5,),
+                         n_classes=2 if objective == "classifier" else None)
+        model = build_model(spec, seed=0)
+        names = [f"enc_map.{p}" for p in self.MAP_PARAMS[variant]]
+        names += ["enc.0.w", "enc.0.b", "enc.1.w", "enc.1.b"]
+        if objective != "classifier":
+            names += ["dec.0.w", "dec.0.b", "dec.1.w", "dec.1.b"]
+            names += [f"dec_map.{p}" for p in self.MAP_PARAMS[variant]]
+        assert list(model.params()) == names
+        x = SeededRng(1).normal((5, 6))
+        labels = np.array([0, 1, 0, 1, 1]) if objective == "classifier" else None
+        grads = loss_and_grads(model, x, np.array([0, 1, 2, 0, 1]), labels, SeededRng(2))[2]
+        assert sorted(grads) == sorted(names)
+
     def test_decomposed_u_initialized_orthonormal(self):
         spec = ModelSpec(variant="decomposed", objective="autoencoder", input_size=6,
                          first_layer_width=4, latent_size=2, n_subjects=3)

@@ -471,6 +471,15 @@ class TestSweep:
                 settings=[{"lr": 0.01}, {"learning_rate": 0.01}], seeds=[1],
                 train_set=data, val_set=data)
 
+    def test_missing_validation_set_is_config_error(self, monkeypatch):
+        # every cell used to train, then fail on val_set.subject_ids, ending in SweepFailed
+        monkeypatch.setattr(training, "_sweep_cell", lambda job: pytest.fail("a cell ran"))
+        data = toy_dataset(labelled=False, t=30)
+        with pytest.raises(ConfigError, match="validation set"):
+            hyperparameter_sweep(toy_spec(), TrainConfig(epochs=1, batch_size=16),
+                                 settings=[{"lr": 0.01}], seeds=[1], train_set=data,
+                                 val_set=None)
+
     def test_unknown_metric_is_config_error(self):
         data = toy_dataset(labelled=False, t=30)
         with pytest.raises(ConfigError, match="val_mse"):
