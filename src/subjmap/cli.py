@@ -62,6 +62,7 @@ from .training import (
     hyperparameter_sweep,
     parameter_digest,
     train,
+    usable_cpus,
 )
 
 _REQUIRED = object()
@@ -697,13 +698,15 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
     parser.add_argument("--seed", type=int, default=None, help="global seed (overrides config)")
     parser.add_argument("--workers", type=int, default=None,
-                        help="parallel workers for sweep cells (default: cpu count)")
+                        help="parallel workers for sweep cells (default: the CPUs this "
+                             "process may run on); each runs max(1, CPUs // workers) "
+                             "BLAS threads")
     args = parser.parse_args(argv)
 
     try:
         if args.workers is not None and args.workers < 1:
             raise ConfigError(f"--workers must be at least 1, got {args.workers}")
-        workers = args.workers or os.cpu_count() or 1
+        workers = args.workers or usable_cpus()
         config, out_dir = _load_config(args.config, args.command, args.seed, args.out)
         started = time.time()
         metrics, files = _COMMANDS[args.command](config, out_dir,

@@ -16,7 +16,13 @@ for every group of cells that differ only in ``epochs``: a cell capped at 30
 epochs sees the first 30 epochs of its 60-epoch twin (same seed, shuffles
 and patience counter), so the group trains up to its largest cap and records
 each smaller cap's row on the way.  Every row equals what a stand-alone
-``train`` with that cap gives.
+``train`` with that cap gives.  The groups run in a process pool with a CPU
+budget: each worker runs its BLAS on ``max(1, usable_cpus() // workers)``
+threads, set in the pool's initializer, so the workers' BLAS threads do not
+outnumber the CPUs.  The parent and every inline run keep the BLAS's own
+thread count.  OpenBLAS splits a product over its output's rows and columns,
+never its inner dimension, so each output element sums in the same order on
+any thread count and rows do not depend on the worker count.
 
 ``evaluate_loss`` is the one scoring pass: validation, sweep test metrics and
 every score the CLI reports (``train``'s test metric, ``evaluate``'s and
@@ -33,9 +39,11 @@ caller cuts the window.
 from __future__ import annotations
 
 import csv
+import ctypes
 import hashlib
 import json
 import math
+import os
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
@@ -528,6 +536,44 @@ class SweepResult:
                                  for k in keys])
 
 
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on: its affinity set where the
+    platform has one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# OpenBLAS's thread-count setter under the names numpy's wheels link it by: the
+# scipy-openblas build of numpy >= 2 and the 64-bit-suffixed build of numpy 1.x
+_OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_")
+
+
+def _openblas_setter():
+    """numpy's OpenBLAS ``set_num_threads(int)``, or None for a BLAS with no known setter."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    try:
+        lib = ctypes.CDLL(umath.__file__)
+    except OSError:
+        return None
+    for name in _OPENBLAS_SETTERS:
+        setter = getattr(lib, name, None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            return setter
+    return None
+
+
+def _budget_blas_threads(threads: int) -> None:
+    """Sweep pool initializer: run this worker's BLAS on ``threads`` threads."""
+    setter = _openblas_setter()
+    if setter is not None:
+        setter(threads)
+
+
 def hyperparameter_sweep(base_spec: ModelSpec, base_config: TrainConfig, settings: list[dict],
                          seeds, train_set, val_set, test_set=None,
                          metric: str | None = None, workers: int = 1) -> SweepResult:
@@ -544,8 +590,12 @@ def hyperparameter_sweep(base_spec: ModelSpec, base_config: TrainConfig, setting
     Cells with one seed whose settings differ only in ``epochs`` share one
     training run up to their largest cap (see ``_sweep_cell``); each row is
     the one a separate run of its cell would give.  At most ``workers``
-    processes run the groups, and none when there is only one group.
+    processes run the groups, and none when there is only one group; each
+    runs its BLAS on its share of ``usable_cpus()``.  ``workers`` must be an
+    integer of at least 1.
     """
+    if not is_count(workers, 1):
+        raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
     seeds = list(seeds)
     if not settings or not seeds:
         raise ConfigError(f"sweep needs at least one setting and one seed, got seeds {seeds}")
@@ -572,7 +622,10 @@ def hyperparameter_sweep(base_spec: ModelSpec, base_config: TrainConfig, setting
     # a fork pool starts every worker at the first submit: start no more than there are jobs
     workers = min(workers, len(jobs))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # forked workers inherit the parent's BLAS thread count, the CPU count by
+        # default: give each its share, so that their threads do not outnumber the CPUs
+        with ProcessPoolExecutor(max_workers=workers, initializer=_budget_blas_threads,
+                                 initargs=(max(1, usable_cpus() // workers),)) as pool:
             group_rows = list(pool.map(_sweep_cell, jobs, chunksize=1))
     else:
         group_rows = [_sweep_cell(job) for job in jobs]

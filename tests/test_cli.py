@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -468,6 +469,19 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg, "--out", str(out), "--workers", "1"]) == 2
         assert "SweepFailed: all 1 sweep cells failed" in capsys.readouterr().err
         assert not (out / "results.json").exists()
+
+    @pytest.mark.parametrize("affinity,pools", [({0}, []), ({0, 2}, [(2, (1,))]),
+                                                ({0, 1, 2, 3, 4, 5, 6}, [(3, (2,))])])
+    def test_default_workers_are_the_cpus_this_process_may_run_on(
+            self, tmp_path, synth_file, monkeypatch, inline_pools, affinity, pools):
+        # the default was os.cpu_count(), whatever CPUs the process was confined to
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        payload = train_config(synth_file, epochs=1)
+        payload["sweep"] = {"axes": {"lr": [0.01, 0.02, 0.03]}, "seeds": [1]}
+        cfg = write_config(tmp_path / "c.json", payload)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert [(pool.max_workers, pool.initargs) for pool in inline_pools] == pools
 
 
     def test_out_of_range_axis_value_fails_its_rows_alone(self, tmp_path, synth_file):

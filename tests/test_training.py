@@ -1,5 +1,8 @@
+import ctypes
 import hashlib
 import math
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -480,6 +483,15 @@ class TestSweep:
                                  settings=[{"lr": 0.01}], seeds=[1], train_set=data,
                                  val_set=None)
 
+    @pytest.mark.parametrize("workers", [0, -3, "2", 2.0, True, None])
+    def test_workers_not_a_count_is_config_error(self, monkeypatch, workers):
+        # 0 and -3 ran the cells inline, "2" raised a TypeError from min()
+        monkeypatch.setattr(training, "_sweep_cell", lambda job: pytest.fail("a cell ran"))
+        data = toy_dataset(labelled=False, t=30)
+        with pytest.raises(ConfigError, match=f"workers must be an integer >= 1, got {workers!r}"):
+            hyperparameter_sweep(toy_spec(), TrainConfig(epochs=1, batch_size=16),
+                                 [{"lr": 0.01}, {"lr": 0.03}], [1], data, data, workers=workers)
+
     def test_unknown_metric_is_config_error(self):
         data = toy_dataset(labelled=False, t=30)
         with pytest.raises(ConfigError, match="val_mse"):
@@ -646,43 +658,86 @@ class TestSharedEpochRuns:
         assert all(math.isnan(row["val_loss"]) for row in rows[:2])
 
 
+def _blas_threads() -> int:
+    """This process's OpenBLAS thread count, read by the getter matching the sweep's setter."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    name = training._openblas_setter().__name__.replace("_set_", "_get_")
+    getter = getattr(ctypes.CDLL(umath.__file__), name)
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    return getter()
+
+
 class TestSweepPool:
-    """The sweep starts no more worker processes than it has groups of cells."""
+    """The sweep starts no more worker processes than it has groups of cells, and gives
+    each worker its share of the CPUs for BLAS threads."""
 
-    @pytest.fixture()
-    def pool_sizes(self, monkeypatch):
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs, chunksize=1):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(training, "ProcessPoolExecutor", InlinePool)
-        return sizes
-
-    def test_pool_capped_at_the_group_count(self, pool_sizes):
+    def test_pool_capped_at_the_group_count(self, inline_pools):
         data = toy_dataset(labelled=False, t=30)
         settings = [{"lr": 0.01, "epochs": 1}, {"lr": 0.01, "epochs": 2}, {"lr": 0.03, "epochs": 1}]
         res = hyperparameter_sweep(toy_spec(), TrainConfig(batch_size=16), settings, [1],
                                    data, data, workers=8)
-        assert pool_sizes == [2]
+        assert [pool.max_workers for pool in inline_pools] == [2]
         assert len(res.rows) == 3 and not any(row["error"] for row in res.rows)
 
-    def test_one_group_runs_inline(self, pool_sizes):
+    def test_one_group_runs_inline(self, inline_pools):
         data = toy_dataset(labelled=False, t=30)
         res = hyperparameter_sweep(toy_spec(), TrainConfig(batch_size=16),
                                    [{"epochs": 1}, {"epochs": 2}], [1], data, data, workers=8)
-        assert pool_sizes == []
+        assert inline_pools == []
         assert len(res.rows) == 2
+
+    @pytest.mark.parametrize("cpus,groups,pool", [(2, 2, (2, 1)), (8, 3, (3, 2)), (1, 3, (3, 1)),
+                                                  (3, 2, (2, 1))])
+    def test_each_worker_gets_its_share_of_the_cpus(self, inline_pools, monkeypatch,
+                                                    cpus, groups, pool):
+        monkeypatch.setattr(training, "usable_cpus", lambda: cpus)
+        data = toy_dataset(labelled=False, t=30)
+        settings = [{"lr": 0.01 * (i + 1), "epochs": 1} for i in range(groups)]
+        hyperparameter_sweep(toy_spec(), TrainConfig(batch_size=16), settings, [1],
+                             data, data, workers=8)
+        assert [(p.max_workers, p.initargs) for p in inline_pools] == [(pool[0], (pool[1],))]
+
+    @pytest.mark.skipif(training._openblas_setter() is None,
+                        reason="numpy's BLAS has no known thread-count setter")
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_initializer_sets_the_budget_in_the_worker_alone(self, threads):
+        before = _blas_threads()
+        with ProcessPoolExecutor(max_workers=1, initializer=training._budget_blas_threads,
+                                 initargs=(threads,)) as pool:
+            assert pool.submit(_blas_threads).result(timeout=60) == threads
+        assert _blas_threads() == before
+
+    @pytest.mark.parametrize("variant", ["group", "subject", "decomposed"])
+    def test_pooled_rows_equal_inline_rows(self, tmp_path, variant):
+        # 21000 test rows of width 16: the inline run's scoring gemms are far above
+        # OpenBLAS's threading cutoff, while each pooled worker runs one BLAS thread
+        train_set = toy_dataset(labelled=False, t=40, n=16)
+        test_set = toy_dataset(seed=1, labelled=False, t=7000, n=16)
+        spec = toy_spec(variant=variant, n=16, first_layer_width=16, trunk_widths=(16,))
+        settings = [{"lr": lr, "epochs": epochs} for lr in (0.01, 0.05) for epochs in (1, 2)]
+        config = TrainConfig(batch_size=16)
+        inline, pooled = (hyperparameter_sweep(spec, config, settings, [1], train_set, train_set,
+                                               test_set, workers=workers).rows
+                          for workers in (1, 2))
+        assert not any(row["error"] for row in inline)
+        assert (_csv_bytes(pooled, tmp_path / "pooled.csv")
+                == _csv_bytes(inline, tmp_path / "inline.csv"))
+
+
+class TestUsableCpus:
+    def test_counts_the_affinity_set(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert training.usable_cpus() == 3
+
+    @pytest.mark.parametrize("count,expected", [(6, 6), (None, 1)])
+    def test_cpu_count_where_there_is_no_affinity(self, monkeypatch, count, expected):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert training.usable_cpus() == expected
 
 
 def test_parameter_digest_excludes_only_named_rows():
