@@ -10,7 +10,6 @@ import copy
 import itertools
 import json
 import math
-import os
 import time
 
 import numpy as np
@@ -46,10 +45,11 @@ from subjmap.training import (
     hyperparameter_sweep,
     parameter_digest,
     train,
+    usable_cpus,
 )
 
 SWEEP_SEEDS = [11, 12, 13, 14]
-WORKERS = min(8, os.cpu_count() or 1)
+WORKERS = min(8, usable_cpus())
 
 
 def verdict(n, ok, text):

@@ -1,7 +1,10 @@
 import csv
+import ctypes
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -511,6 +514,82 @@ class TestSweepCommand:
         assert means["0.05"] < means["0.0001"]
         assert metrics["winner_setting"] == {"lr": 0.05}
         assert metrics["winner_mean_val"] == means["0.05"]
+
+
+# run in a fresh process: allocate and free a 64 MiB array after `import subjmap`
+# and again after `cli.main`, reading glibc's mallinfo2 while it is live and freed
+_MALLINFO_CHILD = """
+import ctypes, json, sys
+import numpy as np
+from subjmap import cli
+
+class Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks", "uordblks",
+        "fordblks", "keepcost")]
+
+libc = ctypes.CDLL(None)
+libc.mallinfo2.restype = Mallinfo2
+
+def alloc_and_free():
+    before = libc.mallinfo2()
+    array = np.ones(64 << 20, dtype=np.uint8)
+    live = libc.mallinfo2()
+    del array
+    return {"new_mmapped": live.hblkhd - before.hblkhd, "live_arena": live.arena,
+            "freed_arena": libc.mallinfo2().arena}
+
+after_import = alloc_and_free()
+code = cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "after_import": after_import, "after_main": alloc_and_free()}))
+"""
+
+
+def _glibc_with_mallinfo2():
+    try:
+        libc = ctypes.CDLL(None)
+    except (OSError, TypeError):
+        return False
+    return hasattr(libc, "mallopt") and hasattr(libc, "mallinfo2")
+
+
+class TestAllocatorPolicy:
+    @pytest.mark.skipif(not _glibc_with_mallinfo2(), reason="needs glibc's mallopt and mallinfo2")
+    def test_main_keeps_freed_memory_in_the_heap(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", {
+            "paramcount": {"input_size": 10, "hidden_size": 2, "n_subjects": 3}})
+        env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+        env["PYTHONPATH"] = os.pathsep.join([str(Path(cli.__file__).parents[1]),
+                                             env.get("PYTHONPATH", "")])
+        done = subprocess.run([sys.executable, "-c", _MALLINFO_CHILD, "paramcount",
+                               "--config", cfg, "--out", str(tmp_path / "out")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        probe = json.loads(done.stdout.splitlines()[-1])
+        assert probe["code"] == 0
+        # importing the package leaves glibc's defaults: a 64 MiB array is mmap'd
+        assert probe["after_import"]["new_mmapped"] >= 64 << 20
+        # after cli.main the array comes from the heap, which keeps it once freed
+        after = probe["after_main"]
+        assert after["new_mmapped"] == 0
+        assert after["live_arena"] >= 64 << 20
+        assert after["freed_arena"] >= after["live_arena"]
+
+    @pytest.mark.parametrize("lookup", [OSError("no libc"),  # no libc by that name
+                                        TypeError("CDLL(None)"),  # Windows
+                                        object()],  # a libc without mallopt: macOS
+                             ids=["no-libc", "windows", "no-mallopt"])
+    def test_a_libc_without_mallopt_is_left_alone(self, tmp_path, monkeypatch, lookup):
+        def cdll(name):
+            if isinstance(lookup, Exception):
+                raise lookup
+            return lookup
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        cfg = write_config(tmp_path / "c.json", {
+            "paramcount": {"input_size": 10, "hidden_size": 2, "n_subjects": 3}})
+        assert main(["paramcount", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert read_results(tmp_path / "out")["metrics"]["counts"]["group"] == 40
 
 
 def test_json_outputs_are_strict_with_null_for_non_finite(tmp_path):
