@@ -36,15 +36,15 @@ from .datasets import (
     MultiSubjectDataset,
     SubjectData,
     _common_length,
+    _load_parts,
+    _same_rows,
     _split_plan,
-    _take_all,
     atomic_write,
     center_subjects,
     half_moons,
     load_dataset,
     rotate_subjects,
     save_dataset,
-    split,
     stacked,
     synth_group_dataset,
 )
@@ -298,23 +298,42 @@ def _relative(section: dict, config_dir: Path, key: str) -> Path:
 
 
 def _load_data(section: dict, config_dir: Path) -> MultiSubjectDataset:
+    """The whole dataset ``section`` names, centered with ``data.center``."""
     dataset = load_dataset(_relative(section, config_dir, "path"), section["format"])
     if section["center"]:
         dataset = center_subjects(dataset)
     return dataset
 
 
-def _load_split(config: dict, config_dir: Path, root: SeededRng, need_val: bool = False):
-    """``(dataset, (train, val, test))``: the data read and split by ``data.split``.
+def _load_parts_of(section: dict, config_dir: Path, plan):
+    """``(source, partitions)``: the partitions ``plan`` cuts, read in one pass (see ``_load_parts``)."""
+    return _load_parts(_relative(section, config_dir, "path"), section["format"], plan,
+                       section["center"])
 
-    ``data.split`` is checked before the file is read, and with ``need_val``
-    so is whether the scheme can give a validation set at all.
+
+def _load_split(config: dict, config_dir: Path, root: SeededRng, need_val: bool = False,
+                before_read=None):
+    """``(source, (train, val, test))``: the data's headers, and its partitions by ``data.split``.
+
+    ``data.split`` is checked before the file is opened, and with
+    ``need_val`` so is whether the scheme can give a validation set at all;
+    the checks that need the headers run before any data is read.  Each
+    subject is read once, straight into the partitions that own its rows,
+    so the whole file is never held beside them.  ``before_read()``, if
+    given, runs after the header checks and before the data is read.
     """
     section = config["data"]["split"]
-    if not _split_plan(**section)[1] and need_val:
+    cut, gives_val = _split_plan(**section)
+    if need_val and not gives_val:
         raise ConfigError("sweep needs a split scheme that produces a validation set")
-    dataset = _load_data(config["data"], config_dir)
-    return dataset, split(dataset, **section, seed=root.derive("split").seed)
+    seed = root.derive("split").seed
+
+    def plan(records):
+        parts = cut(records, seed)
+        if before_read is not None:
+            before_read()
+        return parts
+    return _load_parts_of(config["data"], config_dir, plan)
 
 
 def config_hash(config: dict) -> str:
@@ -413,8 +432,17 @@ def _cmd_simulate(config: dict, out_dir: Path, config_dir: Path, workers: int) -
 def _cmd_train(config: dict, out_dir: Path, config_dir: Path, workers: int) -> _Outputs:
     root = SeededRng(config["seed"])
     train_cfg = TrainConfig(**config["train"], seed=root.derive("train").seed)
-    # no reference to the loaded dataset outlives the split: only the partitions stay in memory
-    train_set, val_set, test_set = _load_split(config, config_dir, root)[1]
+
+    def holdout_needs_group_model():
+        variant = config["model"]["variant"]
+        if (config["data"]["split"]["scheme"] == "subject_holdout"
+                and variant in ("subject", "decomposed")):
+            raise ConfigError(f"data.split.scheme 'subject_holdout' needs model.variant "
+                              f"'group': train validates on the held-out subjects, and a "
+                              f"{variant} model has no weights for them")
+
+    train_set, val_set, test_set = _load_split(config, config_dir, root,
+                                               before_read=holdout_needs_group_model)[1]
     if val_set is None:
         val_set = test_set if test_set is not None else train_set
     spec = ModelSpec(**config["model"], input_size=train_set.n_features,
@@ -429,9 +457,15 @@ def _cmd_train(config: dict, out_dir: Path, config_dir: Path, workers: int) -> _
     metrics["epochs_run"] = history.n_epochs
     metrics["best_epoch"] = history.best_epoch
     if test_set is not None:
-        test_loss, terms = evaluate_loss(model, test_set)
-        if "accuracy" in terms:
-            metrics["test_accuracy"] = terms["accuracy"]
+        best = history.best_epoch
+        if val_set is test_set and best >= 0:
+            # the model is restored to the weights that this pass scored
+            test_loss, accuracy = history.val_losses[best], history.val_metrics[best]
+        else:
+            test_loss, terms = evaluate_loss(model, test_set)
+            accuracy = terms.get("accuracy")
+        if accuracy is not None:
+            metrics["test_accuracy"] = accuracy
         else:
             metrics["test_loss"] = test_loss
     return metrics, ["model.ckpt", "history.csv", "history.json"]
@@ -511,33 +545,37 @@ def _cmd_finetune(config: dict, out_dir: Path, config_dir: Path, workers: int) -
     ft_cfg = TrainConfig(lr=section["lr"], optimizer=section["optimizer"],
                          epochs=section["epochs"], batch_size=section["batch_size"],
                          seed=root.derive("finetune").seed, early_stop_patience=None)
-    dataset = _load_data(config["data"], config_dir)
-    model, _ = checkpoint.load_model(_relative(config, config_dir, "checkpoint"))
 
-    total = _common_length(dataset)
-    holdout_start = total - int(round(section["holdout_fraction"] * total))
-    # fraction is of the full timeseries, capped at the rows before the held-out tail
-    n_fit = min(holdout_start, math.ceil(section["fraction"] * total))
-    if holdout_start >= total:
-        raise ConfigError(f"finetune.holdout_fraction {section['holdout_fraction']!r} "
-                          f"holds out none of the {total} timesteps")
-    if n_fit < 1:
-        key = "holdout_fraction" if holdout_start < 1 else "fraction"
-        raise ConfigError(f"finetune.{key} {section[key]!r} leaves no timestep of {total} "
-                          f"to fine-tune on")
+    def window(records):
+        """The fit window and the held-out tail, checked from the headers alone."""
+        total = _common_length(records)
+        holdout_start = total - int(round(section["holdout_fraction"] * total))
+        # fraction is of the full timeseries, capped at the rows before the held-out tail
+        n_fit = min(holdout_start, math.ceil(section["fraction"] * total))
+        if holdout_start >= total:
+            raise ConfigError(f"finetune.holdout_fraction {section['holdout_fraction']!r} "
+                              f"holds out none of the {total} timesteps")
+        if n_fit < 1:
+            key = "holdout_fraction" if holdout_start < 1 else "fraction"
+            raise ConfigError(f"finetune.{key} {section[key]!r} leaves no timestep of {total} "
+                              f"to fine-tune on")
+        return (_same_rows(records, np.arange(n_fit)),
+                _same_rows(records, np.arange(holdout_start, total)))
+
+    fit_set, heldout = _load_parts_of(config["data"], config_dir, window)[1]
+    model, _ = checkpoint.load_model(_relative(config, config_dir, "checkpoint"))
     # both checkpoints are checked before the first fine-tuning step
     scored = _recon_models(model, "heldout_mse", config, config_dir)
     digest_before = parameter_digest(model)
-    result = finetune_subjects(model, _take_all(dataset, np.arange(n_fit)), ft_cfg)
+    result = finetune_subjects(model, fit_set, ft_cfg)
     digest_after = parameter_digest(model, tuple(int(i) for i in result.new_indices))
 
     metrics = {
         "fraction": section["fraction"],
-        "n_finetune_timesteps": n_fit,
+        "n_finetune_timesteps": fit_set.subjects[0].n_timesteps,
         "frozen_digest_unchanged": digest_before == digest_after,
         "n_new_subjects": len(result.new_indices),
-        **_recon_metrics(scored, _take_all(dataset, np.arange(holdout_start, total)),
-                         "heldout_mse"),
+        **_recon_metrics(scored, heldout, "heldout_mse"),
     }
     checkpoint.save_model(model, out_dir / "model.ckpt", config_hash(config))
     result.history.to_csv(out_dir / "history.csv")
@@ -550,8 +588,9 @@ def _cmd_evaluate(config: dict, out_dir: Path, config_dir: Path, workers: int) -
     if section["probe_folds"] < 2:
         raise ConfigError(f"eval.probe_folds must be at least 2, got {section['probe_folds']!r}")
     root = SeededRng(config["seed"])
-    dataset, (_, _, test_set) = _load_split(config, config_dir, root)
-    eval_set = test_set if test_set is not None else dataset
+    source, (train_set, _, test_set) = _load_split(config, config_dir, root)
+    # under scheme none the training set is the whole dataset
+    eval_set = test_set if test_set is not None else train_set
     model, _ = checkpoint.load_model(_relative(config, config_dir, "checkpoint"))
 
     # every input is checked before anything is scored or written
@@ -565,7 +604,7 @@ def _cmd_evaluate(config: dict, out_dir: Path, config_dir: Path, workers: int) -
         param = model.enc_map.subject_param
         if param is None:
             raise ConfigError("probe_subject_weights needs a subject or decomposed model")
-        groups = dataset.groups()
+        groups = source.groups()
         if (groups < 0).any():
             raise ConfigError("probe_subject_weights needs group labels on every subject")
     if section["probe_embeddings"] and eval_set.labels is None:
@@ -589,7 +628,7 @@ def _cmd_evaluate(config: dict, out_dir: Path, config_dir: Path, workers: int) -
     if section["probe_subject_weights"]:
         rows = model.enc_map.params()[param]
         rows = rows.reshape(rows.shape[0], -1)
-        order = model.index_of(dataset.subject_ids)
+        order = model.index_of(source.subject_ids)
         probe = probe_classify(rows[order], groups, n_folds=section["probe_folds"],
                                seed=root.derive("probe_weights").seed, label_name="group")
         metrics["subject_weight_probe"] = probe.to_json()

@@ -13,8 +13,19 @@ truth.
 A dataset stores every subject's rows in one C-contiguous float64 block;
 each subject's ``data`` is a view of its rows.  One method lays out every
 dataset, allocating the block and building the views, and each producer
-then fills the rows in place: splits copy into a new block once, the loader
-reads a file straight into it, and ``stacked`` hands it out without copying.
+then fills the rows in place; ``stacked`` hands the block out without
+copying.
+
+One filler, ``_fill``, cuts every partition.  A source gives every
+subject's header (id, length, labels, group) before any of its rows, so a
+split scheme, or the fine-tune window, decides from the headers alone which
+rows of each subject go to which partition.  The filler then takes each
+subject's rows once, checks them (and centers them, when asked), and copies
+them straight into the partitions that own them.  Loading a packed file
+reads one subject at a time into a reused one-subject buffer, or straight
+into its partition when the subject goes there whole, so a loading command
+never holds the file beside its partitions.  ``split``, ``_take_all`` and
+``center_subjects`` are the same filler over a dataset in memory.
 
 ``split`` is the one owner of the ``data.split.scheme`` names
 (``timestep_fraction``, ``first_second_half``, ``subject_holdout`` and
@@ -89,10 +100,7 @@ class MultiSubjectDataset:
 
     def __init__(self, subjects, metadata: dict | None = None):
         subjects = list(subjects)
-        widths = sorted({rec.data.shape[1] for rec in subjects})
-        if len(widths) > 1:
-            raise ShapeError(f"subjects disagree on feature width: {widths}")
-        self._lay_out(_records(subjects), widths[0] if widths else 0, metadata)
+        self._lay_out(_records(subjects), _common_width(subjects), metadata)
         for rec, mine in zip(subjects, self.subjects):
             mine.data[...] = rec.data
         self._check_finite()
@@ -110,11 +118,7 @@ class MultiSubjectDataset:
         ``records`` are ``(subject_id, T, labels, group)`` tuples.  This is the
         only code that builds the views, so every dataset is laid out alike.
         """
-        if not records:
-            raise ShapeError("dataset needs at least one subject")
-        ids = [sid for sid, _, _, _ in records]
-        if len(set(ids)) != len(ids):
-            raise ShapeError("duplicate subject ids")
+        _check_records(records)
         self.offsets = np.zeros(len(records) + 1, dtype=np.int64)
         np.cumsum([n_t for _, n_t, _, _ in records], out=self.offsets[1:])
         shape = (int(self.offsets[-1]), n_features)
@@ -135,14 +139,8 @@ class MultiSubjectDataset:
         return self
 
     def _check_finite(self) -> None:
-        # a finite sum proves every entry finite without a T x N mask; only a
-        # non-finite sum (a bad entry, or an overflow) pays for the exact scan
-        with np.errstate(over="ignore", invalid="ignore"):
-            if math.isfinite(self.block.sum()):
-                return
         for rec in self.subjects:
-            if not np.isfinite(rec.data).all():
-                raise NonFiniteError(f"subject {rec.subject_id!r} data contains non-finite entries")
+            _check_subject(rec.subject_id, rec.data)
 
     def __reduce__(self):
         # pickle the block once; the unpickled records view it again
@@ -166,6 +164,32 @@ class MultiSubjectDataset:
 
 def _records(subjects) -> list[tuple]:
     return [(rec.subject_id, rec.n_timesteps, rec.labels, rec.group) for rec in subjects]
+
+
+def _common_width(subjects) -> int:
+    widths = sorted({rec.data.shape[1] for rec in subjects})
+    if len(widths) > 1:
+        raise ShapeError(f"subjects disagree on feature width: {widths}")
+    return widths[0] if widths else 0
+
+
+def _check_records(records) -> None:
+    if not records:
+        raise ShapeError("dataset needs at least one subject")
+    ids = [sid for sid, _, _, _ in records]
+    if len(set(ids)) != len(ids):
+        raise ShapeError("duplicate subject ids")
+
+
+def _check_subject(subject_id: str, data: np.ndarray) -> None:
+    """NonFiniteError naming the subject when ``data`` holds a NaN or an infinity."""
+    # a finite sum proves every entry finite without a T x N mask; only a
+    # non-finite sum (a bad entry, or an overflow) pays for the exact scan
+    with np.errstate(over="ignore", invalid="ignore"):
+        if math.isfinite(data.sum()):
+            return
+    if not np.isfinite(data).all():
+        raise NonFiniteError(f"subject {subject_id!r} data contains non-finite entries")
 
 
 def _unpickle_dataset(block, records, metadata) -> MultiSubjectDataset:
@@ -259,52 +283,141 @@ def center_subjects(dataset: MultiSubjectDataset) -> MultiSubjectDataset:
     rotation about the data mean leaves no shared off-center cue a pooled
     model could exploit.
     """
-    meta = dict(dataset.metadata)
-    meta["centered"] = True
-    centered = MultiSubjectDataset._empty(_records(dataset.subjects), dataset.n_features, meta)
-    for rec, out in zip(dataset.subjects, centered.subjects):
-        np.subtract(rec.data, rec.data.mean(axis=0), out=out.data)
-    centered._check_finite()
-    return centered
+    return _fill(_held(dataset), [_ALL], center=True)[0]
+
+
+# --- partitions: headers decide the rows, one pass copies them ----------------
+
+class _Source:
+    """Every subject's header, and its rows one subject at a time: what ``_fill`` reads.
+
+    ``records`` are ``(subject_id, T, labels, group)`` tuples.  ``rows(i,
+    into)`` returns subject i's T x N rows, either read into ``into`` (a file)
+    or as a view of rows already in memory.  Rows of a ``dataset`` are known
+    to be finite; any other source's rows are checked as they are read.
+    """
+
+    def __init__(self, records, n_features: int, metadata: dict, rows,
+                 dataset: MultiSubjectDataset | None = None):
+        _check_records(records)
+        self.records, self.n_features, self.metadata = records, n_features, metadata
+        self.rows, self.dataset = rows, dataset
+
+    @property
+    def subject_ids(self) -> list[str]:
+        return [sid for sid, _, _, _ in self.records]
+
+    def groups(self) -> np.ndarray:
+        return np.array([-1 if group is None else group for _, _, _, group in self.records])
+
+
+def _held(dataset: MultiSubjectDataset) -> _Source:
+    """A source over a dataset in memory, whose rows it hands out as views."""
+    subjects = dataset.subjects
+    return _Source(_records(subjects), dataset.n_features, dataset.metadata,
+                   lambda i, into: subjects[i].data, dataset)
+
+
+# a partition that is every row of every subject: a source's dataset, as it is
+_ALL = "all"
+
+
+def _same_rows(records, rows) -> list[tuple]:
+    """The partition of rows ``rows`` of every subject, as ``(subject index, rows)`` pairs."""
+    rows = np.asarray(rows, dtype=np.intp)
+    shortest = min(n_t for _, n_t, _, _ in records)
+    if rows.size and (rows.min() < 0 or rows.max() >= shortest):
+        raise ShapeError(f"timestep rows out of range [0, {shortest})")
+    return [(i, rows) for i in range(len(records))]
+
+
+def _cut_record(record: tuple, rows) -> tuple:
+    """The header of rows ``rows`` (None: all) of the subject ``record`` describes."""
+    if rows is None:
+        return record
+    subject_id, _, labels, group = record
+    return subject_id, rows.size, None if labels is None else labels[rows], group
+
+
+def _fill(source: _Source, parts, center: bool = False) -> list:
+    """The datasets ``parts`` describe, each subject's rows read once and copied into them.
+
+    A part is None (no dataset), ``_ALL``, or a list of ``(subject index,
+    rows)`` pairs where rows None takes every row.  A subject bound whole for
+    one dataset is read straight into it; any other is read into one reused
+    one-subject buffer, and a subject that none owns is not read.  Rows not
+    yet known finite are checked as they are read, and centered rows once
+    more; then the rows are copied into every dataset that owns some.
+    ``_ALL`` of a source that holds a dataset, uncentered, is that dataset.
+    """
+    metadata = dict(source.metadata, centered=True) if center else source.metadata
+    records = source.records
+    out, bound = [], [[] for _ in records]
+    for part in parts:
+        if part is _ALL and source.dataset is not None and not center:
+            out.append(source.dataset)
+            continue
+        if part is _ALL:
+            part = [(i, None) for i in range(len(records))]
+        if part is None:
+            out.append(None)
+            continue
+        taken = MultiSubjectDataset._empty([_cut_record(records[i], rows) for i, rows in part],
+                                           source.n_features, dict(metadata))
+        for (i, rows), rec in zip(part, taken.subjects):
+            bound[i].append((rows, rec.data))
+        out.append(taken)
+
+    direct = [len(dests) == 1 and dests[0][0] is None for dests in bound]
+    longest = max((n_t for (_, n_t, _, _), dests, whole in zip(records, bound, direct)
+                   if dests and not whole), default=0)
+    buffer = np.empty((longest, source.n_features))
+    for i, (sid, n_t, _, _) in enumerate(records):
+        if not bound[i]:
+            continue  # no dataset takes a row of this subject
+        into = bound[i][0][1] if direct[i] else buffer[:n_t]
+        data = source.rows(i, into)
+        if source.dataset is None:
+            _check_subject(sid, data)
+        if center:
+            data = np.subtract(data, data.mean(axis=0), out=into)
+            _check_subject(sid, data)
+        for rows, dest in bound[i]:
+            if rows is None:
+                if data is not dest:
+                    dest[...] = data
+            else:
+                # mode="clip" writes straight into the view (the default mode
+                # buffers a full copy first); _same_rows checked the range
+                np.take(data, rows, axis=0, out=dest, mode="clip")
+    return out
+
+
+def _take_all(dataset: MultiSubjectDataset, rows) -> MultiSubjectDataset:
+    """Rows ``rows`` of every subject, copied once into a new block."""
+    source = _held(dataset)
+    return _fill(source, [_same_rows(source.records, rows)])[0]
 
 
 # --- split schemes ----------------------------------------------------------
 
-def _common_length(dataset: MultiSubjectDataset) -> int:
-    lengths = {rec.n_timesteps for rec in dataset.subjects}
+def _common_length(records) -> int:
+    lengths = {n_t for _, n_t, _, _ in records}
     if len(lengths) != 1:
         raise ShapeError(f"timestep split needs equal lengths, got {sorted(lengths)}")
     return lengths.pop()
 
 
-def _take_all(dataset: MultiSubjectDataset, rows) -> MultiSubjectDataset:
-    """Rows ``rows`` of every subject, copied once into a new block.
-
-    The only row selector: splits, the fine-tune window and its held-out tail
-    all cut their rows here.
-    """
-    rows = np.asarray(rows, dtype=np.intp)
-    shortest = min(rec.n_timesteps for rec in dataset.subjects)
-    if rows.size and (rows.min() < 0 or rows.max() >= shortest):
-        raise ShapeError(f"timestep rows out of range [0, {shortest})")
-    taken = MultiSubjectDataset._empty(
-        [(rec.subject_id, rows.size, None if rec.labels is None else rec.labels[rows], rec.group)
-         for rec in dataset.subjects], dataset.n_features, dict(dataset.metadata))
-    for rec, out in zip(dataset.subjects, taken.subjects):
-        # mode="clip" writes straight into the view (the default mode buffers
-        # a full copy first); the range check above makes clipping a no-op
-        np.take(rec.data, rows, axis=0, out=out.data, mode="clip")
-    return taken
-
-
 def _split_plan(scheme: str, test_fraction: float = 0.8, val_fraction: float = 0.1,
                 n_holdout: int = 0):
-    """``split``'s scheme dispatch: checks what needs no data, returns ``(cut, gives_val)``.
+    """``split``'s scheme dispatch: checks the keys, returns ``(cut, gives_val)``.
 
     An unknown scheme and a fraction out of range raise ConfigError here, so
-    a caller can check a ``data.split`` section before it reads the data.
-    The checks that need the data (degenerate sizes, ``n_holdout`` against
-    the subject count) run in ``cut(dataset, seed)``.  ``gives_val`` is
+    a caller can check a ``data.split`` section before it opens the data.
+    ``cut(records, seed)`` sees only the subjects' headers and returns the
+    ``(train, val, test)`` parts ``_fill`` copies; the checks that need the
+    headers (equal lengths, degenerate sizes, ``n_holdout`` against the
+    subject count) run there, before any row is read.  ``gives_val`` is
     False when no data can give the scheme a validation set.
     """
     if scheme == "timestep_fraction":
@@ -313,8 +426,8 @@ def _split_plan(scheme: str, test_fraction: float = 0.8, val_fraction: float = 0
         if not 0.0 <= val_fraction < 1.0:
             raise ConfigError(f"val_fraction must lie in [0, 1), got {val_fraction!r}")
 
-        def cut(dataset: MultiSubjectDataset, seed: int):
-            total = _common_length(dataset)
+        def cut(records, seed: int):
+            total = _common_length(records)
             order = SeededRng(seed).permutation(total)
             n_test = int(round(test_fraction * total))
             n_val = int(round(val_fraction * (total - n_test)))
@@ -326,35 +439,32 @@ def _split_plan(scheme: str, test_fraction: float = 0.8, val_fraction: float = 0
             test_rows = np.sort(order[:n_test])
             val_rows = np.sort(order[n_test:n_test + n_val])
             train_rows = np.sort(order[n_test + n_val:])
-            val = _take_all(dataset, val_rows) if n_val else None
-            return _take_all(dataset, train_rows), val, _take_all(dataset, test_rows)
+            val = _same_rows(records, val_rows) if n_val else None
+            return _same_rows(records, train_rows), val, _same_rows(records, test_rows)
         return cut, val_fraction > 0
 
     if scheme == "first_second_half":
-        def cut(dataset: MultiSubjectDataset, seed: int):
-            total = _common_length(dataset)
+        def cut(records, seed: int):
+            total = _common_length(records)
             half = math.ceil(total / 2)
-            first = _take_all(dataset, np.arange(half))
-            second = _take_all(dataset, np.arange(half, total))
-            return first, None, second
+            return (_same_rows(records, np.arange(half)), None,
+                    _same_rows(records, np.arange(half, total)))
         return cut, False
 
     if scheme == "subject_holdout":
-        def cut(dataset: MultiSubjectDataset, seed: int):
-            if not 1 <= n_holdout < dataset.n_subjects:
+        def cut(records, seed: int):
+            n_subjects = len(records)
+            if not 1 <= n_holdout < n_subjects:
                 raise ConfigError(f"n_holdout {n_holdout!r} must lie in "
-                                  f"[1, {dataset.n_subjects}): cannot hold out "
-                                  f"{n_holdout} of {dataset.n_subjects} subjects")
-            order = SeededRng(seed).permutation(dataset.n_subjects)
-            held = set(order[:n_holdout].tolist())
-            train = [rec for i, rec in enumerate(dataset.subjects) if i not in held]
-            test = [rec for i, rec in enumerate(dataset.subjects) if i in held]
-            meta = dict(dataset.metadata)
-            return (MultiSubjectDataset(train, meta), None, MultiSubjectDataset(test, meta))
+                                  f"[1, {n_subjects}): cannot hold out "
+                                  f"{n_holdout} of {n_subjects} subjects")
+            held = set(SeededRng(seed).permutation(n_subjects)[:n_holdout].tolist())
+            return ([(i, None) for i in range(n_subjects) if i not in held], None,
+                    [(i, None) for i in range(n_subjects) if i in held])
         return cut, False
 
     if scheme == "none":
-        return (lambda dataset, seed: (dataset, None, None)), False
+        return (lambda records, seed: (_ALL, None, None)), False
 
     raise ConfigError(f"unknown split scheme {scheme!r}")
 
@@ -376,9 +486,12 @@ def split(dataset: MultiSubjectDataset, scheme: str, *, test_fraction: float = 0
     disjoint and exhaustive, and the timestep schemes cut the same rows from
     every subject, so subjects stay aligned.  An unknown scheme or a value
     out of range is a ConfigError that names its key; ``_split_plan`` makes
-    the checks that need no data, before any row is cut.
+    the checks that need no data, before any row is cut.  ``_load_parts``
+    cuts the same partitions from a file as it reads it.
     """
-    return _split_plan(scheme, test_fraction, val_fraction, n_holdout)[0](dataset, seed)
+    source = _held(dataset)
+    cut = _split_plan(scheme, test_fraction, val_fraction, n_holdout)[0]
+    return tuple(_fill(source, cut(source.records, seed)))
 
 
 # --- planted-effect generator ------------------------------------------------
@@ -531,46 +644,44 @@ class _Reader:
         return struct.unpack(fmt, self.read(struct.calcsize(fmt), what))
 
 
-def _load_binary(path) -> MultiSubjectDataset:
-    """Two passes: parse every header and bound every size, then read the data into one block."""
-    with open(path, "rb") as fh:
-        reader = _Reader(fh)
-        if reader.read(4, "magic") != MAGIC:
-            raise ParseError("bad magic at byte 0; not a packed dataset")
-        version, n_features, n_subjects = reader.unpack("<HII", "header")
-        if version != FORMAT_VERSION:
-            raise ParseError(f"unsupported dataset version {version}")
-        records, starts = [], []
-        for _ in range(n_subjects):
-            (id_len,) = reader.unpack("<I", "id length")
-            try:
-                subject_id = reader.read(id_len, "subject id").decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ParseError(f"subject id is not valid UTF-8: {exc}") from exc
-            (group,) = reader.unpack("<i", "group")
-            (n_t,) = reader.unpack("<I", "timestep count")
-            at = reader.skip(8 * n_t * n_features, f"data of subject {subject_id!r}")
-            (flag,) = reader.unpack("<B", "label flag")
-            labels = None
-            if flag:
-                raw = reader.read(4 * n_t, f"labels of subject {subject_id!r}")
-                labels = np.frombuffer(raw, dtype="<i4").astype(np.int64)
-            records.append((subject_id, n_t, labels, None if group < 0 else group))
-            starts.append(at)
+def _binary_source(fh) -> _Source:
+    """Parse every header and bound every size; the source then reads one subject's data at a time."""
+    reader = _Reader(fh)
+    if reader.read(4, "magic") != MAGIC:
+        raise ParseError("bad magic at byte 0; not a packed dataset")
+    version, n_features, n_subjects = reader.unpack("<HII", "header")
+    if version != FORMAT_VERSION:
+        raise ParseError(f"unsupported dataset version {version}")
+    records, starts = [], []
+    for _ in range(n_subjects):
+        (id_len,) = reader.unpack("<I", "id length")
+        try:
+            subject_id = reader.read(id_len, "subject id").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"subject id is not valid UTF-8: {exc}") from exc
+        (group,) = reader.unpack("<i", "group")
+        (n_t,) = reader.unpack("<I", "timestep count")
+        at = reader.skip(8 * n_t * n_features, f"data of subject {subject_id!r}")
+        (flag,) = reader.unpack("<B", "label flag")
+        labels = None
+        if flag:
+            raw = reader.read(4 * n_t, f"labels of subject {subject_id!r}")
+            labels = np.frombuffer(raw, dtype="<i4").astype(np.int64)
+        records.append((subject_id, n_t, labels, None if group < 0 else group))
+        starts.append(at)
 
-        # every data region lies inside the file, so the block is no larger than it
-        dataset = MultiSubjectDataset._empty(records, n_features, {"n_features": int(n_features)})
-        for rec, at in zip(dataset.subjects, starts):
-            fh.seek(at)
-            if rec.data.nbytes and fh.readinto(memoryview(rec.data).cast("B")) != rec.data.nbytes:
-                raise ParseError(f"truncated while reading data of subject {rec.subject_id!r} "
-                                 f"at byte {at}")
-    dataset._check_finite()
-    return dataset
+    def rows(i: int, into: np.ndarray) -> np.ndarray:
+        # every data region lies inside the file, so no subject is larger than it
+        fh.seek(starts[i])
+        if into.nbytes and fh.readinto(memoryview(into).cast("B")) != into.nbytes:
+            raise ParseError(f"truncated while reading data of subject {records[i][0]!r} "
+                             f"at byte {starts[i]}")
+        return into
+    return _Source(records, n_features, {"n_features": int(n_features)}, rows)
 
 
-def _load_csv(manifest_path) -> MultiSubjectDataset:
-    """Load a JSON manifest of per-subject CSV files.
+def _csv_source(manifest_path) -> _Source:
+    """Parse a JSON manifest of per-subject CSV files into a source of its subjects.
 
     The manifest is ``{"n_features": int (optional), "subjects": [{"subject_id":
     str, "csv_path": str, "label_path": str or null, "group": int or null}]}``;
@@ -635,15 +746,36 @@ def _load_csv(manifest_path) -> MultiSubjectDataset:
                 raise ParseError(f"{where} holds a label outside [-2**31, 2**31)")
             labels = np.array(labels, dtype=np.int64)
         subjects.append(SubjectData(entry["subject_id"], data, labels, group))
-    dataset = MultiSubjectDataset(subjects)
-    dataset.metadata["n_features"] = dataset.n_features
-    return dataset
+    n_features = _common_width(subjects)
+    return _Source(_records(subjects), n_features, {"n_features": n_features},
+                   lambda i, into: subjects[i].data)
+
+
+@contextmanager
+def _opened(path, fmt: str):
+    """The ``_Source`` of a packed file (open inside the block) or of a CSV manifest."""
+    if fmt == "binary":
+        with open(path, "rb") as fh:
+            yield _binary_source(fh)
+    elif fmt == "csv":
+        yield _csv_source(path)
+    else:
+        raise ConfigError(f"unknown dataset format {fmt!r}; expected 'binary' or 'csv'")
+
+
+def _load_parts(path, fmt: str, plan, center: bool = False):
+    """``(source, datasets)``: a file's headers, and the partitions ``plan`` cuts from it.
+
+    ``plan(records)`` sees only the subjects' headers and returns the parts
+    ``_fill`` copies, so its checks fail before any data is read.  Each
+    subject is then read once and its rows go straight into the partitions
+    that own them (centered first, with ``center``): the file's data is
+    never held beside them.
+    """
+    with _opened(path, fmt) as source:
+        return source, _fill(source, plan(source.records), center)
 
 
 def load_dataset(path, fmt: str = "binary") -> MultiSubjectDataset:
     """Load a packed binary dataset or a CSV-per-subject manifest."""
-    if fmt == "binary":
-        return _load_binary(path)
-    if fmt == "csv":
-        return _load_csv(path)
-    raise ConfigError(f"unknown dataset format {fmt!r}; expected 'binary' or 'csv'")
+    return _load_parts(path, fmt, lambda records: [_ALL])[1][0]

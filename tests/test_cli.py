@@ -5,17 +5,20 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from subjmap import cli
-from subjmap.checkpoint import save_model
+from subjmap.checkpoint import load_model, save_model
 from subjmap.cli import _load_config, _write_json, config_tables, main
 from subjmap.datasets import (SubjectData, half_moons, load_dataset, rotate_subjects, save_dataset,
-                              synth_group_dataset)
+                              split, synth_group_dataset)
+from subjmap.linalg import SeededRng
 from subjmap.models import ModelSpec, build_model
+from subjmap.training import evaluate_loss
 
 
 def write_config(path, payload):
@@ -260,6 +263,38 @@ class TestChecksBeforeWork:
         assert capsys.readouterr().err.startswith(
             "config error: sweep needs a validation set; val_fraction gives it no rows")
 
+    @pytest.mark.parametrize("command,values,message", [
+        ("train", {"test_fraction": 0.999},
+         "test_fraction 0.999 and val_fraction 0.1 leave degenerate split sizes"),
+        ("train", {"scheme": "subject_holdout", "n_holdout": 6}, "n_holdout 6 must lie in [1, 6)"),
+        ("train", {"scheme": "subject_holdout", "n_holdout": 2},
+         "data.split.scheme 'subject_holdout' needs model.variant 'group'"),
+        ("evaluate", {"test_fraction": 0.999},
+         "test_fraction 0.999 and val_fraction 0.1 leave degenerate split sizes"),
+        ("finetune", {"holdout_fraction": 0}, "finetune.holdout_fraction 0 holds out none"),
+        ("finetune", {"fraction": 0}, "finetune.fraction 0 leaves no timestep of 40"),
+    ])
+    def test_header_checks_exit_one_before_the_data_is_read(self, tmp_path, capsys, command,
+                                                            values, message):
+        # a NaN in the first subject fails the read with exit 2: each check fails first,
+        # where the whole file used to be read before it
+        data, _ = synth_group_dataset(6, 40, 8, 3, 1.0, seed=2)
+        data.subjects[0].data[0, 0] = np.nan
+        path = tmp_path / "nan.smds"
+        save_dataset(data, path)
+        payload = {
+            "train": {"data": {"path": str(path), "split": {}},
+                      "model": train_config(path)["model"]},
+            "evaluate": {"data": {"path": str(path), "split": {}}, "checkpoint": "missing.ckpt"},
+            "finetune": {"data": {"path": str(path)}, "checkpoint": "missing.ckpt",
+                         "finetune": {}},
+        }[command]
+        (payload["finetune"] if command == "finetune" else payload["data"]["split"]).update(values)
+        cfg = write_config(tmp_path / "c.json", payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("workers", ["-2", "0"])
     def test_workers_below_one_exits_one_before_a_file_is_read(self, tmp_path, capsys, workers):
         # -2 ran the sweep serially and 0 meant the CPU count; both exited 0
@@ -440,12 +475,91 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg_b), "--out", str(out_b)]) == 0
         assert read_results(out_a)["config_hash"] == read_results(out_b)["config_hash"]
 
+    @pytest.mark.parametrize("variant", ["subject", "decomposed"])
+    def test_subject_holdout_of_a_per_subject_model_is_config_error(self, tmp_path, synth_file,
+                                                                   capsys, variant):
+        # train validates on the held-out subjects; a decomposed model exited 2 with
+        # UnknownSubject after its first epoch, since it has no weights for them
+        payload = train_config(synth_file, variant, epochs=2)
+        payload["data"]["split"] = {"scheme": "subject_holdout", "n_holdout": 2}
+        cfg = write_config(tmp_path / "c.json", payload)
+        capsys.readouterr()
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: data.split.scheme 'subject_holdout' needs model.variant 'group': "
+            f"train validates on the held-out subjects, and a {variant} model has no weights "
+            f"for them\n")
+        assert not (tmp_path / "out").exists()
+        payload["model"]["variant"] = "group"
+        cfg = write_config(tmp_path / "c.json", payload)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert read_results(tmp_path / "out")["metrics"]["test_loss"] > 0
+
+    @pytest.mark.parametrize("objective", ["autoencoder", "classifier"])
+    @pytest.mark.parametrize("scheme,passes", [("first_second_half", 0),
+                                               ("subject_holdout", 0),
+                                               ("timestep_fraction", 1)])
+    def test_test_split_is_scored_once(self, tmp_path, monkeypatch, objective, scheme, passes):
+        # without a validation set train validates on the test split: the best epoch's
+        # pass is the test score, and the restored model scores the same on it
+        samples, labels = half_moons(60, 0.1, 1)
+        data, _ = rotate_subjects(samples, labels, 4, seed=3)
+        path = tmp_path / "data.smds"
+        save_dataset(data, path)
+        split_section = {"scheme": scheme, "n_holdout": 1, "test_fraction": 0.5}
+        payload = train_config(path, "group", epochs=6)
+        payload["data"]["split"] = split_section
+        payload["model"].update(objective=objective, first_layer_width=4)
+        if objective == "classifier":
+            payload["model"].update(n_classes=2)
+        calls = []
+        monkeypatch.setattr(cli, "evaluate_loss",
+                            lambda *args: calls.append(1) or evaluate_loss(*args))
+        cfg = write_config(tmp_path / "c.json", payload)
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+        assert len(calls) == passes
+        metrics = read_results(out)["metrics"]
+        model, _ = load_model(out / "model.ckpt")
+        test_set = split(load_dataset(path), **split_section, seed=SeededRng(5).derive("split").seed)[2]
+        value, terms = evaluate_loss(model, test_set)
+        key, want = ("test_accuracy", terms["accuracy"]) if objective == "classifier" else (
+            "test_loss", value)
+        assert metrics[key] == want
+        if passes == 0:
+            history = json.loads((out / "history.json").read_text())
+            best = metrics["best_epoch"]
+            assert want == (history["val_metrics"] if key == "test_accuracy"
+                            else history["val_losses"])[best]
+
     def test_env_var_out_dir(self, tmp_path, synth_file, monkeypatch):
         target = tmp_path / "via_env"
         monkeypatch.setenv("SUBJMAP_OUT", str(target))
         cfg = write_config(tmp_path / "c.json", train_config(synth_file, epochs=1))
         assert main(["train", "--config", cfg]) == 0
         assert (target / "results.json").exists()
+
+
+class TestLoadSplitMemory:
+    @pytest.mark.parametrize("scheme", ["first_second_half", "timestep_fraction",
+                                        "subject_holdout"])
+    def test_load_and_split_holds_the_partitions_and_one_subject(self, tmp_path, scheme):
+        # the whole file used to be read into one block before the partitions were cut
+        data, _ = synth_group_dataset(8, 64, 512, 3, 1.0, seed=4)
+        path = tmp_path / "data.smds"
+        save_dataset(data, path)
+        payload = train_config(path)
+        payload["data"]["split"] = {"scheme": scheme, "n_holdout": 2}
+        config = cli._resolve(payload, cli._schema("train"))
+        tracemalloc.start()
+        try:
+            parts = cli._load_split(config, tmp_path, SeededRng(5))[1]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(part.block.nbytes for part in parts if part is not None)
+        assert held == data.block.nbytes
+        assert peak <= 1.1 * (held + data.subjects[0].data.nbytes)
 
 
 class TestSweepCommand:

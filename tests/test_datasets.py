@@ -10,6 +10,9 @@ import pytest
 from subjmap.datasets import (
     MultiSubjectDataset,
     SubjectData,
+    _load_parts,
+    _same_rows,
+    _split_plan,
     _take_all,
     center_subjects,
     half_moons,
@@ -545,3 +548,137 @@ class TestBlockStorage:
         for rec in back.subjects:
             assert np.shares_memory(rec.data, back.block)
             assert np.shares_memory(rec.labels, back.labels)
+
+
+
+def _same_dataset(got, want) -> bool:
+    """Byte-equal datasets: ids, groups, row layout, rows, labels and metadata."""
+    if got is None or want is None:
+        return got is want
+    return (got.subject_ids == want.subject_ids
+            and [r.group for r in got.subjects] == [r.group for r in want.subjects]
+            and np.array_equal(got.offsets, want.offsets)
+            and got.block.tobytes() == want.block.tobytes()
+            and (got.labels is None) == (want.labels is None)
+            and (got.labels is None or got.labels.tobytes() == want.labels.tobytes())
+            and got.metadata == want.metadata)
+
+
+class TestLoadParts:
+    """The loader cuts each partition from the file as it reads it, one subject at a time."""
+
+    def write(self, tmp_path, fmt, labelled=True, n_timesteps=(9, 9, 9, 9, 9)):
+        # labels mark each row's index, so a partition's labels say which rows it holds
+        rng = SeededRng(11)
+        built = MultiSubjectDataset(
+            [SubjectData(f"s{i}", 3.0 + rng.normal((t, 4)), np.arange(t) if labelled else None,
+                         None if i == 2 else i % 2) for i, t in enumerate(n_timesteps)])
+        if fmt == "binary":
+            save_dataset(built, tmp_path / "data.smds")
+            return built, tmp_path / "data.smds"
+        entries = []
+        for rec in built.subjects:
+            np.savetxt(tmp_path / f"{rec.subject_id}.csv", rec.data, delimiter=",")
+            entry = {"subject_id": rec.subject_id, "csv_path": f"{rec.subject_id}.csv",
+                     "group": rec.group}
+            if labelled:
+                (tmp_path / f"{rec.subject_id}.txt").write_text(" ".join(map(str, rec.labels)))
+                entry["label_path"] = f"{rec.subject_id}.txt"
+            entries.append(entry)
+        (tmp_path / "manifest.json").write_text(json.dumps({"subjects": entries}))
+        return built, tmp_path / "manifest.json"
+
+    @pytest.mark.parametrize("fmt", ["binary", "csv"])
+    @pytest.mark.parametrize("labelled", [True, False])
+    @pytest.mark.parametrize("center", [False, True])
+    @pytest.mark.parametrize("scheme,keys", [
+        ("timestep_fraction", {"test_fraction": 0.5, "val_fraction": 0.2}),
+        ("timestep_fraction", {"test_fraction": 0.8, "val_fraction": 0.0}),
+        ("first_second_half", {}),
+        ("subject_holdout", {"n_holdout": 2}),
+        ("none", {}),
+    ])
+    def test_partitions_equal_split_of_the_loaded_dataset(self, tmp_path, fmt, labelled, center,
+                                                          scheme, keys):
+        built, path = self.write(tmp_path, fmt, labelled)
+        cut = _split_plan(scheme, **keys)[0]
+        source, parts = _load_parts(path, fmt, lambda records: cut(records, 7), center)
+        whole = load_dataset(path, fmt)
+        if center:
+            whole = center_subjects(whole)
+        want = split(whole, scheme, **keys, seed=7)
+        assert len(parts) == 3 and all(_same_dataset(g, w) for g, w in zip(parts, want))
+        assert source.subject_ids == built.subject_ids
+        assert source.groups().tolist() == built.groups().tolist()
+        if not labelled:
+            return
+        # an oracle that shares no code with the loader: each subject's rows, indexed
+        for part in parts:
+            for rec in [] if part is None else part.subjects:
+                full = built.subjects[built.subject_ids.index(rec.subject_id)].data
+                if center:
+                    full = full - full.mean(axis=0)
+                assert np.array_equal(rec.data, full[rec.labels])
+
+    @pytest.mark.parametrize("fmt", ["binary", "csv"])
+    @pytest.mark.parametrize("center", [False, True])
+    def test_fine_tune_window_and_tail_equal_take_all(self, tmp_path, fmt, center):
+        _, path = self.write(tmp_path, fmt)
+        whole = load_dataset(path, fmt)
+        if center:
+            whole = center_subjects(whole)
+        for rows in (np.arange(3), np.arange(5, 9), np.arange(9)):
+            _, (got,) = _load_parts(path, fmt, lambda records: [_same_rows(records, rows)],
+                                    center)
+            assert _same_dataset(got, _take_all(whole, rows))
+
+    def test_none_reads_the_file_straight_into_one_block(self, tmp_path):
+        _, path = self.write(tmp_path, "binary", labelled=False)
+        cut = _split_plan("none")[0]
+        tracemalloc.start()
+        try:
+            _, (whole, val, test) = _load_parts(path, "binary", lambda records: cut(records, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert val is None and test is None and _same_dataset(whole, load_dataset(path))
+        assert peak < whole.block.nbytes + 2 ** 14
+
+    def test_truncated_file_is_parse_error(self, tmp_path):
+        _, path = self.write(tmp_path, "binary")
+        raw = path.read_bytes()
+        path.write_bytes(raw[:len(raw) // 2])
+        cut = _split_plan("first_second_half")[0]
+        with pytest.raises(ParseError, match="truncated while reading .* at byte"):
+            _load_parts(path, "binary", lambda records: cut(records, 0))
+
+    @pytest.mark.parametrize("center", [False, True])
+    @pytest.mark.parametrize("scheme,keys", [("first_second_half", {}),
+                                             ("subject_holdout", {"n_holdout": 2})])
+    def test_non_finite_subject_is_named(self, tmp_path, center, scheme, keys):
+        built, path = self.write(tmp_path, "binary")
+        built.subjects[3].data[4, 1] = np.nan
+        built.subjects[4].data[0, 0] = np.inf
+        save_dataset(built, path)
+        cut = _split_plan(scheme, **keys)[0]
+        with pytest.raises(NonFiniteError, match="^subject 's3' data contains non-finite"):
+            _load_parts(path, "binary", lambda records: cut(records, 0), center)
+
+    @pytest.mark.parametrize("scheme", ["timestep_fraction", "first_second_half"])
+    def test_unequal_lengths_fail_before_any_data_is_read(self, tmp_path, scheme):
+        # a NaN in the first subject would fail the read: the lengths fail first
+        built, path = self.write(tmp_path, "binary", n_timesteps=(9, 9, 7, 9, 9))
+        built.subjects[0].data[0, 0] = np.nan
+        save_dataset(built, path)
+        cut = _split_plan(scheme)[0]
+        with pytest.raises(ShapeError, match=r"^timestep split needs equal lengths, got \[7, 9\]$"):
+            _load_parts(path, "binary", lambda records: cut(records, 0))
+
+    @pytest.mark.parametrize("n_holdout", [0, 5])
+    def test_holdout_count_fails_before_any_data_is_read(self, tmp_path, n_holdout):
+        built, path = self.write(tmp_path, "binary")
+        built.subjects[0].data[0, 0] = np.nan
+        save_dataset(built, path)
+        cut = _split_plan("subject_holdout", n_holdout=n_holdout)[0]
+        with pytest.raises(ConfigError, match=rf"^n_holdout {n_holdout} must lie in \[1, 5\)"):
+            _load_parts(path, "binary", lambda records: cut(records, 0))
