@@ -311,29 +311,21 @@ def _load_parts_of(section: dict, config_dir: Path, plan):
                        section["center"])
 
 
-def _load_split(config: dict, config_dir: Path, root: SeededRng, need_val: bool = False,
-                before_read=None):
+def _load_split(config: dict, config_dir: Path, root: SeededRng, need_val: bool = False):
     """``(source, (train, val, test))``: the data's headers, and its partitions by ``data.split``.
 
     ``data.split`` is checked before the file is opened, and with
     ``need_val`` so is whether the scheme can give a validation set at all;
     the checks that need the headers run before any data is read.  Each
     subject is read once, straight into the partitions that own its rows,
-    so the whole file is never held beside them.  ``before_read()``, if
-    given, runs after the header checks and before the data is read.
+    so the whole file is never held beside them.
     """
     section = config["data"]["split"]
     cut, gives_val = _split_plan(**section)
     if need_val and not gives_val:
         raise ConfigError("sweep needs a split scheme that produces a validation set")
     seed = root.derive("split").seed
-
-    def plan(records):
-        parts = cut(records, seed)
-        if before_read is not None:
-            before_read()
-        return parts
-    return _load_parts_of(config["data"], config_dir, plan)
+    return _load_parts_of(config["data"], config_dir, lambda records: cut(records, seed))
 
 
 def config_hash(config: dict) -> str:
@@ -430,19 +422,16 @@ def _cmd_simulate(config: dict, out_dir: Path, config_dir: Path, workers: int) -
 
 
 def _cmd_train(config: dict, out_dir: Path, config_dir: Path, workers: int) -> _Outputs:
+    # a config-only check, before the data is read
+    variant = config["model"]["variant"]
+    holdout = config["data"]["split"]["scheme"] == "subject_holdout"
+    if holdout and variant in ("subject", "decomposed"):
+        raise ConfigError(f"data.split.scheme 'subject_holdout' needs model.variant 'group': "
+                          f"train validates on the held-out subjects, and a {variant} model "
+                          f"has no weights for them")
     root = SeededRng(config["seed"])
     train_cfg = TrainConfig(**config["train"], seed=root.derive("train").seed)
-
-    def holdout_needs_group_model():
-        variant = config["model"]["variant"]
-        if (config["data"]["split"]["scheme"] == "subject_holdout"
-                and variant in ("subject", "decomposed")):
-            raise ConfigError(f"data.split.scheme 'subject_holdout' needs model.variant "
-                              f"'group': train validates on the held-out subjects, and a "
-                              f"{variant} model has no weights for them")
-
-    train_set, val_set, test_set = _load_split(config, config_dir, root,
-                                               before_read=holdout_needs_group_model)[1]
+    train_set, val_set, test_set = _load_split(config, config_dir, root)[1]
     if val_set is None:
         val_set = test_set if test_set is not None else train_set
     spec = ModelSpec(**config["model"], input_size=train_set.n_features,
@@ -459,7 +448,7 @@ def _cmd_train(config: dict, out_dir: Path, config_dir: Path, workers: int) -> _
     if test_set is not None:
         best = history.best_epoch
         if val_set is test_set and best >= 0:
-            # the model is restored to the weights that this pass scored
+            # train restores the weights that this pass scored (see its docstring)
             test_loss, accuracy = history.val_losses[best], history.val_metrics[best]
         else:
             test_loss, terms = evaluate_loss(model, test_set)

@@ -80,29 +80,22 @@ def qr_orthonormalize(m) -> np.ndarray:
     Returns Q with Q.T @ Q = I and span(Q) = span(m).  Each column of Q is
     signed so that the implicit R has a positive diagonal, which pins the
     sign of every column and makes the routine idempotent up to float
-    roundoff.  A stack ``(..., r, c)`` is orthonormalized matrix by matrix
-    in one call, each result equal to that of its own call.
+    roundoff.
 
-    Raises RankDeficient, naming the first pivot (and, for a stack, its
-    matrix), when some |R_jj| falls below 1e-12.
+    Raises RankDeficient, naming the first pivot, when some |R_jj| falls
+    below 1e-12.
     """
-    a = np.asarray(m, dtype=np.float64)
-    if a.ndim < 2:
-        raise ShapeError(f"m must be 2-D or a stack of 2-D matrices, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise NonFiniteError("m contains non-finite entries")
-    r, c = a.shape[-2:]
+    a = as_matrix(m, "m")
+    r, c = a.shape
     if r < c:
         raise ShapeError(f"need rows >= cols, got {r}x{c}")
     q, rr = np.linalg.qr(a)
-    pivots = np.diagonal(rr, axis1=-2, axis2=-1)
-    small = np.abs(pivots) < 1e-12
-    if small.any():
-        first = np.unravel_index(np.argmax(small), small.shape)
-        where = f"matrix {', '.join(str(int(i)) for i in first[:-1])}: " if a.ndim > 2 else ""
-        raise RankDeficient(f"{where}pivot {int(first[-1])} has norm {abs(pivots[first]):.3e} "
-                            f"< 1e-12")
-    return q * np.sign(pivots)[..., None, :]
+    pivots = np.diag(rr)
+    small = np.flatnonzero(np.abs(pivots) < 1e-12)
+    if small.size:
+        j = int(small[0])
+        raise RankDeficient(f"pivot {j} has norm {abs(pivots[j]):.3e} < 1e-12")
+    return q * np.sign(pivots)
 
 
 def svd_small(m):

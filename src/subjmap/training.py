@@ -7,8 +7,8 @@ The optimizer is bound once to the arrays it trains (row views ``s[start:]``
 when fine-tuning) and steps with their gradients as one flat vector, whose
 norm clipping bounds.  ``Adam``'s flat moments follow the per-array arithmetic
 in the same order, so training is bit-for-bit that of a per-array Adam.
-``train`` runs it over every parameter, re-projects the decomposed maps'
-square factors by one batched QR after each ``orth_every`` steps, stops early on
+``train`` runs it over every parameter, re-projects each decomposed map's
+square factor by QR after each ``orth_every`` steps, stops early on
 validation loss and keeps a best-validation snapshot.
 
 ``hyperparameter_sweep`` runs the same epoch loop (``_train_epochs``) once
@@ -199,18 +199,9 @@ def clip_gradients(g: np.ndarray, max_norm: float) -> None:
         g *= max_norm / total
 
 
-def _reproject(maps: list) -> None:
-    """Re-orthonormalize the square factor ``u`` of every map in ``maps`` with one QR call.
-
-    Two or more factors go to LAPACK as one stack; a lone factor goes as it
-    is, which spares a stacked call's overhead (about a tenth of a small
-    step's time).
-    """
-    if len(maps) == 1:
-        maps[0].u[...] = qr_orthonormalize(maps[0].u)
-    elif maps:
-        for dmap, q in zip(maps, qr_orthonormalize(np.stack([dmap.u for dmap in maps]))):
-            dmap.u[...] = q
+def _reproject(model: Model) -> None:
+    for dmap in model.decomposed_maps():
+        dmap.u[...] = qr_orthonormalize(dmap.u)
 
 
 def evaluate_loss(model: Model, dataset: MultiSubjectDataset) -> tuple[float, dict]:
@@ -284,11 +275,9 @@ def _train_epochs(model: Model, train_set: MultiSubjectDataset, val_set: MultiSu
     if x.shape[0] == 0:
         raise EmptySubset("training set has no timesteps")
 
-    maps = model.decomposed_maps()
-
     def reproject(step, _value):
         if config.orth_every and step % config.orth_every == 0:
-            _reproject(maps)
+            _reproject(model)
 
     best_val = math.inf
     best_snap = None
@@ -319,6 +308,12 @@ def _train_epochs(model: Model, train_set: MultiSubjectDataset, val_set: MultiSu
 def train(model: Model, train_set: MultiSubjectDataset, val_set: MultiSubjectDataset,
           config: TrainConfig) -> tuple[Model, TrainHistory]:
     """Optimize ``model`` in place; returns it restored to the best-validation epoch.
+
+    The restored weights are exactly those that ``evaluate_loss`` scored on
+    ``val_set`` at ``history.best_epoch``: the snapshot is taken right after
+    that pass, which is deterministic (a VAE is scored at its posterior
+    mean).  So ``history.val_losses[best_epoch]`` (and ``val_metrics``) is
+    the restored model's score on ``val_set``.
 
     Every ``orth_every`` steps each decomposed map's square factor is
     re-orthonormalized by QR.  Raises DivergenceError with the offending step

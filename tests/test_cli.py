@@ -210,8 +210,9 @@ class TestChecksBeforeWork:
     def test_bad_split_value_is_config_error(self, tmp_path, synth_file, capsys,
                                              split_values, message):
         # each bad value exited 2 as a runtime InvalidFraction that did not name the key;
-        # the unknown scheme is checked by split itself now, no longer by the CLI
-        payload = train_config(synth_file, epochs=1)
+        # the unknown scheme is checked by split itself now, no longer by the CLI; a group
+        # model, since train rejects subject_holdout for a decomposed one before any of these
+        payload = train_config(synth_file, "group", epochs=1)
         payload["data"]["split"].update(split_values)
         cfg = write_config(tmp_path / "c.json", payload)
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
@@ -267,8 +268,6 @@ class TestChecksBeforeWork:
         ("train", {"test_fraction": 0.999},
          "test_fraction 0.999 and val_fraction 0.1 leave degenerate split sizes"),
         ("train", {"scheme": "subject_holdout", "n_holdout": 6}, "n_holdout 6 must lie in [1, 6)"),
-        ("train", {"scheme": "subject_holdout", "n_holdout": 2},
-         "data.split.scheme 'subject_holdout' needs model.variant 'group'"),
         ("evaluate", {"test_fraction": 0.999},
          "test_fraction 0.999 and val_fraction 0.1 leave degenerate split sizes"),
         ("finetune", {"holdout_fraction": 0}, "finetune.holdout_fraction 0 holds out none"),
@@ -284,7 +283,7 @@ class TestChecksBeforeWork:
         save_dataset(data, path)
         payload = {
             "train": {"data": {"path": str(path), "split": {}},
-                      "model": train_config(path)["model"]},
+                      "model": train_config(path, "group")["model"]},
             "evaluate": {"data": {"path": str(path), "split": {}}, "checkpoint": "missing.ckpt"},
             "finetune": {"data": {"path": str(path)}, "checkpoint": "missing.ckpt",
                          "finetune": {}},
@@ -477,14 +476,17 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("variant", ["subject", "decomposed"])
     def test_subject_holdout_of_a_per_subject_model_is_config_error(self, tmp_path, synth_file,
-                                                                   capsys, variant):
+                                                                   capsys, monkeypatch, variant):
         # train validates on the held-out subjects; a decomposed model exited 2 with
         # UnknownSubject after its first epoch, since it has no weights for them
         payload = train_config(synth_file, variant, epochs=2)
         payload["data"]["split"] = {"scheme": "subject_holdout", "n_holdout": 2}
         cfg = write_config(tmp_path / "c.json", payload)
         capsys.readouterr()
-        assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        with monkeypatch.context() as patched:
+            # the check reads only the config: it fails before the data file is opened
+            patched.setattr(cli, "_load_parts_of", None)
+            assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == (
             f"config error: data.split.scheme 'subject_holdout' needs model.variant 'group': "
             f"train validates on the held-out subjects, and a {variant} model has no weights "

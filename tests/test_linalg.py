@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from subjmap.errors import ConvergenceError, NonFiniteError, RankDeficient, ShapeError
+from subjmap.errors import ConvergenceError, RankDeficient, ShapeError
 from subjmap.linalg import SeededRng, pca, qr_orthonormalize, svd_small
 
 
@@ -108,41 +108,6 @@ class TestQrOrthonormalize:
     def test_wide_input_rejected(self):
         with pytest.raises(ShapeError):
             qr_orthonormalize(np.ones((2, 4)))
-
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    @pytest.mark.parametrize("shape", [(10, 10), (16, 16), (40, 6)])
-    def test_stack_equals_one_call_per_matrix(self, k, shape):
-        stack = SeededRng(k).normal((k, *shape))
-        got = qr_orthonormalize(stack)
-        assert got.shape == stack.shape
-        for one, m in zip(got, stack):
-            assert one.tobytes() == qr_orthonormalize(m).tobytes()
-
-    def test_stack_of_stacks_equals_one_call_per_matrix(self):
-        stack = SeededRng(4).normal((2, 3, 8, 5))
-        got = qr_orthonormalize(stack)
-        for i in range(2):
-            for j in range(3):
-                assert got[i, j].tobytes() == qr_orthonormalize(stack[i, j]).tobytes()
-
-    def test_rank_deficient_matrix_of_a_stack_is_named(self):
-        stack = SeededRng(5).normal((3, 6, 3))
-        stack[1, :, 2] = stack[1, :, 0] + stack[1, :, 1]
-        with pytest.raises(RankDeficient, match=r"^matrix 1: pivot 2 has norm .* < 1e-12$"):
-            qr_orthonormalize(stack)
-        deeper = np.stack([stack, stack])
-        with pytest.raises(RankDeficient, match=r"^matrix 0, 1: pivot 2 has norm"):
-            qr_orthonormalize(deeper)
-
-    @pytest.mark.parametrize("m,error,message", [
-        (np.ones(4), ShapeError, r"^m must be 2-D or a stack of 2-D matrices, got shape \(4,\)$"),
-        (np.ones((3, 2, 4)), ShapeError, r"^need rows >= cols, got 2x4$"),
-        (np.array([[[1.0, 0.0], [0.0, np.inf]]]), NonFiniteError,
-         r"^m contains non-finite entries$"),
-    ])
-    def test_bad_stack_is_named_error(self, m, error, message):
-        with pytest.raises(error, match=message):
-            qr_orthonormalize(m)
 
 
 class TestSvdSmall:

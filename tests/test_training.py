@@ -80,28 +80,6 @@ class TestTrainLoop:
         for dmap in model.decomposed_maps():
             assert np.abs(dmap.u.T @ dmap.u - np.eye(dmap.n_hidden)).max() < 1e-8
 
-    @pytest.mark.parametrize("objective", ["autoencoder", "classifier"])
-    def test_batched_reprojection_equals_the_per_map_loop(self, monkeypatch, objective):
-        # 6 x 40 rows in batches of 24: 50 steps, each followed by a re-projection
-        data = toy_dataset(n_subjects=6)
-        cfg = TrainConfig(lr=0.05, epochs=5, batch_size=24, seed=3, early_stop_patience=None)
-        spec = toy_spec(objective=objective, n_subjects=6)
-        steps = []
-
-        def per_map(maps):
-            steps.append(len(maps))
-            for dmap in maps:
-                dmap.u[...] = training.qr_orthonormalize(dmap.u)
-
-        digests = []
-        for reproject in (training._reproject, per_map):
-            monkeypatch.setattr(training, "_reproject", reproject)
-            model = build_model(spec, seed=4, subject_ids=data.subject_ids)
-            model, history = train(model, data, data, cfg)
-            digests.append(parameter_digest(model))
-        assert history.n_steps == 50 and steps == [len(model.decomposed_maps())] * 50
-        assert digests[0] == digests[1]
-
     def test_divergence_reports_step(self):
         data = toy_dataset(labelled=False)
         model = build_model(toy_spec(), seed=3, subject_ids=data.subject_ids)
