@@ -42,7 +42,6 @@ from .datasets import (
     atomic_write,
     center_subjects,
     half_moons,
-    load_dataset,
     rotate_subjects,
     save_dataset,
     stacked,
@@ -297,35 +296,34 @@ def _relative(section: dict, config_dir: Path, key: str) -> Path:
     return p if p.is_absolute() else config_dir / p
 
 
-def _load_data(section: dict, config_dir: Path) -> MultiSubjectDataset:
-    """The whole dataset ``section`` names, centered with ``data.center``."""
-    dataset = load_dataset(_relative(section, config_dir, "path"), section["format"])
-    if section["center"]:
-        dataset = center_subjects(dataset)
-    return dataset
-
-
 def _load_parts_of(section: dict, config_dir: Path, plan):
     """``(source, partitions)``: the partitions ``plan`` cuts, read in one pass (see ``_load_parts``)."""
     return _load_parts(_relative(section, config_dir, "path"), section["format"], plan,
                        section["center"])
 
 
+def _split_cut(config: dict, root: SeededRng, need_val: bool = False):
+    """``data.split``'s plan: the subjects' headers -> their ``(train, val, test)`` parts.
+
+    ``data.split`` is checked here, before any file is opened, and with
+    ``need_val`` so is whether the scheme can give a validation set at all.
+    """
+    cut, gives_val = _split_plan(**config["data"]["split"])
+    if need_val and not gives_val:
+        raise ConfigError("sweep needs a split scheme that produces a validation set")
+    seed = root.derive("split").seed
+    return lambda records: cut(records, seed)
+
+
 def _load_split(config: dict, config_dir: Path, root: SeededRng, need_val: bool = False):
     """``(source, (train, val, test))``: the data's headers, and its partitions by ``data.split``.
 
-    ``data.split`` is checked before the file is opened, and with
-    ``need_val`` so is whether the scheme can give a validation set at all;
+    The split is checked before the file is opened (see ``_split_cut``), and
     the checks that need the headers run before any data is read.  Each
     subject is read once, straight into the partitions that own its rows,
     so the whole file is never held beside them.
     """
-    section = config["data"]["split"]
-    cut, gives_val = _split_plan(**section)
-    if need_val and not gives_val:
-        raise ConfigError("sweep needs a split scheme that produces a validation set")
-    seed = root.derive("split").seed
-    return _load_parts_of(config["data"], config_dir, lambda records: cut(records, seed))
+    return _load_parts_of(config["data"], config_dir, _split_cut(config, root, need_val))
 
 
 def config_hash(config: dict) -> str:
@@ -577,9 +575,15 @@ def _cmd_evaluate(config: dict, out_dir: Path, config_dir: Path, workers: int) -
     if section["probe_folds"] < 2:
         raise ConfigError(f"eval.probe_folds must be at least 2, got {section['probe_folds']!r}")
     root = SeededRng(config["seed"])
-    source, (train_set, _, test_set) = _load_split(config, config_dir, root)
-    # under scheme none the training set is the whole dataset
-    eval_set = test_set if test_set is not None else train_set
+    cut = _split_cut(config, root)
+
+    def scored(records):
+        # only the test part is scored, or under scheme none the training part, which is
+        # the whole dataset: no other part is filled
+        train_part, _, test_part = cut(records)
+        return [test_part if test_part is not None else train_part]
+
+    source, (eval_set,) = _load_parts_of(config["data"], config_dir, scored)
     model, _ = checkpoint.load_model(_relative(config, config_dir, "checkpoint"))
 
     # every input is checked before anything is scored or written
@@ -664,20 +668,21 @@ def _cmd_analyze(config: dict, out_dir: Path, config_dir: Path, workers: int) ->
             raise ConfigError(f"analysis.{key} must be at least 1, got {section[key]!r}")
     if not (math.isfinite(section["tol"]) and section["tol"] >= 0):
         raise ConfigError(f"analysis.tol must be finite and at least 0, got {section['tol']!r}")
-    dataset = _load_data(config["data"], config_dir)
+    # the analysis needs the subjects' ids and groups, never a row: read the headers alone
+    subjects = _load_parts_of(config["data"], config_dir, lambda records: [])[0]
     model, _ = checkpoint.load_model(_relative(config, config_dir, "checkpoint"))
     if model.spec.objective == "classifier":
         raise ConfigError("analyze needs a checkpoint that reconstructs its input, "
                           "not a classifier")
     # the ICA input is one row per (subject, latent dimension, grid point), one column per feature
-    n_rows = dataset.n_subjects * model.spec.latent_size * section["grid_points"]
+    n_rows = len(subjects.subject_ids) * model.spec.latent_size * section["grid_points"]
     if section["k"] > min(n_rows, model.spec.input_size):
         raise ConfigError(f"analysis.k {section['k']!r} exceeds the {n_rows} traversal rows "
                           f"(subjects x latent_size x grid_points) or the input width "
                           f"{model.spec.input_size}")
     grid = np.linspace(section["grid_min"], section["grid_max"], section["grid_points"])
     report, ica = group_difference_pipeline(
-        model, dataset, grid=grid, k=section["k"], q=section["q"],
+        model, subjects, grid=grid, k=section["k"], q=section["q"],
         seed=SeededRng(config["seed"]).derive("ica").seed,
         max_iter=section["max_iter"], tol=section["tol"])
 

@@ -20,7 +20,10 @@ checkpoint blob.  One forward and one backward pass walk either chain, and a
 pass without gradients keeps no layer's cache.  ``encode``, ``decode`` and
 the loss share these passes, the same ``eps`` draw included.
 ``loss_and_grads`` returns exact analytic gradients for every parameter; see
-``training.grad_check`` for the finite-difference gate.
+``training.grad_check`` for the finite-difference gate.  The loss is computed
+as sums over the batch's rows (``loss_terms``) and divided once
+(``loss_of_terms``), so the terms of several batches add up to those of all
+their rows: ``training.evaluate_loss`` scores a dataset block by block.
 
 Biases, tanh, the squared residual and the output gradient are computed in
 place, in arrays the pass has just made.  Each is the same IEEE operation on
@@ -299,20 +302,57 @@ def loss(model: Model, x, subject_idx, labels=None, rng: SeededRng | None = None
     VAE, ``mse`` is the reconstruction error of the posterior mean when no
     ``rng`` is given.
     """
-    value, breakdown, _ = _loss_impl(model, x, subject_idx, labels, rng, need_grads=False)
-    return value, breakdown
+    return loss_of_terms(model.spec, loss_terms(model, x, subject_idx, labels, rng))
+
+
+def loss_terms(model: Model, x, subject_idx, labels=None, rng: SeededRng | None = None) -> dict:
+    """``loss``'s terms on one batch, summed over its rows and not yet divided.
+
+    ``rows`` counts the rows; a classifier adds ``cross_entropy`` (the sum
+    of the per-row cross-entropies) and ``correct`` (the number of rows
+    whose largest logit is the label), an autoencoder ``squared_error`` (the
+    sum of the squared residuals) and a VAE also ``kl`` (the sum of the
+    per-row KL divergences, before their factor 0.5).  The terms of several
+    batches add up to those of their union, so ``loss_of_terms`` of the sum
+    scores all of them at once.
+    """
+    return _loss_impl(model, x, subject_idx, labels, rng, need_grads=False)[0]
+
+
+def loss_of_terms(spec: ModelSpec, terms: dict) -> tuple[float, dict]:
+    """``(value, breakdown)`` from ``loss_terms``, or their sum over batches: divides once.
+
+    Each mean is its sum divided by its count, which is what ``np.mean``
+    computes, so one batch's terms give ``np.mean``'s bits.
+    """
+    rows = terms["rows"]
+    if spec.objective == "classifier":
+        value = float(terms["cross_entropy"] / rows)
+        breakdown = {"cross_entropy": value}
+        if "correct" in terms:
+            breakdown["accuracy"] = float(terms["correct"] / rows)
+        return value, breakdown
+    mse = float(terms["squared_error"] / (rows * spec.input_size))
+    if spec.objective == "vae":
+        kl = float(0.5 * (terms["kl"] / rows))
+        return mse + spec.beta * kl, {"mse": mse, "kl": kl}
+    return mse, {"mse": mse}
 
 
 def loss_and_grads(model: Model, x, subject_idx, labels=None, rng: SeededRng | None = None):
     """Objective value, breakdown and exact gradients keyed like ``Model.params``."""
-    return _loss_impl(model, x, subject_idx, labels, rng, need_grads=True)
+    terms, grads = _loss_impl(model, x, subject_idx, labels, rng, need_grads=True)
+    return (*loss_of_terms(model.spec, terms), grads)
 
 
 def _loss_impl(model: Model, x, subject_idx, labels, rng, need_grads: bool):
+    """``(loss_terms, grads)``; grads is None, and a classifier counts no ``correct``
+    rows, unless ``need_grads``."""
     spec = model.spec
     latent, xb, (enc_caches, eps, clip_mask) = _encoder_forward(
         model, x, subject_idx, rng, keep_caches=need_grads)
     batch = xb.shape[0]
+    terms = {"rows": batch}
     grads: dict[str, np.ndarray] = {}
 
     if spec.objective == "classifier":
@@ -323,11 +363,10 @@ def _loss_impl(model: Model, x, subject_idx, labels, rng, need_grads: bool):
             raise ShapeError(f"{y.shape[0]} labels for batch of {batch}")
         probs = softmax(latent.z)
         picked = np.clip(probs[np.arange(batch), y], 1e-300, None)
-        value = float(-np.log(picked).mean())
-        breakdown = {"cross_entropy": value}
+        terms["cross_entropy"] = -np.log(picked).sum()
         if not need_grads:
-            breakdown["accuracy"] = float((np.argmax(probs, axis=1) == y).mean())
-            return value, breakdown, None
+            terms["correct"] = (np.argmax(probs, axis=1) == y).sum()
+            return terms, None
         grad_head = probs.copy()
         grad_head[np.arange(batch), y] -= 1.0
         grad_head /= batch
@@ -335,20 +374,15 @@ def _loss_impl(model: Model, x, subject_idx, labels, rng, need_grads: bool):
         xhat, dec_caches = _forward(model.decoder, latent.z, subject_idx, need_grads)
         resid = np.subtract(xhat, xb, out=xhat)  # xhat is dead: one fewer B x N array at peak
         if need_grads:
-            mse = float((resid * resid).mean())
+            terms["squared_error"] = (resid * resid).sum()
         else:  # resid is dead after this: square it where it lies
-            mse = float(np.multiply(resid, resid, out=resid).mean())
+            terms["squared_error"] = np.multiply(resid, resid, out=resid).sum()
         mu, logvar = latent.mu, latent.logvar
         if spec.objective == "vae":
             kl_terms = mu * mu + np.exp(logvar) - 1.0 - logvar
-            kl = float(0.5 * kl_terms.sum(axis=1).mean())
-            value = mse + spec.beta * kl
-            breakdown = {"mse": mse, "kl": kl}
-        else:
-            value = mse
-            breakdown = {"mse": mse}
+            terms["kl"] = kl_terms.sum(axis=1).sum()
         if not need_grads:
-            return value, breakdown, None
+            return terms, None
 
         grad_xhat = np.multiply(resid, 2.0 / resid.size, out=resid)
         grad_z = _backward(model.decoder, dec_caches, grad_xhat, grads, True)
@@ -362,7 +396,7 @@ def _loss_impl(model: Model, x, subject_idx, labels, rng, need_grads: bool):
             grad_head = grad_z
 
     _backward(model.encoder, enc_caches, grad_head, grads, False)
-    return value, breakdown, grads
+    return terms, grads
 
 
 def latent_traversal(model: Model, dim: int, grid, subject_idx=None) -> np.ndarray:

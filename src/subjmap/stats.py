@@ -246,7 +246,9 @@ def group_difference_pipeline(model: Model, dataset, grid=None, k: int = 8,
     Reconstructs the same latent sweep with every subject's weights (so
     differences are attributable to those weights alone), extracts ``k``
     spatial sources from the stacked reconstructions, averages each
-    subject's mixing rows, and tests group a vs group b per source.
+    subject's mixing rows, and tests group a vs group b per source.  Of
+    ``dataset`` it reads only ``subject_ids`` and ``groups()``, which a
+    file's headers (a ``datasets._Source``) give as well as its rows.
     Returns (GroupDiffReport, ICAResult).
     """
     groups = dataset.groups()

@@ -26,8 +26,11 @@ any thread count and rows do not depend on the worker count.
 
 ``evaluate_loss`` is the one scoring pass: validation, sweep test metrics and
 every score the CLI reports (``train``'s test metric, ``evaluate``'s and
-``finetune``'s reconstruction errors) are the full-batch loss of a model on
-every row of a dataset, read from its breakdown.
+``finetune``'s reconstruction errors) are the loss of a model on every row of
+a dataset, read from its breakdown.  It walks the rows in fixed-size blocks
+(``_score_block_rows``) and adds each block's ``models.loss_terms``, the
+loss's sums before any division, then divides once: its memory follows the
+block, not the dataset, and it shares the batch loss's one code path.
 
 ``finetune_subjects`` implements generalization to unseen subjects: it runs
 the same loop on new per-subject rows appended to the maps, which are the
@@ -55,7 +58,8 @@ from .datasets import MultiSubjectDataset, atomic_write, stacked
 from .errors import (ConfigError, DivergenceError, DuplicateSubject, EmptySubset, MissingLabels,
                      NoSubjectWeights, ShapeError, SweepFailed)
 from .linalg import SeededRng, is_count, qr_orthonormalize
-from .models import Model, ModelSpec, build_model, loss, loss_and_grads
+from .models import (Model, ModelSpec, build_model, loss, loss_and_grads, loss_of_terms,
+                     loss_terms)
 
 
 def canonical_digest(obj) -> str:
@@ -204,14 +208,48 @@ def _reproject(model: Model) -> None:
         dmap.u[...] = qr_orthonormalize(dmap.u)
 
 
-def evaluate_loss(model: Model, dataset: MultiSubjectDataset) -> tuple[float, dict]:
-    """Full-batch ``loss`` of ``model`` on every row of ``dataset``: (value, breakdown).
+# A scoring block has as many rows as fit _SCORE_BLOCK_ELEMENTS float64 elements
+# (2 MiB) in its widest array, and at least _SCORE_MIN_ROWS, because every block's
+# matmuls pack their weights afresh.  At input width 20 000, 13-row blocks scored a
+# 512-row split about 1.5x slower than 128-row blocks, the fastest of 13 to 512 rows
+# (the README has the table).
+_SCORE_BLOCK_ELEMENTS = 2 ** 18
+_SCORE_MIN_ROWS = 128
 
-    This one forward pass scores every dataset.  The breakdown holds
-    ``accuracy`` for a classifier, and ``mse`` (plus ``kl`` for a VAE, whose
-    latent is the posterior mean) otherwise.
+
+def _score_block_rows(spec: ModelSpec) -> int:
+    """Rows per ``evaluate_loss`` block of a ``spec`` model.
+
+    The widest array a forward pass makes holds, per row, the input width or
+    a layer's output width (twice the latent size for a VAE's head), or for
+    a subject map the n_in x n_out weights it gathers for the row.
     """
-    return loss(model, *stacked(dataset, model))
+    widths = [spec.input_size, spec.first_layer_width, *spec.trunk_widths, 2 * spec.latent_size]
+    if spec.variant == "subject":
+        widths.append(spec.input_size * spec.first_layer_width)
+    return max(_SCORE_MIN_ROWS, _SCORE_BLOCK_ELEMENTS // max(widths))
+
+
+def evaluate_loss(model: Model, dataset: MultiSubjectDataset) -> tuple[float, dict]:
+    """``loss`` of ``model`` on every row of ``dataset``: (value, breakdown).
+
+    This one pass scores every dataset.  It walks the rows in blocks of
+    ``_score_block_rows`` rows, adds each block's ``loss_terms`` and divides
+    once, so its memory follows the block, not the dataset.  A dataset of
+    one block scores bit for bit as ``loss`` on all its rows; over several,
+    a mean moves by roundoff only (a matmul's rows depend on its row count),
+    and ``accuracy`` is exact.  The breakdown holds ``accuracy`` for a
+    classifier, and ``mse`` (plus ``kl`` for a VAE, whose latent is the
+    posterior mean) otherwise.
+    """
+    x, idx, labels = stacked(dataset, model)
+    step = _score_block_rows(model.spec)
+    total = None
+    for begin in range(0, max(x.shape[0], 1), step):  # an empty dataset makes one empty block
+        rows = slice(begin, begin + step)
+        terms = loss_terms(model, x[rows], idx[rows], None if labels is None else labels[rows])
+        total = terms if total is None else {key: total[key] + terms[key] for key in terms}
+    return loss_of_terms(model.spec, total)
 
 
 def _fit(model: Model, x, idx, labels, config: TrainConfig, names: list[str], start: int,

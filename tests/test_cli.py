@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from subjmap import cli
+from subjmap import cli, datasets
 from subjmap.checkpoint import load_model, save_model
 from subjmap.cli import _load_config, _write_json, config_tables, main
 from subjmap.datasets import (SubjectData, half_moons, load_dataset, rotate_subjects, save_dataset,
@@ -562,6 +562,55 @@ class TestLoadSplitMemory:
         held = sum(part.block.nbytes for part in parts if part is not None)
         assert held == data.block.nbytes
         assert peak <= 1.1 * (held + data.subjects[0].data.nbytes)
+
+
+class TestReadsOnlyWhatIsUsed:
+    @pytest.mark.parametrize("center", [False, True])
+    def test_analyze_reads_the_headers_alone(self, tmp_path, monkeypatch, center):
+        # analyze used to read the whole file (and copy it once more with data.center)
+        cfg = _analyze_config(tmp_path, {"k": 2, "max_iter": 5})
+        payload = json.loads(Path(cfg).read_text())
+        payload["data"]["center"] = center
+        write_config(Path(cfg), payload)
+        real = datasets._binary_source
+
+        def headers_only(fh):
+            source = real(fh)
+            source.rows = lambda i, into: pytest.fail("analyze read a subject's rows")
+            return source
+        monkeypatch.setattr(datasets, "_binary_source", headers_only)
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert read_results(tmp_path / "out")["metrics"]["n_sources"] == 2
+
+    @pytest.mark.parametrize("scheme", ["first_second_half", "timestep_fraction",
+                                        "subject_holdout", "none"])
+    def test_evaluate_fills_only_the_scored_part(self, tmp_path, monkeypatch, scheme):
+        # evaluate used to fill every partition of its split and score one
+        data, _ = synth_group_dataset(6, 40, 8, 3, 1.0, seed=2)
+        path = tmp_path / "data.smds"
+        save_dataset(data, path)
+        spec = ModelSpec("group", "autoencoder", 8, 4, 2, 6, (5,))
+        save_model(build_model(spec, 0, subject_ids=data.subject_ids), tmp_path / "model.ckpt")
+        cfg = write_config(tmp_path / "eval.json", {
+            "seed": 3, "data": {"path": str(path), "split": {"scheme": scheme, "n_holdout": 2}},
+            "checkpoint": str(tmp_path / "model.ckpt"), "eval": {}})
+        filled, real = [], cli._load_parts
+
+        def recording(*args):
+            source, parts = real(*args)
+            filled.extend(parts)
+            return source, parts
+        monkeypatch.setattr(cli, "_load_parts", recording)
+        assert main(["evaluate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        train_set, _, test_set = split(load_dataset(path), scheme, n_holdout=2,
+                                       seed=SeededRng(3).derive("split").seed)
+        scored = test_set if test_set is not None else train_set
+        assert len(filled) == 1
+        assert filled[0].subject_ids == scored.subject_ids
+        assert filled[0].block.tobytes() == scored.block.tobytes()
+        model = load_model(tmp_path / "model.ckpt")[0]
+        assert (read_results(tmp_path / "out")["metrics"]["test_mse"]
+                == evaluate_loss(model, scored)[1]["mse"])
 
 
 class TestSweepCommand:

@@ -2,6 +2,7 @@ import ctypes
 import hashlib
 import math
 import os
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
@@ -738,6 +739,63 @@ class TestUsableCpus:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: count)
         assert training.usable_cpus() == expected
+
+
+class TestBlockedScoring:
+    @pytest.mark.parametrize("variant", ["group", "subject", "decomposed"])
+    @pytest.mark.parametrize("objective", ["classifier", "autoencoder", "vae"])
+    def test_one_block_scores_as_loss_bit_for_bit(self, variant, objective):
+        data = toy_dataset(labelled=objective == "classifier")
+        model = build_model(toy_spec(variant, objective), seed=4, subject_ids=data.subject_ids)
+        assert data.block.shape[0] <= training._score_block_rows(model.spec)
+        assert evaluate_loss(model, data) == loss(model, *stacked(data, model))
+
+    @pytest.mark.parametrize("variant", ["group", "subject", "decomposed"])
+    @pytest.mark.parametrize("objective", ["classifier", "autoencoder", "vae"])
+    def test_blocks_with_a_partial_last_block_match_one_batch(self, monkeypatch, variant,
+                                                              objective):
+        data = toy_dataset(labelled=objective == "classifier")  # 120 rows
+        model = build_model(toy_spec(variant, objective), seed=4, subject_ids=data.subject_ids)
+        monkeypatch.setattr(training, "_SCORE_BLOCK_ELEMENTS", 1)
+        monkeypatch.setattr(training, "_SCORE_MIN_ROWS", 7)
+        blocks, real = [], training.loss_terms
+        monkeypatch.setattr(training, "loss_terms",
+                            lambda model, x, *rest: blocks.append(len(x)) or real(model, x, *rest))
+        value, terms = evaluate_loss(model, data)
+        assert blocks == [7] * 17 + [1]
+        want_value, want_terms = loss(model, *stacked(data, model))
+        assert value == pytest.approx(want_value, rel=1e-14, abs=0)
+        assert terms.keys() == want_terms.keys()
+        for key, want in want_terms.items():
+            if key == "accuracy":
+                assert terms[key] == want
+            else:
+                assert terms[key] == pytest.approx(want, rel=1e-14, abs=0)
+
+    def test_block_rows_follow_the_widest_array(self):
+        # 2**18 elements over the input width, a layer width, or a subject map's
+        # per-row weight gather; at least 128 rows
+        assert training._score_block_rows(toy_spec("group", n=2 ** 9)) == 2 ** 9
+        assert training._score_block_rows(toy_spec("group", trunk_widths=(2 ** 9,))) == 2 ** 9
+        assert training._score_block_rows(toy_spec("subject", n=2 ** 6)) == 2 ** 10
+        assert training._score_block_rows(toy_spec("group", n=2 ** 20)) == 128
+
+    @pytest.mark.parametrize("variant", ["group", "subject", "decomposed"])
+    def test_scoring_memory_follows_the_block(self, variant):
+        # the whole dataset used to be one batch: each of its arrays was 8 blocks' worth
+        spec = toy_spec(variant, n=64, n_subjects=4)
+        rows = training._score_block_rows(spec)
+        assert rows > training._SCORE_MIN_ROWS  # the element budget sets the block
+        data = toy_dataset(n_subjects=4, t=2 * rows, n=64, labelled=False)
+        model = build_model(spec, seed=4, subject_ids=data.subject_ids)
+        budget = 8 * training._SCORE_BLOCK_ELEMENTS  # bytes of one block's widest array, at most
+        tracemalloc.start()
+        try:
+            evaluate_loss(model, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * budget
 
 
 def test_parameter_digest_excludes_only_named_rows():

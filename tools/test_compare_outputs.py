@@ -39,6 +39,20 @@ def test_any_other_difference_fails(tmp_path, capsys, change, named):
     assert named in capsys.readouterr().out
 
 
+def test_a_differing_json_or_csv_file_reports_its_largest_relative_difference(tmp_path, capsys):
+    a = make_tree(tmp_path / "a", mse=0.25)
+    b = make_tree(tmp_path / "b", started=9.0, wall=3.0, mse=0.25 * (1 + 2 ** -50))
+    for name, loss in (("a", "0.5"), ("b", "0.75")):
+        (tmp_path / name / "history.csv").write_text(f"epoch,loss\n0,1.0\n1,{loss}\n")
+    (tmp_path / "b" / "sub" / "model.ckpt").write_bytes(b"\x00\x02")
+    assert main([a, b]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    # the run-to-run fields (started_unix, wall_clock_seconds) do not count
+    assert lines == ["differs: history.csv (max relative difference of its numbers: 0.333)",
+                     "differs: results.json (max relative difference of its numbers: 8.88e-16)",
+                     "differs: sub/model.ckpt"]
+
+
 def test_a_file_missing_from_one_tree_fails(tmp_path, capsys):
     a = make_tree(tmp_path / "a")
     b = make_tree(tmp_path / "b")
