@@ -5,6 +5,11 @@ to an 8-byte boundary, then raw float64 little-endian blobs.  The header
 records the model spec, subject ids, config hash, and per-blob name, shape,
 offset and CRC32, so loads validate integrity before touching any weights.
 Saving is deterministic: save -> load -> save reproduces the bytes exactly.
+
+Neither direction copies the model.  Saving checksums and writes each
+parameter's own buffer (a big-endian host keeps a little-endian copy of
+each).  Loading reads the file's bytes once, then checks each blob and
+copies it into its parameter through a ``memoryview`` slice of those bytes.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ def save_model(model: Model, path, config_hash: str = "") -> None:
     payloads = []
     offset = 0
     for name, arr in model.params().items():
-        raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+        raw = np.ascontiguousarray(arr, dtype="<f8")  # the parameter itself, on little-endian
         blobs.append({
             "name": name,
             "shape": list(arr.shape),
@@ -37,7 +42,7 @@ def save_model(model: Model, path, config_hash: str = "") -> None:
             "crc32": zlib.crc32(raw),
         })
         payloads.append(raw)
-        offset += len(raw)
+        offset += raw.nbytes
 
     header = {
         "format_version": FORMAT_VERSION,
@@ -92,6 +97,7 @@ def load_model(path) -> tuple[Model, str]:
     model = build_model(spec, init_seed, subject_ids)
     params = model.params()
     data_start = header_end + ((-header_end) % 8)
+    view = memoryview(blob)  # each blob is a slice of the file's bytes, not a copy
 
     if set(stored) != set(params):
         raise ShapeError(
@@ -105,7 +111,7 @@ def load_model(path) -> tuple[Model, str]:
         end = begin + arr.size * 8
         if end > len(blob):
             raise ParseError(f"truncated blob {name!r} at byte {len(blob)}")
-        raw = blob[begin:end]
+        raw = view[begin:end]
         if zlib.crc32(raw) != crc32:
             raise ParseError(f"blob {name!r} failed its checksum")
         arr[...] = np.frombuffer(raw, dtype="<f8").reshape(arr.shape)

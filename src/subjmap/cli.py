@@ -44,7 +44,6 @@ from .datasets import (
     half_moons,
     rotate_subjects,
     save_dataset,
-    stacked,
     synth_group_dataset,
 )
 from .errors import ConfigError, ParseError, SubjmapError
@@ -58,11 +57,12 @@ from .evaluation import (
 )
 from .linalg import SeededRng
 from .maps import ParamRegime, param_count
-from .models import ModelSpec, build_model, encode
+from .models import ModelSpec, build_model
 from .stats import group_difference_pipeline
 from .training import (
     TrainConfig,
     canonical_digest,
+    encode_dataset,
     evaluate_loss,
     finetune_subjects,
     hyperparameter_sweep,
@@ -612,9 +612,8 @@ def _cmd_evaluate(config: dict, out_dir: Path, config_dir: Path, workers: int) -
                                       eval_set, "test_mse"))
 
     if section["probe_embeddings"]:
-        x, idx, labels = stacked(eval_set, model)
-        latents = encode(model, x, idx).z
-        probe = probe_classify(latents, labels, n_folds=section["probe_folds"],
+        probe = probe_classify(encode_dataset(model, eval_set), eval_set.labels,
+                               n_folds=section["probe_folds"],
                                seed=root.derive("probe").seed, label_name="timestep_label")
         metrics["embedding_probe"] = probe.to_json()
 

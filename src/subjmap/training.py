@@ -58,8 +58,8 @@ from .datasets import MultiSubjectDataset, atomic_write, stacked
 from .errors import (ConfigError, DivergenceError, DuplicateSubject, EmptySubset, MissingLabels,
                      NoSubjectWeights, ShapeError, SweepFailed)
 from .linalg import SeededRng, is_count, qr_orthonormalize
-from .models import (Model, ModelSpec, build_model, loss, loss_and_grads, loss_of_terms,
-                     loss_terms)
+from .models import (Model, ModelSpec, build_model, encode, loss, loss_and_grads,
+                     loss_of_terms, loss_terms)
 
 
 def canonical_digest(obj) -> str:
@@ -230,6 +230,13 @@ def _score_block_rows(spec: ModelSpec) -> int:
     return max(_SCORE_MIN_ROWS, _SCORE_BLOCK_ELEMENTS // max(widths))
 
 
+def _score_blocks(spec: ModelSpec, n_rows: int) -> list[slice]:
+    """Consecutive ``_score_block_rows`` row slices over ``n_rows`` rows; no rows make one
+    empty slice."""
+    step = _score_block_rows(spec)
+    return [slice(begin, begin + step) for begin in range(0, max(n_rows, 1), step)]
+
+
 def evaluate_loss(model: Model, dataset: MultiSubjectDataset) -> tuple[float, dict]:
     """``loss`` of ``model`` on every row of ``dataset``: (value, breakdown).
 
@@ -243,13 +250,23 @@ def evaluate_loss(model: Model, dataset: MultiSubjectDataset) -> tuple[float, di
     posterior mean) otherwise.
     """
     x, idx, labels = stacked(dataset, model)
-    step = _score_block_rows(model.spec)
     total = None
-    for begin in range(0, max(x.shape[0], 1), step):  # an empty dataset makes one empty block
-        rows = slice(begin, begin + step)
+    for rows in _score_blocks(model.spec, x.shape[0]):
         terms = loss_terms(model, x[rows], idx[rows], None if labels is None else labels[rows])
         total = terms if total is None else {key: total[key] + terms[key] for key in terms}
     return loss_of_terms(model.spec, total)
+
+
+def encode_dataset(model: Model, dataset: MultiSubjectDataset) -> np.ndarray:
+    """Latents (``encode(...).z``, a VAE's posterior mean) of every row of ``dataset``.
+
+    Encodes in ``evaluate_loss``'s row blocks and concatenates the blocks'
+    latents, so its activations follow the block, not the dataset.  A
+    dataset of one block encodes bit for bit as one ``encode`` call.
+    """
+    x, idx, _ = stacked(dataset, model)
+    return np.concatenate([encode(model, x[rows], idx[rows]).z
+                           for rows in _score_blocks(model.spec, x.shape[0])])
 
 
 def _fit(model: Model, x, idx, labels, config: TrainConfig, names: list[str], start: int,
@@ -261,6 +278,11 @@ def _fit(model: Model, x, idx, labels, config: TrainConfig, names: list[str], st
     to ``grad_clip``.  ``after_step(step, loss)`` runs after every step.  The
     caller decides when to stop by leaving the loop.  Raises DivergenceError
     with the offending step index if the loss leaves the finite range.
+
+    A step holds only what its next operation reads: the per-parameter
+    gradients go once they are concatenated, and the flat gradient once the
+    optimizer has stepped, so neither outlives its step into the next
+    batch's forward and backward pass.
     """
     rng = SeededRng(config.seed)
     params = model.params()
@@ -279,9 +301,11 @@ def _fit(model: Model, x, idx, labels, config: TrainConfig, names: list[str], st
             if not math.isfinite(value):
                 raise DivergenceError(step)
             g = np.concatenate([grads[name][start:].ravel() for name in names])
+            del grads
             if config.grad_clip is not None:
                 clip_gradients(g, config.grad_clip)
             optimizer.step(g)
+            del g
             step += 1
             after_step(step, value)
             epoch_loss += value * len(rows)

@@ -1,4 +1,7 @@
+import json
 import re
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -49,6 +52,25 @@ class TestRoundtrip:
         save_model(loaded, second, config_hash=h)
         assert first.read_bytes() == second.read_bytes()
 
+    def test_blobs_are_the_parameters_bytes(self, tmp_path):
+        # the layout written out by hand: magic, header, padding, each parameter's bytes
+        model = make_model()
+        path = tmp_path / "m.ckpt"
+        save_model(model, path, config_hash="h")
+        raw = path.read_bytes()
+        header_len = int.from_bytes(raw[4:8], "little")
+        header = json.loads(raw[8:8 + header_len])
+        data_start = 8 + header_len + (-(8 + header_len)) % 8
+        assert raw[8 + header_len:data_start] == b"\x00" * (data_start - 8 - header_len)
+        assert raw[data_start:] == b"".join(
+            arr.astype("<f8").tobytes() for arr in model.params().values())
+        offset = 0
+        for blob, (name, arr) in zip(header["blobs"], model.params().items()):
+            chunk = arr.astype("<f8").tobytes()
+            assert blob == {"name": name, "shape": list(arr.shape), "offset": offset,
+                            "crc32": zlib.crc32(chunk)}
+            offset += len(chunk)
+
     @pytest.mark.parametrize("variant,objective", [
         ("group", "vae"), ("subject", "autoencoder"), ("decomposed", "classifier")])
     def test_all_variants(self, tmp_path, variant, objective):
@@ -58,6 +80,31 @@ class TestRoundtrip:
         loaded, _ = load_model(path)
         for k, v in model.params().items():
             np.testing.assert_array_equal(loaded.params()[k], v)
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("variant", ["decomposed", "group"])
+def test_io_makes_no_model_sized_copy(tmp_path, variant):
+    # saving held a bytes copy of every parameter until it wrote, and loading
+    # copied each blob out of the file's bytes before checking its CRC
+    model = build_model(ModelSpec(variant, "autoencoder", 8192, 16, 2, 3, (16,)), seed=1)
+    sizes = [arr.nbytes for arr in model.params().values()]
+    path = tmp_path / "m.ckpt"
+    save_peak = _traced_peak(save_model, model, path)[1]
+    assert save_peak < sum(sizes) / 10
+    (loaded, _), load_peak = _traced_peak(load_model, path)
+    # the model it builds plus the file's bytes; a copy of the largest blob is half again
+    assert load_peak < 2 * sum(sizes) + max(sizes) / 2
+    for k, v in model.params().items():
+        np.testing.assert_array_equal(loaded.params()[k], v)
 
 
 class TestCorruption:

@@ -7,6 +7,8 @@ from subjmap.errors import MissingLabels, ShapeError, UnknownSubject
 from subjmap.linalg import SeededRng
 from subjmap.maps import DecomposedMap, GroupMap
 from subjmap.models import (
+    _SQUARE_BLOCK_ELEMENTS,
+    _sum_of_squares,
     DenseLayer,
     Model,
     ModelSpec,
@@ -157,6 +159,30 @@ class TestLoss:
         model = build_model(spec, seed=0)
         with pytest.raises(MissingLabels):
             loss(model, np.ones((2, 2)), np.zeros(2, dtype=int))
+
+    @pytest.mark.parametrize("shape", [(1,), (7, 3), (64, 2048), (2, 2 ** 16)])
+    def test_sum_of_squares_within_one_sub_block_is_the_plain_sum(self, shape):
+        a = SeededRng(11).normal(shape)
+        assert a.size <= _SQUARE_BLOCK_ELEMENTS
+        assert _sum_of_squares(a) == (a * a).sum()
+
+    @pytest.mark.parametrize("shape", [(2 ** 17 + 1,), (128, 20000), (3, 150000)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_sum_of_squares_over_sub_blocks_agrees(self, shape, order):
+        a = np.asarray(SeededRng(12).normal(shape), order=order)
+        assert a.size > _SQUARE_BLOCK_ELEMENTS
+        assert _sum_of_squares(a) == pytest.approx((a * a).sum(), rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("rows,rel", [(32, 0), (40, 1e-14)])  # one sub-block, more
+    def test_training_pass_loss_matches_scoring_pass(self, rows, rel):
+        # the gradient pass sums squares in sub-blocks, the scoring pass in one array
+        spec = ModelSpec(variant="decomposed", objective="autoencoder", input_size=4096,
+                         first_layer_width=8, latent_size=2, n_subjects=2, trunk_widths=(4,))
+        model = build_model(spec, seed=5)
+        x, ids = SeededRng(6).normal((rows, 4096)), np.arange(rows) % 2
+        assert (rows * 4096 <= _SQUARE_BLOCK_ELEMENTS) == (rel == 0)
+        assert loss_and_grads(model, x, ids)[0] == pytest.approx(loss(model, x, ids)[0],
+                                                                 rel=rel, abs=0)
 
     def test_softmax_rows_sum_to_one(self):
         logits = SeededRng(8).normal((50, 7)) * 30

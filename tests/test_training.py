@@ -24,6 +24,7 @@ from subjmap.training import (
     SweepResult,
     TrainConfig,
     add_subjects,
+    encode_dataset,
     evaluate_loss,
     finetune_subjects,
     grad_check,
@@ -72,6 +73,25 @@ class TestTrainLoop:
             histories.append(h)
         assert histories[0].train_losses == histories[1].train_losses
         assert histories[0].val_losses == histories[1].val_losses
+
+    @pytest.mark.parametrize("variant", ["decomposed", "group"])
+    def test_a_step_holds_the_batch_and_this_steps_gradients(self, variant):
+        # the squared residual was a third B x N array, and the last step's
+        # gradients (per parameter and flat) lived on through the next step
+        n, batch = 8192, 64
+        train_set = toy_dataset(n_subjects=2, t=96, n=n, labelled=False)
+        val_set = toy_dataset(seed=1, n_subjects=2, t=8, n=n, labelled=False)
+        spec = toy_spec(variant, n=n, first_layer_width=16, n_subjects=2, trunk_widths=(16,))
+        model = build_model(spec, seed=3, subject_ids=train_set.subject_ids)
+        param_bytes = sum(arr.nbytes for arr in model.params().values())
+        tracemalloc.start()
+        try:
+            train(model, train_set, val_set, TrainConfig(epochs=3, batch_size=batch, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # batch and residual; Adam's m, v and update, the best snapshot, the gradients
+        assert peak < 2 * (batch * n * 8) + 6 * param_bytes
 
     def test_orthonormality_maintained(self):
         data = toy_dataset(labelled=False)
@@ -771,6 +791,44 @@ class TestBlockedScoring:
                 assert terms[key] == want
             else:
                 assert terms[key] == pytest.approx(want, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("variant", ["group", "subject", "decomposed"])
+    @pytest.mark.parametrize("objective", ["classifier", "autoencoder", "vae"])
+    def test_one_block_encodes_as_encode_bit_for_bit(self, variant, objective):
+        data = toy_dataset(labelled=objective == "classifier")
+        model = build_model(toy_spec(variant, objective), seed=4, subject_ids=data.subject_ids)
+        x, idx, _ = stacked(data, model)
+        assert x.shape[0] <= training._score_block_rows(model.spec)
+        np.testing.assert_array_equal(encode_dataset(model, data), encode(model, x, idx).z)
+
+    @pytest.mark.parametrize("objective", ["classifier", "vae"])
+    def test_blocks_encode_every_row_in_order(self, monkeypatch, objective):
+        data = toy_dataset(labelled=objective == "classifier")  # 120 rows
+        model = build_model(toy_spec("decomposed", objective), seed=4,
+                            subject_ids=data.subject_ids)
+        monkeypatch.setattr(training, "_SCORE_BLOCK_ELEMENTS", 1)
+        monkeypatch.setattr(training, "_SCORE_MIN_ROWS", 7)
+        blocks, real = [], training.encode
+        monkeypatch.setattr(training, "encode",
+                            lambda model, x, *rest: blocks.append(len(x)) or real(model, x, *rest))
+        latents = encode_dataset(model, data)
+        assert blocks == [7] * 17 + [1]
+        np.testing.assert_allclose(latents, real(model, *stacked(data, model)[:2]).z,
+                                   rtol=1e-14, atol=0)
+
+    def test_encoding_memory_follows_the_block(self):
+        spec = toy_spec("group", n=64, n_subjects=4)
+        rows = training._score_block_rows(spec)
+        data = toy_dataset(n_subjects=4, t=2 * rows, n=64, labelled=False)
+        model = build_model(spec, seed=4, subject_ids=data.subject_ids)
+        budget = 8 * training._SCORE_BLOCK_ELEMENTS  # bytes of one block's widest array, at most
+        tracemalloc.start()
+        try:
+            encode_dataset(model, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * budget
 
     def test_block_rows_follow_the_widest_array(self):
         # 2**18 elements over the input width, a layer width, or a subject map's

@@ -6,7 +6,9 @@ Imports ``subjmap`` from ``TREE/src`` and the workloads from
 ``TREE/bench/workloads.py``, then for each named workload (default: all of
 them) writes its seed-0 inputs into ``OUT/<workload>`` and runs each command
 of its round once through ``subjmap.cli.main``.  Prints one line per command
-with its exit code and the result of the workload's check on its output.
+with its exit code, the result of the workload's check on its output and the
+process's peak RSS once the command has returned (``ru_maxrss``: the commands
+share one process, so it is the largest of this and every earlier command).
 Exits 0 when every command exits 0 and passes its check, 1 otherwise and 2 on
 a usage error.
 
@@ -22,10 +24,17 @@ from __future__ import annotations
 
 import contextlib
 import io
+import resource
 import sys
 from pathlib import Path
 
 SEED = 0
+
+
+def peak_rss_mib() -> float:
+    """This process's peak resident set size so far, in MiB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / 2 ** 20 if sys.platform == "darwin" else peak / 2 ** 10  # bytes, else KiB
 
 
 def main(argv=None) -> int:
@@ -54,7 +63,8 @@ def main(argv=None) -> int:
             problems = op.check(work / "out" / op.name)[0] if code == 0 else ["not checked"]
             failed += bool(code or problems)
             print(f"{name} {op.name}: exit {code}, check "
-                  f"{'; '.join(problems) if problems else 'ok'}", flush=True)
+                  f"{'; '.join(problems) if problems else 'ok'}, "
+                  f"peak RSS {peak_rss_mib():.1f} MiB", flush=True)
     return 1 if failed else 0
 
 

@@ -3,6 +3,7 @@
     python3 -m pytest -q tools/
 """
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +19,15 @@ def test_two_rounds_of_group_study_are_identical(tmp_path):
         done = subprocess.run([sys.executable, str(RUNNER), str(ROOT), str(tmp_path / side),
                                "group_study"], capture_output=True, text=True, timeout=600)
         assert done.returncode == 0, done.stdout + done.stderr
-        assert done.stdout.count(": exit 0, check ok") == 6
+        lines = done.stdout.splitlines()
+        assert len(lines) == 6
+        peaks = []
+        for line in lines:
+            match = re.fullmatch(r"group_study \w+: exit 0, check ok, peak RSS (\d+\.\d) MiB",
+                                 line)
+            assert match, line
+            peaks.append(float(match[1]))
+        assert 0 < peaks[0] and peaks == sorted(peaks)  # the process's running maximum
     assert (tmp_path / "a" / "group_study" / "out" / "finetune" / "model.ckpt").is_file()
     assert differences(tmp_path / "a", tmp_path / "b") == []
 
