@@ -5,7 +5,9 @@ Each reads a strict JSON config (unknown keys and values of the wrong JSON type
 are rejected with their full path), resolves defaults, derives every random
 stream from the single global seed via tagged SHA-256 derivation, and writes a
 results.json whose metrics block reproduces bit-for-bit on re-runs with the
-same config and seed.
+same config and seed.  ``main`` deletes an earlier run's results.json before
+the command runs and writes the new one last, so an output directory holds a
+results.json exactly when its last run completed.
 
 Before it parses its arguments, ``main`` sets glibc's allocator to keep the
 memory the process frees (no ``mmap``'d chunks, no heap trim) for the rest of
@@ -122,7 +124,9 @@ def _resolve(user, schema, path=""):
     return out
 
 
-_DATA_FILE = {"path": ("str", _REQUIRED), "format": ("str", "binary"), "center": ("bool", False)}
+_DATA_PATH = {"path": ("str", _REQUIRED), "format": ("str", "binary")}
+
+_DATA_FILE = {**_DATA_PATH, "center": ("bool", False)}
 
 _DATA_SECTION = {
     **_DATA_FILE,
@@ -223,7 +227,7 @@ SCHEMAS = {
     },
     "analyze": {
         "seed": ("int", 0),
-        "data": _DATA_FILE,
+        "data": _DATA_PATH,
         "checkpoint": ("str", _REQUIRED),
         "analysis": {
             "k": ("int", 8),
@@ -668,7 +672,8 @@ def _cmd_analyze(config: dict, out_dir: Path, config_dir: Path, workers: int) ->
     if not (math.isfinite(section["tol"]) and section["tol"] >= 0):
         raise ConfigError(f"analysis.tol must be finite and at least 0, got {section['tol']!r}")
     # the analysis needs the subjects' ids and groups, never a row: read the headers alone
-    subjects = _load_parts_of(config["data"], config_dir, lambda records: [])[0]
+    subjects = _load_parts(_relative(config["data"], config_dir, "path"),
+                           config["data"]["format"], lambda records: [])[0]
     model, _ = checkpoint.load_model(_relative(config, config_dir, "checkpoint"))
     if model.spec.objective == "classifier":
         raise ConfigError("analyze needs a checkpoint that reconstructs its input, "
@@ -770,6 +775,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"--workers must be at least 1, got {args.workers}")
         workers = args.workers or usable_cpus()
         config, out_dir = _load_config(args.config, args.command, args.seed, args.out)
+        (out_dir / "results.json").unlink(missing_ok=True)  # written again last
         started = time.time()
         metrics, files = _COMMANDS[args.command](config, out_dir,
                                                  Path(args.config).resolve().parent, workers)

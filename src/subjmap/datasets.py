@@ -32,9 +32,15 @@ never holds the file beside its partitions.  ``split``, ``_take_all`` and
 ``none``): it takes the ``data.split`` config keys as keyword arguments, the
 way ``load_dataset`` takes the ``data.format`` name.
 
-Binary container (all little-endian): magic ``SMDS``, version u16, N u32,
-M u32, then per subject: id length u32 + UTF-8 bytes, group i32 (-1 = none),
-T u32, T*N float64, label flag u8 (1 => T int32 labels follow).
+Packed and checkpoint files share one framing (``_write_framed``,
+``_read_framed``): a 4-byte magic, a little-endian u32 header length, a
+canonical-JSON header, zero padding to a multiple of 8 bytes, then the data
+blocks.  A packed dataset (magic ``SMDS``, ``format_version`` 2) has the
+header ``{"format_version", "n_features", "subjects": [{"subject_id",
+"group", "timesteps", "labelled"}]}``, then every subject's rows as one
+C-contiguous little-endian float64 block, then the labelled subjects' int32
+labels as one block.  The header's sizes must account for the file's size
+exactly before any row is read.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ import os
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +61,7 @@ from .errors import ConfigError, LabelOutOfRange, NonFiniteError, ParseError, Sh
 from .linalg import SeededRng, as_matrix, is_count, qr_orthonormalize
 
 MAGIC = b"SMDS"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass
@@ -591,93 +598,109 @@ def atomic_write(path, mode: str = "w", **kwargs):
         tmp.unlink(missing_ok=True)
 
 
-def save_dataset(dataset: MultiSubjectDataset, path) -> None:
+def _write_framed(path, magic: bytes, header: dict, blocks) -> None:
+    """Write ``magic``, the header's length and canonical JSON, padding to 8 bytes, then ``blocks``."""
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    prefix = magic + struct.pack("<I", len(text)) + text
     with atomic_write(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<HII", FORMAT_VERSION, dataset.n_features, dataset.n_subjects))
-        for rec in dataset.subjects:
-            encoded = rec.subject_id.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<i", -1 if rec.group is None else int(rec.group)))
-            fh.write(struct.pack("<I", rec.n_timesteps))
-            fh.write(np.ascontiguousarray(rec.data, dtype="<f8").data)
-            if rec.labels is None:
-                fh.write(struct.pack("<B", 0))
-            else:
-                packed = np.ascontiguousarray(rec.labels, dtype="<i4")  # wraps out-of-range ints
-                if not np.array_equal(packed, rec.labels):
-                    raise LabelOutOfRange(f"subject {rec.subject_id!r} has a label outside the "
-                                          f"int32 range of the packed format")
-                fh.write(struct.pack("<B", 1))
-                fh.write(packed.tobytes())
+        fh.write(prefix + bytes(-len(prefix) % 8))
+        for block in blocks:
+            fh.write(block)
 
 
-class _Reader:
-    """Reads and seeks in an open file, checking each size against the file's size first."""
+def _read_framed(fh, magic: bytes, what: str) -> tuple[dict, int, int]:
+    """``(header, data start, file size)`` of an open file ``_write_framed`` wrote.
 
-    def __init__(self, fh):
-        self.fh = fh
-        self.size = os.fstat(fh.fileno()).st_size
-        self.offset = 0
+    The file is left positioned at the end of the header.
+    """
+    size = os.fstat(fh.fileno()).st_size
+    prefix = fh.read(8)
+    if prefix[:4] != magic:
+        raise ParseError(f"bad magic at byte 0; not a {what}")
+    if len(prefix) < 8:
+        raise ParseError(f"truncated {what} header at byte {len(prefix)}")
+    end = 8 + struct.unpack("<I", prefix[4:])[0]
+    if end > size:
+        raise ParseError(f"truncated {what} header at byte {size}")
+    try:
+        header = json.loads(fh.read(end - 8).decode("utf-8"))
+    except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+        raise ParseError(f"unreadable {what} header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ParseError(f"{what} header is not a JSON object")
+    return header, end + (-end % 8), size
 
-    def _claim(self, count: int, what: str) -> int:
-        if self.offset + count > self.size:
-            raise ParseError(f"truncated while reading {what} at byte {self.offset}")
-        start, self.offset = self.offset, self.offset + count
-        return start
 
-    def read(self, count: int, what: str) -> bytes:
-        at = self._claim(count, what)
-        out = self.fh.read(count)
-        if len(out) != count:
-            raise ParseError(f"truncated while reading {what} at byte {at}")
-        return out
+def save_dataset(dataset: MultiSubjectDataset, path) -> None:
+    labels = []
+    for rec in dataset.subjects:
+        if rec.labels is not None:
+            labels.append(np.ascontiguousarray(rec.labels, dtype="<i4"))  # wraps out-of-range ints
+            if not np.array_equal(labels[-1], rec.labels):
+                raise LabelOutOfRange(f"subject {rec.subject_id!r} has a label outside the "
+                                      f"int32 range of the packed format")
+    header = {"format_version": FORMAT_VERSION, "n_features": dataset.n_features,
+              "subjects": [{"subject_id": rec.subject_id,
+                            "group": None if rec.group is None else int(rec.group),
+                            "timesteps": rec.n_timesteps, "labelled": rec.labels is not None}
+                           for rec in dataset.subjects]}
+    for entry in header["subjects"]:  # write no file the loader would reject
+        _subject_entry(entry, f"dataset to save as {path}")
+    _write_framed(path, MAGIC, header,
+                  [np.ascontiguousarray(rec.data, dtype="<f8") for rec in dataset.subjects]
+                  + labels)
 
-    def skip(self, count: int, what: str) -> int:
-        """Step over ``count`` bytes without reading them; returns where they start."""
-        at = self._claim(count, what)
-        self.fh.seek(self.offset)
-        return at
 
-    def unpack(self, fmt: str, what: str):
-        return struct.unpack(fmt, self.read(struct.calcsize(fmt), what))
+def _subject_entry(entry, where: str) -> tuple:
+    """``(subject_id, group)`` of a manifest or packed-header subject entry, checked."""
+    if not isinstance(entry, dict):
+        raise ParseError(f"{where}: 'subjects' must be a list of objects")
+    subject_id, group = entry.get("subject_id"), entry.get("group")
+    if not isinstance(subject_id, str):
+        raise ParseError(f"{where}: 'subject_id' must be a string")
+    if not (group is None or (is_count(group, 0) and group < 2 ** 31)):
+        raise ParseError(f"{where}: 'group' must be an integer in [0, 2**31) or null")
+    return subject_id, group
 
 
 def _binary_source(fh) -> _Source:
-    """Parse every header and bound every size; the source then reads one subject's data at a time."""
-    reader = _Reader(fh)
-    if reader.read(4, "magic") != MAGIC:
-        raise ParseError("bad magic at byte 0; not a packed dataset")
-    version, n_features, n_subjects = reader.unpack("<HII", "header")
-    if version != FORMAT_VERSION:
-        raise ParseError(f"unsupported dataset version {version}")
-    records, starts = [], []
-    for _ in range(n_subjects):
-        (id_len,) = reader.unpack("<I", "id length")
-        try:
-            subject_id = reader.read(id_len, "subject id").decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"subject id is not valid UTF-8: {exc}") from exc
-        (group,) = reader.unpack("<i", "group")
-        (n_t,) = reader.unpack("<I", "timestep count")
-        at = reader.skip(8 * n_t * n_features, f"data of subject {subject_id!r}")
-        (flag,) = reader.unpack("<B", "label flag")
-        labels = None
-        if flag:
-            raw = reader.read(4 * n_t, f"labels of subject {subject_id!r}")
-            labels = np.frombuffer(raw, dtype="<i4").astype(np.int64)
-        records.append((subject_id, n_t, labels, None if group < 0 else group))
-        starts.append(at)
+    """Parse the header and bound every size; the source then reads one subject's rows at a time."""
+    header, start, size = _read_framed(fh, MAGIC, "packed dataset")
+    if header.get("format_version") != FORMAT_VERSION:
+        raise ParseError(f"packed dataset header has format_version "
+                         f"{header.get('format_version')!r}; this reader reads {FORMAT_VERSION}")
+    n_features, entries = header.get("n_features"), header.get("subjects")
+    if not is_count(n_features, 1) or not isinstance(entries, list):
+        raise ParseError("packed dataset header needs 'n_features' (an integer >= 1) "
+                         "and 'subjects' (a list)")
+    records = []
+    for entry in entries:
+        subject_id, group = _subject_entry(entry, "packed dataset header")
+        n_t, labelled = entry.get("timesteps"), entry.get("labelled")
+        if not is_count(n_t, 0) or not isinstance(labelled, bool):
+            raise ParseError(f"packed dataset header: subject {subject_id!r} needs 'timesteps' "
+                             f"(an integer >= 0) and 'labelled' (a bool)")
+        records.append((subject_id, n_t, labelled, group))
+    offsets = list(accumulate((n_t for _, n_t, _, _ in records), initial=0))
+    n_labels = sum(n_t for _, n_t, labelled, _ in records if labelled)
+    labels_at = start + 8 * offsets[-1] * n_features
+    if labels_at + 4 * n_labels != size:
+        raise ParseError(f"packed dataset header accounts for {labels_at + 4 * n_labels} "
+                         f"bytes, the file has {size}")
+    fh.seek(labels_at)
+    labels = iter(np.split(np.frombuffer(fh.read(4 * n_labels), dtype="<i4").astype(np.int64),
+                           np.cumsum([n_t for _, n_t, labelled, _ in records if labelled])))
+    records = [(sid, n_t, next(labels) if labelled else None, group)
+               for sid, n_t, labelled, group in records]
 
     def rows(i: int, into: np.ndarray) -> np.ndarray:
-        # every data region lies inside the file, so no subject is larger than it
-        fh.seek(starts[i])
-        if into.nbytes and fh.readinto(memoryview(into).cast("B")) != into.nbytes:
+        at = start + 8 * offsets[i] * n_features
+        fh.seek(at)
+        if fh.readinto(into) != into.nbytes:
             raise ParseError(f"truncated while reading data of subject {records[i][0]!r} "
-                             f"at byte {starts[i]}")
+                             f"at byte {at}")
         return into
-    return _Source(records, n_features, {"n_features": int(n_features)}, rows)
+    return _Source(records, n_features, {"n_features": n_features}, rows)
 
 
 def _csv_source(manifest_path) -> _Source:
@@ -691,34 +714,26 @@ def _csv_source(manifest_path) -> _Source:
     manifest_path = Path(manifest_path)
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
         raise ParseError(f"manifest is not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise ParseError(f"manifest {manifest_path} is not a JSON object")
-    if "subjects" not in manifest:
-        raise ParseError("manifest lacks 'subjects'")
+    where = f"manifest {manifest_path}"
 
     def check(ok: bool, field: str, want: str) -> None:
         if not ok:
-            raise ParseError(f"manifest {manifest_path}: {field!r} must be {want}")
+            raise ParseError(f"{where}: {field!r} must be {want}")
 
-    entries = manifest["subjects"]
-    check(isinstance(entries, list) and all(isinstance(e, dict) for e in entries),
-          "subjects", "a list of objects")
+    entries = manifest.get("subjects")
+    check(isinstance(entries, list), "subjects", "a list of objects")
     expect_n = manifest.get("n_features")
     check(expect_n is None or is_count(expect_n, 1), "n_features", "an integer >= 1")
     subjects = []
     for entry in entries:
-        for req in ("subject_id", "csv_path"):
-            if req not in entry:
-                raise ParseError(f"manifest subject entry lacks {req!r}")
-            check(isinstance(entry[req], str), req, "a string")
+        subject_id, group = _subject_entry(entry, where)
+        check(isinstance(entry.get("csv_path"), str), "csv_path", "a string")
         check(entry.get("label_path") is None or isinstance(entry["label_path"], str),
               "label_path", "a string or null")
-        group = entry.get("group")
-        # the packed format stores a group as an int32 and -1 for none
-        check(group is None or (is_count(group, 0) and group < 2 ** 31),
-              "group", "an integer in [0, 2**31) or null")
         csv_path = manifest_path.parent / entry["csv_path"]
         with open(csv_path, newline="", encoding="utf-8") as fh:
             try:
@@ -731,21 +746,20 @@ def _csv_source(manifest_path) -> _Source:
         # an empty file gives shape (0,): SubjectData rejects it as not 2-D
         if expect_n is not None and data.ndim == 2 and data.shape[1] != expect_n:
             raise ShapeError(
-                f"subject {entry['subject_id']!r} has width {data.shape[1]}, manifest says {expect_n}")
+                f"subject {subject_id!r} has width {data.shape[1]}, manifest says {expect_n}")
         labels = None
         if entry.get("label_path"):
             label_path = manifest_path.parent / entry["label_path"]
-            where = (f"manifest {manifest_path}: 'label_path' {label_path} of "
-                     f"subject {entry['subject_id']!r}")
+            named = f"{where}: 'label_path' {label_path} of subject {subject_id!r}"
             try:
                 labels = [int(v) for v in label_path.read_text(encoding="utf-8").split()]
             except ValueError as exc:
-                raise ParseError(f"{where} must hold integers: {exc}") from exc
+                raise ParseError(f"{named} must hold integers: {exc}") from exc
             # the packed format stores labels as int32
             if not all(-2 ** 31 <= v < 2 ** 31 for v in labels):
-                raise ParseError(f"{where} holds a label outside [-2**31, 2**31)")
+                raise ParseError(f"{named} holds a label outside [-2**31, 2**31)")
             labels = np.array(labels, dtype=np.int64)
-        subjects.append(SubjectData(entry["subject_id"], data, labels, group))
+        subjects.append(SubjectData(subject_id, data, labels, group))
     n_features = _common_width(subjects)
     return _Source(_records(subjects), n_features, {"n_features": n_features},
                    lambda i, into: subjects[i].data)

@@ -29,12 +29,10 @@ Biases, tanh, the residual and the output gradient are computed in place,
 in arrays the pass has just made.  Each is the same IEEE operation on the
 same operands as its out-of-place form, so results are unchanged and no
 extra B x N array is allocated.  Nor is one made to sum the squared
-residual: a pass without gradients squares the residual where it lies, and
-a training pass, whose residual becomes the output gradient, squares it in
-sub-blocks of ``_SQUARE_BLOCK_ELEMENTS`` elements through one 1 MiB scratch
-array (``_sum_of_squares``).  Up to one sub-block that is the one-array sum
-bit for bit; above, the sum moves by roundoff only.  Inputs are never
-written: a batch may be a dataset's own storage.
+residual: both passes take it as ``np.einsum("ij,ij->", resid, resid)``,
+which allocates nothing, so a training pass and a scoring pass report the
+same loss bit for bit.  Inputs are never written: a batch may be a
+dataset's own storage.
 """
 
 from __future__ import annotations
@@ -51,9 +49,6 @@ OBJECTIVES = ("classifier", "autoencoder", "vae")
 
 LOGVAR_MIN = -20.0
 LOGVAR_MAX = 20.0
-
-# _sum_of_squares squares at most this many elements (1 MiB of float64) at a time
-_SQUARE_BLOCK_ELEMENTS = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -347,25 +342,6 @@ def loss_of_terms(spec: ModelSpec, terms: dict) -> tuple[float, dict]:
     return mse, {"mse": mse}
 
 
-def _sum_of_squares(a: np.ndarray):
-    """``(a * a).sum()`` without an array of ``a``'s size when ``a`` is large.
-
-    Up to ``_SQUARE_BLOCK_ELEMENTS`` elements it is that expression, bit for
-    bit.  Above, ``a`` is squared in consecutive sub-blocks of that many
-    elements through one scratch array and their sums are added, which
-    moves the result by roundoff only.
-    """
-    if a.size <= _SQUARE_BLOCK_ELEMENTS:
-        return (a * a).sum()
-    flat = a.ravel(order="K")  # a view of any C- or F-contiguous array
-    scratch = np.empty(_SQUARE_BLOCK_ELEMENTS, dtype=a.dtype)
-    total = a.dtype.type(0)
-    for begin in range(0, flat.size, _SQUARE_BLOCK_ELEMENTS):
-        chunk = flat[begin:begin + _SQUARE_BLOCK_ELEMENTS]
-        total += np.multiply(chunk, chunk, out=scratch[:chunk.size]).sum()
-    return total
-
-
 def loss_and_grads(model: Model, x, subject_idx, labels=None, rng: SeededRng | None = None):
     """Objective value, breakdown and exact gradients keyed like ``Model.params``."""
     terms, grads = _loss_impl(model, x, subject_idx, labels, rng, need_grads=True)
@@ -400,10 +376,7 @@ def _loss_impl(model: Model, x, subject_idx, labels, rng, need_grads: bool):
     else:
         xhat, dec_caches = _forward(model.decoder, latent.z, subject_idx, need_grads)
         resid = np.subtract(xhat, xb, out=xhat)  # xhat is dead: one fewer B x N array at peak
-        if need_grads:  # resid becomes the gradient: square it a sub-block at a time
-            terms["squared_error"] = _sum_of_squares(resid)
-        else:  # resid is dead after this: square it where it lies
-            terms["squared_error"] = np.multiply(resid, resid, out=resid).sum()
+        terms["squared_error"] = np.einsum("ij,ij->", resid, resid)
         mu, logvar = latent.mu, latent.logvar
         if spec.objective == "vae":
             kl_terms = mu * mu + np.exp(logvar) - 1.0 - logvar

@@ -534,6 +534,21 @@ class TestTrainCommand:
             assert want == (history["val_metrics"] if key == "test_accuracy"
                             else history["val_losses"])[best]
 
+    def test_failed_rerun_leaves_no_results(self, tmp_path, synth_file, monkeypatch, capsys):
+        # the second run used to leave its own model.ckpt and history beside the
+        # first run's results.json, which named the first run's config
+        cfg = write_config(tmp_path / "c.json", train_config(synth_file, epochs=1))
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+        assert (out / "results.json").exists()
+
+        def fail(*args):
+            raise RuntimeError("scoring failed")
+        monkeypatch.setattr(cli, "evaluate_loss", fail)
+        assert main(["train", "--config", cfg, "--out", str(out), "--seed", "9"]) == 2
+        assert "RuntimeError: scoring failed" in capsys.readouterr().err
+        assert (out / "model.ckpt").exists() and not (out / "results.json").exists()
+
     def test_env_var_out_dir(self, tmp_path, synth_file, monkeypatch):
         target = tmp_path / "via_env"
         monkeypatch.setenv("SUBJMAP_OUT", str(target))
@@ -565,13 +580,9 @@ class TestLoadSplitMemory:
 
 
 class TestReadsOnlyWhatIsUsed:
-    @pytest.mark.parametrize("center", [False, True])
-    def test_analyze_reads_the_headers_alone(self, tmp_path, monkeypatch, center):
+    def test_analyze_reads_the_headers_alone(self, tmp_path, monkeypatch, capsys):
         # analyze used to read the whole file (and copy it once more with data.center)
         cfg = _analyze_config(tmp_path, {"k": 2, "max_iter": 5})
-        payload = json.loads(Path(cfg).read_text())
-        payload["data"]["center"] = center
-        write_config(Path(cfg), payload)
         real = datasets._binary_source
 
         def headers_only(fh):
@@ -581,6 +592,13 @@ class TestReadsOnlyWhatIsUsed:
         monkeypatch.setattr(datasets, "_binary_source", headers_only)
         assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         assert read_results(tmp_path / "out")["metrics"]["n_sources"] == 2
+        # data.center had no effect once no row was read: the key is gone
+        payload = json.loads(Path(cfg).read_text())
+        payload["data"]["center"] = True
+        write_config(Path(cfg), payload)
+        capsys.readouterr()
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out2")]) == 1
+        assert capsys.readouterr().err == "config error: unknown config key data.center\n"
 
     @pytest.mark.parametrize("scheme", ["first_second_half", "timestep_fraction",
                                         "subject_holdout", "none"])

@@ -30,6 +30,13 @@ from subjmap.linalg import SeededRng
 from subjmap.models import ModelSpec, build_model
 
 
+def framed(header: dict, body: bytes = b"") -> bytes:
+    """A packed file written by hand: magic, header length, JSON header, padding to 8, body."""
+    text = json.dumps(header).encode("utf-8")
+    prefix = b"SMDS" + struct.pack("<I", len(text)) + text
+    return prefix + bytes(-len(prefix) % 8) + body
+
+
 def ks_two_sample_p(a, b):
     """Oracle: two-sample KS p-value via the asymptotic Kolmogorov series."""
     a = np.sort(a)
@@ -279,7 +286,7 @@ class TestSerialization:
         save_dataset(self.make(), path)
         before = path.read_bytes()
         broken = self.make()
-        broken.subjects[1].labels = np.array(["x"])  # fails after both subjects' data
+        broken.subjects[1].labels = np.array(["x"])  # a label that is no integer
         with pytest.raises(ValueError):
             save_dataset(broken, path)
         assert path.read_bytes() == before
@@ -291,6 +298,14 @@ class TestSerialization:
         ds = MultiSubjectDataset([SubjectData("fits", np.zeros((2, 1)), [0, 1]),
                                   SubjectData("wide", np.zeros((2, 1)), [0, label])])
         with pytest.raises(LabelOutOfRange, match="'wide'"):
+            save_dataset(ds, tmp_path / "data.smds")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("group", [-5, 2 ** 31])
+    def test_group_the_loader_rejects_is_not_saved(self, tmp_path, group):
+        # such a group used to load back as None (-5) or fail in struct.pack (2**31)
+        ds = MultiSubjectDataset([SubjectData("a", np.zeros((2, 1)), None, group)])
+        with pytest.raises(ParseError, match="'group' must be an integer in \\[0, 2\\*\\*31\\)"):
             save_dataset(ds, tmp_path / "data.smds")
         assert list(tmp_path.iterdir()) == []
 
@@ -307,19 +322,30 @@ class TestSerialization:
         with pytest.raises(NonFiniteError, match="alpha"):
             load_dataset(path)
 
-    def test_oversized_header_fails_before_allocating(self, tmp_path):
-        # T = 2**31 rows of 4 features claims 64 GiB of data in a file of a few bytes
-        path = tmp_path / "data.smds"
-        path.write_bytes(b"SMDS" + struct.pack("<HII", 1, 4, 1) + struct.pack("<I", 1) + b"a"
-                         + struct.pack("<iI", -1, 2**31) + b"\x00" * 64)
+    @staticmethod
+    def fails_before_allocating(path, match):
         tracemalloc.start()
         try:
-            with pytest.raises(ParseError, match="data of subject 'a'"):
+            with pytest.raises(ParseError, match=match):
                 load_dataset(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_oversized_header_fails_before_allocating(self, tmp_path):
+        # T = 2**31 rows of 4 features claims 64 GiB of data in a file of a few bytes
+        path = tmp_path / "data.smds"
+        path.write_bytes(framed({"format_version": 2, "n_features": 4, "subjects": [
+            {"subject_id": "a", "group": None, "timesteps": 2**31, "labelled": True}]},
+            bytes(64)))
+        self.fails_before_allocating(path, r"accounts for 773094\d{5} bytes, the file has \d+$")
+
+    def test_non_utf8_subject_id(self, tmp_path):
+        path = tmp_path / "data.smds"
+        save_dataset(self.make(), path)
+        path.write_bytes(path.read_bytes().replace(b"alpha", b"\xff\xfeaph", 1))
+        self.fails_before_allocating(path, "unreadable packed dataset header: 'utf-8' codec")
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "data.smds"
@@ -327,12 +353,70 @@ class TestSerialization:
         with pytest.raises(ParseError):
             load_dataset(path)
 
-    def test_non_utf8_subject_id(self, tmp_path):
+    def test_trailing_byte_is_parse_error(self, tmp_path):
         path = tmp_path / "data.smds"
         save_dataset(self.make(), path)
-        path.write_bytes(path.read_bytes().replace(b"alpha", b"\xff\xfeaph", 1))
-        with pytest.raises(ParseError, match="UTF-8"):
+        raw = path.read_bytes()
+        path.write_bytes(raw + b"\x00")
+        with pytest.raises(ParseError, match=rf"accounts for {len(raw)} bytes, the file has "
+                                             rf"{len(raw) + 1}$"):
             load_dataset(path)
+
+    @pytest.mark.parametrize("key,value,match", [
+        ("format_version", 1, "has format_version 1; this reader reads 2"),
+        ("n_features", 0, "needs 'n_features' \\(an integer >= 1\\)"),
+        ("subjects", {}, "and 'subjects' \\(a list\\)"),
+        (0, "alpha", "'subjects' must be a list of objects"),
+        ("subject_id", 7, "'subject_id' must be a string"),
+        ("group", 2 ** 31, "'group' must be an integer in \\[0, 2\\*\\*31\\) or null"),
+        ("group", -1, "'group' must be an integer"),
+        ("group", True, "'group' must be an integer"),
+        ("timesteps", 7.0, "subject 'alpha' needs 'timesteps' \\(an integer >= 0\\)"),
+        ("labelled", None, "needs .* and 'labelled' \\(a bool\\)"),
+    ])
+    def test_malformed_header_field_is_parse_error(self, tmp_path, key, value, match):
+        # the header's subject entries pass the CSV manifest's checks and more
+        path = tmp_path / "data.smds"
+        save_dataset(self.make(), path)
+        raw = path.read_bytes()
+        header_len = int.from_bytes(raw[4:8], "little")
+        header = json.loads(raw[8:8 + header_len])
+        if key in ("format_version", "n_features", "subjects"):
+            header[key] = value
+        elif key == 0:
+            header["subjects"][0] = value
+        elif value is None:
+            del header["subjects"][0][key]
+        else:
+            header["subjects"][0][key] = value
+        path.write_bytes(framed(header, raw[8 + header_len + (-(8 + header_len)) % 8:]))
+        with pytest.raises(ParseError, match=f"^packed dataset header.*{match}"):
+            load_dataset(path)
+
+    def test_version_1_file_is_parse_error(self, tmp_path):
+        # the first layout: per-subject struct headers between the subjects' rows
+        path = tmp_path / "data.smds"
+        path.write_bytes(b"SMDS" + struct.pack("<HII", 1, 2, 1) + struct.pack("<I", 1) + b"a"
+                         + struct.pack("<iI", -1, 1) + struct.pack("<2d", 1.0, 2.0)
+                         + struct.pack("<B", 0))
+        with pytest.raises(ParseError):
+            load_dataset(path)
+
+    def test_header_then_one_aligned_data_block_then_labels(self, tmp_path):
+        ds = self.make()
+        path = tmp_path / "data.smds"
+        save_dataset(ds, path)
+        raw = path.read_bytes()
+        header_len = int.from_bytes(raw[4:8], "little")
+        assert json.loads(raw[8:8 + header_len]) == {
+            "format_version": 2, "n_features": 4, "subjects": [
+                {"subject_id": "alpha", "group": 0, "timesteps": 7, "labelled": True},
+                {"subject_id": "beta", "group": None, "timesteps": 7, "labelled": False}]}
+        start = 8 + header_len + (-(8 + header_len)) % 8
+        assert start % 8 == 0 and raw[8 + header_len:start] == bytes(start - 8 - header_len)
+        block = np.memmap(path, "<f8", "r", offset=start, shape=ds.block.shape)
+        assert np.array_equal(block, load_dataset(path).block)
+        assert raw[start + ds.block.nbytes:] == np.arange(7, dtype="<i4").tobytes()
 
     def test_csv_manifest_roundtrip(self, tmp_path):
         rng = SeededRng(5)
@@ -418,7 +502,7 @@ class TestSerialization:
 
     def test_manifest_missing_field(self, tmp_path):
         (tmp_path / "manifest.json").write_text(json.dumps({"subjects": [{"group": 1}]}))
-        with pytest.raises(ParseError, match="manifest subject entry lacks 'subject_id'"):
+        with pytest.raises(ParseError, match="'subject_id' must be a string"):
             load_dataset(tmp_path / "manifest.json", fmt="csv")
 
 
@@ -649,7 +733,8 @@ class TestLoadParts:
         raw = path.read_bytes()
         path.write_bytes(raw[:len(raw) // 2])
         cut = _split_plan("first_second_half")[0]
-        with pytest.raises(ParseError, match="truncated while reading .* at byte"):
+        with pytest.raises(ParseError, match=rf"accounts for {len(raw)} bytes, the file has "
+                                             rf"{len(raw) // 2}$"):
             _load_parts(path, "binary", lambda records: cut(records, 0))
 
     @pytest.mark.parametrize("center", [False, True])

@@ -5,12 +5,14 @@
 Imports ``subjmap`` from ``TREE/src`` and the workloads from
 ``TREE/bench/workloads.py``, then for each named workload (default: all of
 them) writes its seed-0 inputs into ``OUT/<workload>`` and runs each command
-of its round once through ``subjmap.cli.main``.  Prints one line per command
-with its exit code, the result of the workload's check on its output and the
-process's peak RSS once the command has returned (``ru_maxrss``: the commands
-share one process, so it is the largest of this and every earlier command).
-Exits 0 when every command exits 0 and passes its check, 1 otherwise and 2 on
-a usage error.
+of its round once through ``subjmap.cli.main``.  Each workload runs in a
+process of its own: with more than one name, the runner starts itself once
+per name.  Prints one line per command with its exit code, the result of the
+workload's check on its output and the workload process's peak RSS once the
+command has returned (``ru_maxrss``: a workload's commands share its
+process, so it is the largest of this and every earlier command of the
+workload).  Exits 0 when every command exits 0 and passes its check, 1
+otherwise and 2 on a usage error.
 
 Two trees' outputs are byte-identical when ``tools/compare_outputs.py``
 finds no difference between their ``OUT`` directories, e.g.::
@@ -25,6 +27,7 @@ from __future__ import annotations
 import contextlib
 import io
 import resource
+import subprocess
 import sys
 from pathlib import Path
 
@@ -53,6 +56,10 @@ def main(argv=None) -> int:
     if unknown:
         print(f"unknown workloads {unknown}; choose from {sorted(SETUPS)}", file=sys.stderr)
         return 2
+    if len(names) > 1:  # a child process per workload, so each peak RSS is its own
+        codes = [subprocess.run([sys.executable, __file__, str(tree), str(out), name]).returncode
+                 for name in names]
+        return 1 if any(codes) else 0
     failed = 0
     for name in names:
         work = out / name
