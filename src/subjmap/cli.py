@@ -563,7 +563,7 @@ def _cmd_finetune(config: dict, out_dir: Path, config_dir: Path, workers: int) -
 
     metrics = {
         "fraction": section["fraction"],
-        "n_finetune_timesteps": fit_set.subjects[0].n_timesteps,
+        "n_finetune_timesteps": int(fit_set.offsets[1]),  # every subject fits the same window
         "frozen_digest_unchanged": digest_before == digest_after,
         "n_new_subjects": len(result.new_indices),
         **_recon_metrics(scored, heldout, "heldout_mse"),

@@ -21,11 +21,19 @@ subject's header (id, length, labels, group) before any of its rows, so a
 split scheme, or the fine-tune window, decides from the headers alone which
 rows of each subject go to which partition.  The filler then takes each
 subject's rows once, checks them (and centers them, when asked), and copies
-them straight into the partitions that own them.  Loading a packed file
-reads one subject at a time into a reused one-subject buffer, or straight
-into its partition when the subject goes there whole, so a loading command
-never holds the file beside its partitions.  ``split``, ``_take_all`` and
-``center_subjects`` are the same filler over a dataset in memory.
+them straight into the partitions that own them.  ``split``, ``_take_all``
+and ``center_subjects`` are the same filler over a dataset in memory, and a
+CSV manifest parses each subject's file only when the filler takes its rows.
+
+A command's load (``_load_parts``) streams the partitions of a packed file
+whose rows are at least a page wide, unless it centers them: each subject a
+partition owns is read once into a reused one-subject buffer and checked
+there, and each partition (``_Streamed``) keeps the open file and the file
+rows it owns.  Its ``block`` is a ``_PackedRows``: every training batch and
+scoring block is read from the file straight into the array that uses it,
+one read per run of consecutive rows, so a command holds no copy of its
+data.  Narrower rows, CSV manifests and centered loads fill held partitions,
+and ``load_dataset`` always returns a held dataset.
 
 ``split`` is the one owner of the ``data.split.scheme`` names
 (``timestep_fraction``, ``first_second_half``, ``subject_holdout`` and
@@ -48,11 +56,12 @@ from __future__ import annotations
 import csv
 import json
 import math
+import mmap
 import os
 import struct
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -126,8 +135,7 @@ class MultiSubjectDataset:
         only code that builds the views, so every dataset is laid out alike.
         """
         _check_records(records)
-        self.offsets = np.zeros(len(records) + 1, dtype=np.int64)
-        np.cumsum([n_t for _, n_t, _, _ in records], out=self.offsets[1:])
+        self.offsets = _offsets(records)
         shape = (int(self.offsets[-1]), n_features)
         if block is None:
             block = np.empty(shape)
@@ -136,9 +144,8 @@ class MultiSubjectDataset:
         self.block = block
         self.metadata = {} if metadata is None else metadata
         labels = [rec_labels for _, _, rec_labels, _ in records]
-        self.labels = None
-        if all(rec_labels is not None for rec_labels in labels):
-            self.labels = np.concatenate(labels)
+        self.labels = _all_labels(records)
+        if self.labels is not None:
             labels = np.split(self.labels, self.offsets[1:-1])
         self.subjects = [SubjectData(sid, block[start:stop], rec_labels, group)
                          for (sid, _, _, group), rec_labels, start, stop
@@ -167,6 +174,20 @@ class MultiSubjectDataset:
 
     def groups(self) -> np.ndarray:
         return np.array([-1 if rec.group is None else rec.group for rec in self.subjects])
+
+
+def _offsets(records) -> np.ndarray:
+    """Row offsets of ``(subject_id, T, labels, group)`` records: subject i owns rows
+    ``offsets[i]:offsets[i + 1]``."""
+    offsets = np.zeros(len(records) + 1, dtype=np.int64)
+    np.cumsum([n_t for _, n_t, _, _ in records], out=offsets[1:])
+    return offsets
+
+
+def _all_labels(records) -> np.ndarray | None:
+    """Every record's labels end to end, or None when a record has none."""
+    labels = [rec_labels for _, _, rec_labels, _ in records]
+    return None if any(rec_labels is None for rec_labels in labels) else np.concatenate(labels)
 
 
 def _records(subjects) -> list[tuple]:
@@ -203,12 +224,16 @@ def _unpickle_dataset(block, records, metadata) -> MultiSubjectDataset:
     return MultiSubjectDataset._empty(records, block.shape[1], metadata, block)
 
 
-def stacked(dataset: MultiSubjectDataset, model=None):
+def stacked(dataset, model=None):
     """All subjects' rows as (x, subject_idx, labels-or-None), without copying.
 
-    ``x`` and the labels are the dataset's own storage: read them, never
-    write them.  Indices refer to ``model.subject_ids`` when a model is
-    given, otherwise to the dataset's own subject order.
+    ``x`` is the dataset's ``block``.  Of a held dataset it is the dataset's
+    own storage, and so are the labels: read them, never write them.  Of a
+    streamed partition (``_Streamed``) it is a ``_PackedRows``, whose
+    ``x[rows]`` reads those rows from the file into a new array; both give
+    ``x.shape`` and ``x.nbytes``, and the same rows in the same order.
+    Indices refer to ``model.subject_ids`` when a model is given, otherwise
+    to the dataset's own subject order.
     """
     if model is None:
         order = np.arange(dataset.n_subjects, dtype=np.int64)
@@ -302,13 +327,15 @@ class _Source:
     into)`` returns subject i's T x N rows, either read into ``into`` (a file)
     or as a view of rows already in memory.  Rows of a ``dataset`` are known
     to be finite; any other source's rows are checked as they are read.
+    ``packed`` is ``(open file, data start)`` of a packed file, which
+    partitions may stream from while the file is open.
     """
 
     def __init__(self, records, n_features: int, metadata: dict, rows,
-                 dataset: MultiSubjectDataset | None = None):
+                 dataset: MultiSubjectDataset | None = None, packed: tuple | None = None):
         _check_records(records)
         self.records, self.n_features, self.metadata = records, n_features, metadata
-        self.rows, self.dataset = rows, dataset
+        self.rows, self.dataset, self.packed = rows, dataset, packed
 
     @property
     def subject_ids(self) -> list[str]:
@@ -397,6 +424,116 @@ def _fill(source: _Source, parts, center: bool = False) -> list:
                 # mode="clip" writes straight into the view (the default mode
                 # buffers a full copy first); _same_rows checked the range
                 np.take(data, rows, axis=0, out=dest, mode="clip")
+    return out
+
+
+class _PackedRows:
+    """The rows of an open packed file's data block that a streamed partition owns.
+
+    ``x[rows]`` reads rows ``rows`` of the partition (a training batch's
+    index array, or a scoring block's slice) into a new C-contiguous float64
+    array: one ``os.preadv`` per run of consecutive file rows (more only
+    when the kernel returns part of a run), each read's byte count checked,
+    so a file truncated under it is a ParseError.  It owns a duplicate of
+    the loader's descriptor, closed with it.  Every subjmap writer replaces
+    a file with ``os.replace`` (``atomic_write``), so a replaced file does
+    not change what it reads.  ``nbytes`` is the bytes of all its rows, as a
+    held block's is.
+    """
+
+    def __init__(self, fh, start: int, n_features: int, file_rows: np.ndarray):
+        self.fd, self.name = os.dup(fh.fileno()), fh.name
+        weakref.finalize(self, os.close, self.fd)
+        self.start, self.file_rows = start, file_rows
+        self.shape = (file_rows.size, n_features)
+        self.nbytes = 8 * file_rows.size * n_features
+
+    def __getitem__(self, rows) -> np.ndarray:
+        file_rows = self.file_rows[rows]
+        out = np.empty((file_rows.size, self.shape[1]))
+        runs = np.flatnonzero(np.diff(file_rows, prepend=-2) != 1)
+        bounds = runs.tolist() + [file_rows.size]
+        starts = (self.start + file_rows[runs] * (8 * self.shape[1])).tolist()
+        for begin, end, at in zip(bounds, bounds[1:], starts):
+            run = out[begin:end]
+            got = os.preadv(self.fd, [run], at)
+            while got < run.nbytes:  # the kernel returned part of the run, or the file ended
+                more = os.preadv(self.fd, [memoryview(run).cast("B")[got:]], at + got)
+                if not more:
+                    raise ParseError(f"packed dataset {self.name} was truncated: "
+                                     f"it ends at byte {at + got}, before the rows being read")
+                got += more
+        return out
+
+
+class _Streamed:
+    """A partition of a packed file: its subjects' headers and a ``_PackedRows`` ``block``.
+
+    It answers what training and scoring ask of a dataset (``offsets``,
+    ``labels``, ``subject_ids``, ``n_features``, ``stacked``) without
+    holding a row.  Pickled, for a sweep worker, it arrives as a held
+    ``MultiSubjectDataset`` with a copy of its rows.
+    """
+
+    def __init__(self, records, block: _PackedRows, metadata: dict):
+        self.records, self.block, self.metadata = records, block, metadata
+        self.offsets, self.labels = _offsets(records), _all_labels(records)
+
+    def __reduce__(self):
+        return _unpickle_dataset, (self.block[:], self.records, self.metadata)
+
+    @property
+    def n_subjects(self) -> int:
+        return len(self.records)
+
+    @property
+    def n_features(self) -> int:
+        return self.block.shape[1]
+
+    @property
+    def subject_ids(self) -> list[str]:
+        return [sid for sid, _, _, _ in self.records]
+
+
+def _streams(source: _Source, center: bool) -> bool:
+    """Whether ``_load_parts`` streams the partitions of ``source``.
+
+    A packed file streams when its rows are at least a page wide and the
+    load does not center them.  Narrower rows are cheaper to gather from a
+    held block than to read one run at a time, and a platform without
+    ``os.preadv`` (Windows) holds them all.
+    """
+    return (source.packed is not None and not center and hasattr(os, "preadv")
+            and 8 * source.n_features >= mmap.PAGESIZE)
+
+
+def _stream(source: _Source, parts) -> list:
+    """``_fill``'s partitions of a packed file, each its headers and the file rows it owns.
+
+    Each subject that a partition owns is read once into a reused
+    one-subject buffer and checked there, and copied nowhere: a partition
+    reads its rows from the file again each time a batch or a scoring block
+    uses them.
+    """
+    records, offsets = source.records, _offsets(source.records)
+    out, owned = [], set()
+    for part in parts:
+        if part is _ALL:
+            part = [(i, None) for i in range(len(records))]
+        if part is None:
+            out.append(None)
+            continue
+        cut = [_cut_record(records[i], rows) for i, rows in part]
+        _check_records(cut)
+        file_rows = np.concatenate([offsets[i] + (np.arange(records[i][1]) if rows is None
+                                                  else rows) for i, rows in part])
+        out.append(_Streamed(cut, _PackedRows(*source.packed, source.n_features, file_rows),
+                             dict(source.metadata)))
+        owned.update(i for i, _ in part)
+    buffer = np.empty((max((records[i][1] for i in owned), default=0), source.n_features))
+    for i in sorted(owned):
+        sid, n_t, _, _ = records[i]
+        _check_subject(sid, source.rows(i, buffer[:n_t]))
     return out
 
 
@@ -681,7 +818,7 @@ def _binary_source(fh) -> _Source:
             raise ParseError(f"packed dataset header: subject {subject_id!r} needs 'timesteps' "
                              f"(an integer >= 0) and 'labelled' (a bool)")
         records.append((subject_id, n_t, labelled, group))
-    offsets = list(accumulate((n_t for _, n_t, _, _ in records), initial=0))
+    offsets = _offsets(records).tolist()
     n_labels = sum(n_t for _, n_t, labelled, _ in records if labelled)
     labels_at = start + 8 * offsets[-1] * n_features
     if labels_at + 4 * n_labels != size:
@@ -700,7 +837,14 @@ def _binary_source(fh) -> _Source:
             raise ParseError(f"truncated while reading data of subject {records[i][0]!r} "
                              f"at byte {at}")
         return into
-    return _Source(records, n_features, {"n_features": n_features}, rows)
+    return _Source(records, n_features, {"n_features": n_features}, rows,
+                   packed=(fh, start))
+
+
+def _csv_rows(path):
+    """The non-empty rows of a CSV file, each a list of its fields."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        yield from (row for row in csv.reader(fh) if row)
 
 
 def _csv_source(manifest_path) -> _Source:
@@ -709,7 +853,9 @@ def _csv_source(manifest_path) -> _Source:
     The manifest is ``{"n_features": int (optional), "subjects": [{"subject_id":
     str, "csv_path": str, "label_path": str or null, "group": int or null}]}``;
     paths are relative to the manifest and a label file holds whitespace-
-    separated integers.
+    separated integers.  Opening the manifest reads each CSV once to count
+    its rows and check their widths, and keeps no value; ``rows(i, into)``
+    parses subject i's file straight into ``into``.
     """
     manifest_path = Path(manifest_path)
     try:
@@ -728,25 +874,21 @@ def _csv_source(manifest_path) -> _Source:
     check(isinstance(entries, list), "subjects", "a list of objects")
     expect_n = manifest.get("n_features")
     check(expect_n is None or is_count(expect_n, 1), "n_features", "an integer >= 1")
-    subjects = []
+    records, paths, widths = [], [], set()
     for entry in entries:
         subject_id, group = _subject_entry(entry, where)
         check(isinstance(entry.get("csv_path"), str), "csv_path", "a string")
         check(entry.get("label_path") is None or isinstance(entry["label_path"], str),
               "label_path", "a string or null")
         csv_path = manifest_path.parent / entry["csv_path"]
-        with open(csv_path, newline="", encoding="utf-8") as fh:
-            try:
-                rows = [[float(cell) for cell in row] for row in csv.reader(fh) if row]
-            except ValueError as exc:
-                raise ParseError(f"{csv_path}: {exc}") from exc
-        if len({len(row) for row in rows}) > 1:
+        row_widths = [len(row) for row in _csv_rows(csv_path)]
+        if len(set(row_widths)) > 1:
             raise ParseError(f"{csv_path}: rows differ in length")
-        data = np.asarray(rows, dtype=np.float64)
-        # an empty file gives shape (0,): SubjectData rejects it as not 2-D
-        if expect_n is not None and data.ndim == 2 and data.shape[1] != expect_n:
+        if not row_widths:
+            raise ShapeError(f"subject {subject_id!r} data must be 2-D, got shape (0,)")
+        if expect_n is not None and row_widths[0] != expect_n:
             raise ShapeError(
-                f"subject {subject_id!r} has width {data.shape[1]}, manifest says {expect_n}")
+                f"subject {subject_id!r} has width {row_widths[0]}, manifest says {expect_n}")
         labels = None
         if entry.get("label_path"):
             label_path = manifest_path.parent / entry["label_path"]
@@ -758,11 +900,31 @@ def _csv_source(manifest_path) -> _Source:
             # the packed format stores labels as int32
             if not all(-2 ** 31 <= v < 2 ** 31 for v in labels):
                 raise ParseError(f"{named} holds a label outside [-2**31, 2**31)")
+            if len(labels) != len(row_widths):
+                raise ShapeError(f"subject {subject_id!r}: {len(labels)} labels "
+                                 f"for {len(row_widths)} timesteps")
             labels = np.array(labels, dtype=np.int64)
-        subjects.append(SubjectData(subject_id, data, labels, group))
-    n_features = _common_width(subjects)
-    return _Source(_records(subjects), n_features, {"n_features": n_features},
-                   lambda i, into: subjects[i].data)
+        records.append((subject_id, len(row_widths), labels, group))
+        paths.append(csv_path)
+        widths.add(row_widths[0])
+    if len(widths) > 1:
+        raise ShapeError(f"subjects disagree on feature width: {sorted(widths)}")
+    n_features = widths.pop() if widths else 0
+
+    def rows(i: int, into: np.ndarray) -> np.ndarray:
+        changed = ParseError(f"{paths[i]} changed after its rows were counted")
+        parsed = 0
+        for parsed, row in enumerate(_csv_rows(paths[i]), 1):
+            if parsed > len(into) or len(row) != n_features:
+                raise changed
+            try:
+                into[parsed - 1] = [float(cell) for cell in row]
+            except ValueError as exc:
+                raise ParseError(f"{paths[i]}: {exc}") from exc
+        if parsed != len(into):
+            raise changed
+        return into
+    return _Source(records, n_features, {"n_features": n_features}, rows)
 
 
 @contextmanager
@@ -782,14 +944,20 @@ def _load_parts(path, fmt: str, plan, center: bool = False):
 
     ``plan(records)`` sees only the subjects' headers and returns the parts
     ``_fill`` copies, so its checks fail before any data is read.  Each
-    subject is then read once and its rows go straight into the partitions
-    that own them (centered first, with ``center``): the file's data is
-    never held beside them.
+    subject is then read once and checked.  A packed file with rows at
+    least a page wide, loaded without ``center``, gives streamed partitions
+    (``_stream``) that read their rows from the file as they are used;
+    otherwise the rows go straight into held partitions (centered first,
+    with ``center``).  Either way the file's data is never held beside them.
     """
     with _opened(path, fmt) as source:
-        return source, _fill(source, plan(source.records), center)
+        parts = plan(source.records)
+        if _streams(source, center):
+            return source, _stream(source, parts)
+        return source, _fill(source, parts, center)
 
 
 def load_dataset(path, fmt: str = "binary") -> MultiSubjectDataset:
-    """Load a packed binary dataset or a CSV-per-subject manifest."""
-    return _load_parts(path, fmt, lambda records: [_ALL])[1][0]
+    """Load a packed binary dataset or a CSV-per-subject manifest, held in memory."""
+    with _opened(path, fmt) as source:
+        return _fill(source, [_ALL])[0]

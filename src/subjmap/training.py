@@ -481,9 +481,9 @@ def finetune_subjects(model: Model, new_data: MultiSubjectDataset,
                          f"model expects {model.spec.input_size}")
     if model.spec.objective == "classifier" and new_data.labels is None:
         raise MissingLabels("fine-tuning a classifier needs labels for every new subject")
-    for rec in new_data.subjects:
-        if rec.n_timesteps == 0:
-            raise EmptySubset(f"subject {rec.subject_id!r} has no timesteps to fine-tune on")
+    for subject_id, n_t in zip(new_data.subject_ids, np.diff(new_data.offsets)):
+        if n_t == 0:
+            raise EmptySubset(f"subject {subject_id!r} has no timesteps to fine-tune on")
 
     started = time.perf_counter()
     new_idx = add_subjects(model, new_data.subject_ids)
@@ -566,7 +566,7 @@ def _sweep_cell(job):
         if pending:
             pending.sort(key=lambda item: item[0].epochs)
             model = build_model(cell_spec, SeededRng(seed).derive("init").seed,
-                                subject_ids=[r.subject_id for r in train_set.subjects])
+                                subject_ids=train_set.subject_ids)
             history = TrainHistory()
             for best_snap in _train_epochs(model, train_set, val_set, pending[-1][0], history):
                 while pending and pending[0][0].epochs == history.n_epochs:

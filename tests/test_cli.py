@@ -2,6 +2,7 @@ import csv
 import ctypes
 import json
 import math
+import mmap
 import os
 import subprocess
 import sys
@@ -14,11 +15,13 @@ import pytest
 from subjmap import cli, datasets
 from subjmap.checkpoint import load_model, save_model
 from subjmap.cli import _load_config, _write_json, config_tables, main
-from subjmap.datasets import (SubjectData, half_moons, load_dataset, rotate_subjects, save_dataset,
-                              split, synth_group_dataset)
+from subjmap.datasets import (MultiSubjectDataset, SubjectData, _split_plan, half_moons,
+                              load_dataset, rotate_subjects, save_dataset, split,
+                              synth_group_dataset)
+from subjmap.errors import ParseError
 from subjmap.linalg import SeededRng
 from subjmap.models import ModelSpec, build_model
-from subjmap.training import evaluate_loss
+from subjmap.training import TrainConfig, evaluate_loss, parameter_digest, train
 
 
 def write_config(path, payload):
@@ -629,6 +632,222 @@ class TestReadsOnlyWhatIsUsed:
         model = load_model(tmp_path / "model.ckpt")[0]
         assert (read_results(tmp_path / "out")["metrics"]["test_mse"]
                 == evaluate_loss(model, scored)[1]["mse"])
+
+
+# the narrowest rows the loader streams: one page of float64 each (512 at 4 KiB pages)
+WIDE = mmap.PAGESIZE // 8
+
+
+def _wide_file(path, prefix="g", n_subjects=6, n_timesteps=24, n_features=WIDE):
+    """A packed file of rows ``n_features`` wide, labelled row index mod 2; returns its dataset."""
+    data, _ = synth_group_dataset(n_subjects, n_timesteps, n_features, 3, 1.0, seed=11)
+    data = MultiSubjectDataset([SubjectData(f"{prefix}{i}", rec.data, np.arange(n_timesteps) % 2,
+                                            rec.group) for i, rec in enumerate(data.subjects)])
+    save_dataset(data, path)
+    return data
+
+
+def _held_load_parts(path, fmt, plan, center=False):
+    """The loader's partitions held: ``load_dataset``, then the filler ``split`` runs."""
+    source = datasets._held(load_dataset(path, fmt))
+    return source, datasets._fill(source, plan(source.records), center)
+
+
+def _same_outputs(streamed: Path, held: Path) -> None:
+    """The two runs' metrics, history and parameters are equal, bit for bit."""
+    assert read_results(streamed)["metrics"] == read_results(held)["metrics"]
+    if (held / "history.json").exists():
+        histories = [json.loads((out / "history.json").read_text()) for out in (streamed, held)]
+        for history in histories:
+            del history["wall_clock_seconds"]
+        assert histories[0] == histories[1]
+    if (held / "model.ckpt").exists():
+        assert (parameter_digest(load_model(streamed / "model.ckpt")[0])
+                == parameter_digest(load_model(held / "model.ckpt")[0]))
+    if (held / "sweep.csv").exists():
+        assert (streamed / "sweep.csv").read_bytes() == (held / "sweep.csv").read_bytes()
+
+
+class TestStreamedPartitions:
+    """Commands on a packed file with rows a page wide read each batch and block from the file."""
+
+    def run_both(self, tmp_path, monkeypatch, command, payload, *args) -> None:
+        """Run ``command`` with streamed partitions, then held ones, and compare the outputs."""
+        cfg = write_config(tmp_path / f"{command}.json", payload)
+        argv = [command, "--config", cfg, *args, "--out"]
+        kinds, real = [], cli._load_parts
+
+        def recording(*args):
+            source, parts = real(*args)
+            kinds.extend(type(part) for part in parts if part is not None)
+            return source, parts
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "_load_parts", recording)
+            assert main([*argv, str(tmp_path / "streamed")]) == 0
+        assert kinds and set(kinds) == {datasets._Streamed}
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "_load_parts", _held_load_parts)
+            assert main([*argv, str(tmp_path / "held")]) == 0
+        _same_outputs(tmp_path / "streamed", tmp_path / "held")
+
+    @pytest.mark.parametrize("scheme,keys,variant", [
+        ("timestep_fraction", {"test_fraction": 0.5, "val_fraction": 0.2}, "decomposed"),
+        ("first_second_half", {}, "decomposed"),
+        ("subject_holdout", {"n_holdout": 2}, "group"),
+        ("none", {}, "decomposed"),
+    ])
+    def test_train_matches_the_held_load(self, tmp_path, monkeypatch, scheme, keys, variant):
+        _wide_file(tmp_path / "data.smds")
+        payload = train_config(tmp_path / "data.smds", variant, epochs=3)
+        payload["data"]["split"] = {"scheme": scheme, **keys}
+        self.run_both(tmp_path, monkeypatch, "train", payload)
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_sweep_matches_the_held_load(self, tmp_path, monkeypatch, workers):
+        # two workers get the partitions pickled: a streamed one arrives as a held copy
+        _wide_file(tmp_path / "data.smds")
+        payload = train_config(tmp_path / "data.smds", epochs=2)
+        payload["sweep"] = {"axes": {"lr": [0.01, 0.003]}, "seeds": [1, 2]}
+        self.run_both(tmp_path, monkeypatch, "sweep", payload, "--workers", workers)
+
+    def test_finetune_matches_the_held_load(self, tmp_path, monkeypatch):
+        seen = _wide_file(tmp_path / "seen.smds")
+        _wide_file(tmp_path / "new.smds", prefix="new", n_subjects=2)
+        spec = ModelSpec("decomposed", "autoencoder", WIDE, 3, 2, seen.n_subjects, (6,))
+        save_model(build_model(spec, 0, subject_ids=seen.subject_ids), tmp_path / "model.ckpt")
+        self.run_both(tmp_path, monkeypatch, "finetune", {
+            "seed": 3, "data": {"path": str(tmp_path / "new.smds")},
+            "checkpoint": str(tmp_path / "model.ckpt"),
+            "finetune": {"fraction": 0.25, "holdout_fraction": 0.5, "epochs": 4,
+                         "batch_size": 8}})
+
+    def test_evaluate_matches_the_held_load(self, tmp_path, monkeypatch):
+        data = _wide_file(tmp_path / "data.smds")
+        spec = ModelSpec("decomposed", "autoencoder", WIDE, 3, 2, data.n_subjects, (6,))
+        save_model(build_model(spec, 0, subject_ids=data.subject_ids), tmp_path / "model.ckpt")
+        self.run_both(tmp_path, monkeypatch, "evaluate", {
+            "seed": 3, "data": {"path": str(tmp_path / "data.smds"),
+                                "split": {"scheme": "timestep_fraction", "test_fraction": 0.5,
+                                          "val_fraction": 0.2}},
+            "checkpoint": str(tmp_path / "model.ckpt"),
+            "eval": {"recon": True, "probe_embeddings": True, "probe_folds": 3}})
+
+    def test_narrower_rows_and_centred_loads_are_held(self, tmp_path):
+        cut = lambda records: [_split_plan("first_second_half")[0](records, 0)[0]]
+        _wide_file(tmp_path / "narrow.smds", n_features=WIDE - 1)
+        _wide_file(tmp_path / "wide.smds")
+        for name, center, kind in [("narrow", False, MultiSubjectDataset),
+                                   ("wide", True, MultiSubjectDataset),
+                                   ("wide", False, datasets._Streamed)]:
+            section = {"path": f"{name}.smds", "format": "binary", "center": center}
+            assert type(cli._load_parts_of(section, tmp_path, cut)[1][0]) is kind
+
+    def test_load_and_train_trace_less_than_half_the_data(self, tmp_path):
+        # every partition was a copy: the trace peaked above the whole 32 MiB block
+        data = _wide_file(tmp_path / "data.smds", n_subjects=8, n_timesteps=128, n_features=4096)
+        payload = train_config(tmp_path / "data.smds", epochs=1)
+        payload["data"]["split"] = {"scheme": "first_second_half"}
+        config = cli._resolve(payload, cli._schema("train"))
+        spec = ModelSpec("decomposed", "autoencoder", 4096, 3, 2, data.n_subjects, (6,))
+        tracemalloc.start()
+        try:
+            train_set, _, test_set = cli._load_split(config, tmp_path, SeededRng(5))[1]
+            model = build_model(spec, 0, subject_ids=train_set.subject_ids)
+            train(model, train_set, test_set, TrainConfig(lr=0.01, epochs=1, batch_size=32))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < data.block.nbytes / 2
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="needs Linux's RLIMIT_DATA and /proc/self/status")
+    def test_train_runs_in_less_memory_than_its_data(self, tmp_path):
+        # the data limit leaves half the 32 MiB block above what the imports took: the
+        # held partitions needed the whole block and ended in a MemoryError (exit 2)
+        data = _wide_file(tmp_path / "data.smds", n_subjects=8, n_timesteps=128, n_features=4096)
+        payload = train_config(tmp_path / "data.smds", epochs=1)
+        payload["data"]["split"] = {"scheme": "first_second_half"}
+        payload["train"]["batch_size"] = 32
+        cfg = write_config(tmp_path / "c.json", payload)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join([str(Path(cli.__file__).parents[1]),
+                                             env.get("PYTHONPATH", "")])
+        done = subprocess.run([sys.executable, "-c", _RLIMIT_CHILD, str(data.block.nbytes // 2),
+                               "train", "--config", cfg, "--out", str(tmp_path / "out")],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert math.isfinite(read_results(tmp_path / "out")["metrics"]["test_loss"])
+
+    def test_file_truncated_after_the_load_is_parse_error(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "data.smds"
+        data = _wide_file(path)
+        cut = _split_plan("first_second_half")[0]
+        train_set, _, test_set = datasets._load_parts(path, "binary",
+                                                      lambda records: cut(records, 0))[1]
+        os.truncate(path, path.stat().st_size // 2)
+        spec = ModelSpec("decomposed", "autoencoder", WIDE, 3, 2, data.n_subjects, (6,))
+        model = build_model(spec, 0, subject_ids=data.subject_ids)
+        with pytest.raises(ParseError, match="was truncated"):
+            train(model, train_set, test_set, TrainConfig(epochs=1, batch_size=16))
+
+        save_dataset(data, path)
+        real = cli._load_parts
+
+        def truncating(*args):
+            loaded = real(*args)
+            os.truncate(path, path.stat().st_size // 2)
+            return loaded
+        monkeypatch.setattr(cli, "_load_parts", truncating)
+        cfg = write_config(tmp_path / "c.json", train_config(path, epochs=1))
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "ParseError: packed dataset" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "results.json").exists()
+
+
+# run in a fresh process: the data limit is what the imports (and BLAS's buffers) took,
+# plus argv[1] bytes; argv[2:] is the command
+_RLIMIT_CHILD = """
+import resource, sys
+import numpy as np
+from subjmap import cli
+
+np.ones((256, 256)) @ np.ones((256, 256))  # BLAS takes its buffers at its first call
+with open("/proc/self/status") as fh:
+    vm_data = next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmData:"))
+limit = vm_data + int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_DATA, (limit, resource.getrlimit(resource.RLIMIT_DATA)[1]))
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+class TestCsvManifestLoads:
+    def test_headers_hold_no_subject(self, tmp_path):
+        # every CSV used to be parsed when the manifest was opened: 6.0 MiB for 3.1 MiB of data
+        rng = SeededRng(3)
+        entries = []
+        for i in range(8):
+            np.savetxt(tmp_path / f"s{i}.csv", rng.normal((200, 256)), delimiter=",")
+            entries.append({"subject_id": f"s{i}", "csv_path": f"s{i}.csv"})
+        (tmp_path / "manifest.json").write_text(json.dumps({"subjects": entries}))
+        section = {"path": "manifest.json", "format": "csv", "center": False}
+        tracemalloc.start()
+        try:
+            source = cli._load_parts_of(section, tmp_path, lambda records: [])[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert source.subject_ids == [f"s{i}" for i in range(8)] and source.n_features == 256
+        assert peak < 200 * 256 * 8
+
+    def test_bad_float_is_parse_error_when_its_rows_are_read(self, tmp_path):
+        (tmp_path / "a.csv").write_text("1,2\n3,4\n")
+        (tmp_path / "b.csv").write_text("1,2\n3,x\n")
+        (tmp_path / "manifest.json").write_text(json.dumps({"subjects": [
+            {"subject_id": "a", "csv_path": "a.csv"}, {"subject_id": "b", "csv_path": "b.csv"}]}))
+        section = {"path": "manifest.json", "format": "csv", "center": False}
+        assert cli._load_parts_of(section, tmp_path, lambda records: [])[0].subject_ids == ["a", "b"]
+        with pytest.raises(ParseError, match=r"b\.csv: could not convert string to float: 'x'"):
+            cli._load_parts_of(section, tmp_path, lambda records: [datasets._ALL])
 
 
 class TestSweepCommand:

@@ -1,5 +1,7 @@
 import json
 import math
+import mmap
+import os
 import pickle
 import struct
 import tracemalloc
@@ -10,6 +12,8 @@ import pytest
 from subjmap.datasets import (
     MultiSubjectDataset,
     SubjectData,
+    _ALL,
+    _Streamed,
     _load_parts,
     _same_rows,
     _split_plan,
@@ -767,3 +771,70 @@ class TestLoadParts:
         cut = _split_plan("subject_holdout", n_holdout=n_holdout)[0]
         with pytest.raises(ConfigError, match=rf"^n_holdout {n_holdout} must lie in \[1, 5\)"):
             _load_parts(path, "binary", lambda records: cut(records, 0))
+
+
+class TestStreamedLoads:
+    """A packed file with rows a page wide loads as partitions that read the file as they go."""
+
+    def write(self, tmp_path, n_timesteps=(12, 12, 12, 12, 12)):
+        # labels mark each row's index, as in TestLoadParts
+        rng = SeededRng(12)
+        built = MultiSubjectDataset(
+            [SubjectData(f"s{i}", rng.normal((t, mmap.PAGESIZE // 8)), np.arange(t), i % 2)
+             for i, t in enumerate(n_timesteps)])
+        save_dataset(built, tmp_path / "data.smds")
+        return built, tmp_path / "data.smds"
+
+    @pytest.mark.parametrize("scheme,keys", [
+        ("timestep_fraction", {"test_fraction": 0.5, "val_fraction": 0.2}),
+        ("first_second_half", {}),
+        ("subject_holdout", {"n_holdout": 2}),
+        ("none", {}),
+    ])
+    def test_partitions_and_their_pickles_equal_the_held_split(self, tmp_path, scheme, keys):
+        _, path = self.write(tmp_path)
+        cut = _split_plan(scheme, **keys)[0]
+        parts = _load_parts(path, "binary", lambda records: cut(records, 7))[1]
+        want = split(load_dataset(path), scheme, **keys, seed=7)
+        for got, held in zip(parts, want):
+            if held is None:
+                assert got is None
+                continue
+            assert type(got) is _Streamed
+            assert got.subject_ids == held.subject_ids and got.metadata == held.metadata
+            assert np.array_equal(got.offsets, held.offsets)
+            assert got.labels.tobytes() == held.labels.tobytes()
+            assert got.block.shape == held.block.shape and got.block.nbytes == held.block.nbytes
+            assert got.block[:].tobytes() == held.block.tobytes()
+            back = pickle.loads(pickle.dumps(got))
+            assert type(back) is MultiSubjectDataset and _same_dataset(back, held)
+
+    def test_rows_read_as_the_held_gather(self, tmp_path):
+        built, path = self.write(tmp_path, n_timesteps=(12, 0, 7, 12))
+        (whole,) = _load_parts(path, "binary", lambda records: [_ALL])[1]
+        order = SeededRng(3).permutation(31)
+        for rows in (order[:8], np.sort(order[:9]), np.arange(31), order[5:5], slice(4, 20),
+                     slice(29, 60)):
+            got = whole.block[rows]
+            assert got.dtype == np.float64 and got.flags.c_contiguous and got.flags.owndata
+            assert got.tobytes() == built.block[rows].tobytes()
+        assert stacked(whole)[2].tolist() == built.labels.tolist()
+
+    def test_a_read_the_kernel_cuts_short_is_completed(self, tmp_path, monkeypatch):
+        built, path = self.write(tmp_path)
+        (whole,) = _load_parts(path, "binary", lambda records: [_ALL])[1]
+        real = os.preadv
+
+        def short(fd, buffers, at):
+            (buffer,) = buffers
+            return real(fd, [memoryview(buffer).cast("B")[:1000]], at)
+        monkeypatch.setattr(os, "preadv", short)
+        assert whole.block[:].tobytes() == built.block.tobytes()
+        assert whole.block[[3, 50, 51, 52]].tobytes() == built.block[[3, 50, 51, 52]].tobytes()
+
+    def test_non_finite_subject_is_named(self, tmp_path):
+        built, path = self.write(tmp_path)
+        built.subjects[3].data[4, 1] = np.nan
+        save_dataset(built, path)
+        with pytest.raises(NonFiniteError, match="^subject 's3' data contains non-finite"):
+            _load_parts(path, "binary", lambda records: [[(2, None), (3, np.arange(5, 12))]])
