@@ -10,8 +10,9 @@ shared orthonormal bases with per-subject scaling vectors, and a known group
 offset is planted in scaling space so recovery can be checked against ground
 truth.
 
-A dataset stores every subject's rows in one C-contiguous float64 block;
-each subject's ``data`` is a view of its rows.  One method lays out every
+A dataset keeps its subjects' headers and one ``block`` of all their rows.
+Held in memory, the block is one C-contiguous float64 array and each
+subject's ``data`` is a view of its rows.  One method lays out every
 dataset, allocating the block and building the views, and each producer
 then fills the rows in place; ``stacked`` hands the block out without
 copying.
@@ -25,15 +26,15 @@ them straight into the partitions that own them.  ``split``, ``_take_all``
 and ``center_subjects`` are the same filler over a dataset in memory, and a
 CSV manifest parses each subject's file only when the filler takes its rows.
 
-A command's load (``_load_parts``) streams the partitions of a packed file
-whose rows are at least a page wide, unless it centers them: each subject a
-partition owns is read once into a reused one-subject buffer and checked
-there, and each partition (``_Streamed``) keeps the open file and the file
-rows it owns.  Its ``block`` is a ``_PackedRows``: every training batch and
-scoring block is read from the file straight into the array that uses it,
-one read per run of consecutive rows, so a command holds no copy of its
-data.  Narrower rows, CSV manifests and centered loads fill held partitions,
-and ``load_dataset`` always returns a held dataset.
+There is one partition type with two kinds of block.  A command's load
+(``_load_parts``) of a packed file whose rows are at least a page wide,
+uncentered, gives partitions whose block is a ``_PackedRows`` over the file
+rows they own instead of an array: the filler still reads and checks each
+subject once, in its one-subject buffer, but copies it nowhere, and every
+training batch and scoring block is read from the file straight into the
+array that uses it, one read per run of consecutive rows, so a command
+holds no copy of its data.  Narrower rows, CSV manifests and centered loads
+fill arrays, and ``load_dataset`` always returns a held dataset.
 
 ``split`` is the one owner of the ``data.split.scheme`` names
 (``timestep_fraction``, ``first_second_half``, ``subject_holdout`` and
@@ -104,14 +105,16 @@ class SubjectData:
 
 
 class MultiSubjectDataset:
-    """Subjects whose rows live in one C-contiguous T_total x N float64 ``block``.
+    """Subjects' headers (``records``) and one T_total x N float64 ``block`` of their rows.
 
-    Subject i owns rows ``offsets[i]:offsets[i + 1]`` and its ``data`` is a
-    view of them.  ``labels`` is the T_total label vector when every subject
-    has labels (each subject's ``labels`` then views it) and None otherwise.
-    Building a dataset from records copies their rows into a new block once
-    and checks it for NaN and infinity once.  Replacing a record or its
-    arrays afterwards detaches it from the block, which ``stacked`` returns.
+    Subject i owns rows ``offsets[i]:offsets[i + 1]``.  ``labels`` is the
+    T_total label vector when every subject has labels and None otherwise.
+    The block is either a C-contiguous array, and then each of ``subjects``
+    views its rows (and labels), or a ``_PackedRows`` that reads rows from
+    an open packed file, and then ``subjects`` is None.  Building a dataset from records
+    copies their rows into a new block once and checks it for NaN and
+    infinity once.  Replacing a record or its arrays afterwards detaches it
+    from the block, which ``stacked`` returns.
     """
 
     def __init__(self, subjects, metadata: dict | None = None):
@@ -123,16 +126,17 @@ class MultiSubjectDataset:
 
     @classmethod
     def _empty(cls, records, n_features: int, metadata: dict | None,
-               block: np.ndarray | None = None) -> "MultiSubjectDataset":
+               block: np.ndarray | _PackedRows | None = None) -> "MultiSubjectDataset":
         """A dataset laid out by ``_lay_out`` whose rows the caller fills in place."""
         return cls.__new__(cls)._lay_out(records, n_features, metadata, block)
 
     def _lay_out(self, records, n_features: int, metadata: dict | None,
-                 block: np.ndarray | None = None) -> "MultiSubjectDataset":
+                 block: np.ndarray | _PackedRows | None = None) -> "MultiSubjectDataset":
         """Allocate the block (or adopt ``block``) and view each subject's rows and labels in it.
 
         ``records`` are ``(subject_id, T, labels, group)`` tuples.  This is the
         only code that builds the views, so every dataset is laid out alike.
+        A ``_PackedRows`` block gets no views, so no row is read here.
         """
         _check_records(records)
         self.offsets = _offsets(records)
@@ -147,22 +151,34 @@ class MultiSubjectDataset:
         self.labels = _all_labels(records)
         if self.labels is not None:
             labels = np.split(self.labels, self.offsets[1:-1])
-        self.subjects = [SubjectData(sid, block[start:stop], rec_labels, group)
-                         for (sid, _, _, group), rec_labels, start, stop
-                         in zip(records, labels, self.offsets, self.offsets[1:])]
+        # keep the label views, so the records' own label arrays can be freed
+        self._headers = [(sid, n_t, rec_labels, group)
+                         for (sid, n_t, _, group), rec_labels in zip(records, labels)]
+        self.subjects = None
+        if isinstance(block, np.ndarray):
+            self.subjects = [SubjectData(sid, block[start:stop], rec_labels, group)
+                             for (sid, _, rec_labels, group), start, stop
+                             in zip(self._headers, self.offsets, self.offsets[1:])]
         return self
+
+    @property
+    def records(self) -> list[tuple]:
+        """Each subject's ``(subject_id, T, labels, group)``: read from ``subjects``,
+        which a caller may edit, when the block is an array."""
+        return self._headers if self.subjects is None else _records(self.subjects)
 
     def _check_finite(self) -> None:
         for rec in self.subjects:
             _check_subject(rec.subject_id, rec.data)
 
     def __reduce__(self):
-        # pickle the block once; the unpickled records view it again
-        return _unpickle_dataset, (self.block, _records(self.subjects), self.metadata)
+        # pickle the rows once, a streamed partition's read into a held copy;
+        # the unpickled records view them again
+        return _unpickle_dataset, (self.block[:], self.records, self.metadata)
 
     @property
     def n_subjects(self) -> int:
-        return len(self.subjects)
+        return len(self.records)
 
     @property
     def n_features(self) -> int:
@@ -170,10 +186,10 @@ class MultiSubjectDataset:
 
     @property
     def subject_ids(self) -> list[str]:
-        return [rec.subject_id for rec in self.subjects]
+        return _ids(self.records)
 
     def groups(self) -> np.ndarray:
-        return np.array([-1 if rec.group is None else rec.group for rec in self.subjects])
+        return _groups(self.records)
 
 
 def _offsets(records) -> np.ndarray:
@@ -194,6 +210,15 @@ def _records(subjects) -> list[tuple]:
     return [(rec.subject_id, rec.n_timesteps, rec.labels, rec.group) for rec in subjects]
 
 
+def _ids(records) -> list[str]:
+    return [sid for sid, _, _, _ in records]
+
+
+def _groups(records) -> np.ndarray:
+    """Each record's group, -1 where it has none."""
+    return np.array([-1 if group is None else group for _, _, _, group in records])
+
+
 def _common_width(subjects) -> int:
     widths = sorted({rec.data.shape[1] for rec in subjects})
     if len(widths) > 1:
@@ -204,7 +229,7 @@ def _common_width(subjects) -> int:
 def _check_records(records) -> None:
     if not records:
         raise ShapeError("dataset needs at least one subject")
-    ids = [sid for sid, _, _, _ in records]
+    ids = _ids(records)
     if len(set(ids)) != len(ids):
         raise ShapeError("duplicate subject ids")
 
@@ -227,11 +252,11 @@ def _unpickle_dataset(block, records, metadata) -> MultiSubjectDataset:
 def stacked(dataset, model=None):
     """All subjects' rows as (x, subject_idx, labels-or-None), without copying.
 
-    ``x`` is the dataset's ``block``.  Of a held dataset it is the dataset's
-    own storage, and so are the labels: read them, never write them.  Of a
-    streamed partition (``_Streamed``) it is a ``_PackedRows``, whose
-    ``x[rows]`` reads those rows from the file into a new array; both give
-    ``x.shape`` and ``x.nbytes``, and the same rows in the same order.
+    ``x`` is the dataset's ``block``.  An array block is the dataset's own
+    storage, and so are the labels: read them, never write them.  A
+    ``_PackedRows`` block's ``x[rows]`` reads those rows from the file into a
+    new array; both kinds give ``x.shape`` and ``x.nbytes``, and the same rows
+    in the same order.
     Indices refer to ``model.subject_ids`` when a model is given, otherwise
     to the dataset's own subject order.
     """
@@ -339,16 +364,16 @@ class _Source:
 
     @property
     def subject_ids(self) -> list[str]:
-        return [sid for sid, _, _, _ in self.records]
+        return _ids(self.records)
 
     def groups(self) -> np.ndarray:
-        return np.array([-1 if group is None else group for _, _, _, group in self.records])
+        return _groups(self.records)
 
 
 def _held(dataset: MultiSubjectDataset) -> _Source:
     """A source over a dataset in memory, whose rows it hands out as views."""
     subjects = dataset.subjects
-    return _Source(_records(subjects), dataset.n_features, dataset.metadata,
+    return _Source(dataset.records, dataset.n_features, dataset.metadata,
                    lambda i, into: subjects[i].data, dataset)
 
 
@@ -373,19 +398,24 @@ def _cut_record(record: tuple, rows) -> tuple:
     return subject_id, rows.size, None if labels is None else labels[rows], group
 
 
-def _fill(source: _Source, parts, center: bool = False) -> list:
-    """The datasets ``parts`` describe, each subject's rows read once and copied into them.
+def _fill(source: _Source, parts, center: bool = False, stream: bool = False) -> list:
+    """The datasets ``parts`` describe, each subject's rows read once and checked.
 
     A part is None (no dataset), ``_ALL``, or a list of ``(subject index,
-    rows)`` pairs where rows None takes every row.  A subject bound whole for
-    one dataset is read straight into it; any other is read into one reused
-    one-subject buffer, and a subject that none owns is not read.  Rows not
-    yet known finite are checked as they are read, and centered rows once
-    more; then the rows are copied into every dataset that owns some.
-    ``_ALL`` of a source that holds a dataset, uncentered, is that dataset.
+    rows)`` pairs where rows None takes every row.  Each dataset's headers
+    are cut from the source's, and its block is a new array, or with
+    ``stream`` a ``_PackedRows`` over the file rows it owns.  A subject bound
+    whole for one new array is read straight into it; any other is read
+    into one reused one-subject buffer, and a subject that none owns is not
+    read.  Rows not yet known finite are checked as they are read, and
+    centered rows once more; then the rows are copied into every array that
+    owns some.  A streamed dataset takes no copy: it reads its rows from the
+    file again each time a batch or a scoring block uses them.  ``_ALL`` of
+    a source that holds a dataset, uncentered, is that dataset.
     """
     metadata = dict(source.metadata, centered=True) if center else source.metadata
-    records = source.records
+    records, n_features = source.records, source.n_features
+    offsets = _offsets(records)
     out, bound = [], [[] for _ in records]
     for part in parts:
         if part is _ALL and source.dataset is not None and not center:
@@ -396,16 +426,23 @@ def _fill(source: _Source, parts, center: bool = False) -> list:
         if part is None:
             out.append(None)
             continue
+        block = None
+        if stream:
+            file_rows = np.concatenate([offsets[i] + (np.arange(records[i][1]) if rows is None
+                                                      else rows) for i, rows in part])
+            block = _PackedRows(*source.packed, n_features, file_rows)
         taken = MultiSubjectDataset._empty([_cut_record(records[i], rows) for i, rows in part],
-                                           source.n_features, dict(metadata))
-        for (i, rows), rec in zip(part, taken.subjects):
-            bound[i].append((rows, rec.data))
+                                           n_features, dict(metadata), block)
+        dests = [rec.data for rec in taken.subjects] if block is None else [None] * len(part)
+        for (i, rows), dest in zip(part, dests):
+            bound[i].append((rows, dest))
         out.append(taken)
 
-    direct = [len(dests) == 1 and dests[0][0] is None for dests in bound]
+    direct = [len(dests) == 1 and dests[0][0] is None and dests[0][1] is not None
+              for dests in bound]
     longest = max((n_t for (_, n_t, _, _), dests, whole in zip(records, bound, direct)
                    if dests and not whole), default=0)
-    buffer = np.empty((longest, source.n_features))
+    buffer = np.empty((longest, n_features))
     for i, (sid, n_t, _, _) in enumerate(records):
         if not bound[i]:
             continue  # no dataset takes a row of this subject
@@ -417,9 +454,10 @@ def _fill(source: _Source, parts, center: bool = False) -> list:
             data = np.subtract(data, data.mean(axis=0), out=into)
             _check_subject(sid, data)
         for rows, dest in bound[i]:
+            if dest is None or data is dest:
+                continue  # a streamed dataset, or the rows were read straight into it
             if rows is None:
-                if data is not dest:
-                    dest[...] = data
+                dest[...] = data
             else:
                 # mode="clip" writes straight into the view (the default mode
                 # buffers a full copy first); _same_rows checked the range
@@ -466,35 +504,6 @@ class _PackedRows:
         return out
 
 
-class _Streamed:
-    """A partition of a packed file: its subjects' headers and a ``_PackedRows`` ``block``.
-
-    It answers what training and scoring ask of a dataset (``offsets``,
-    ``labels``, ``subject_ids``, ``n_features``, ``stacked``) without
-    holding a row.  Pickled, for a sweep worker, it arrives as a held
-    ``MultiSubjectDataset`` with a copy of its rows.
-    """
-
-    def __init__(self, records, block: _PackedRows, metadata: dict):
-        self.records, self.block, self.metadata = records, block, metadata
-        self.offsets, self.labels = _offsets(records), _all_labels(records)
-
-    def __reduce__(self):
-        return _unpickle_dataset, (self.block[:], self.records, self.metadata)
-
-    @property
-    def n_subjects(self) -> int:
-        return len(self.records)
-
-    @property
-    def n_features(self) -> int:
-        return self.block.shape[1]
-
-    @property
-    def subject_ids(self) -> list[str]:
-        return [sid for sid, _, _, _ in self.records]
-
-
 def _streams(source: _Source, center: bool) -> bool:
     """Whether ``_load_parts`` streams the partitions of ``source``.
 
@@ -505,36 +514,6 @@ def _streams(source: _Source, center: bool) -> bool:
     """
     return (source.packed is not None and not center and hasattr(os, "preadv")
             and 8 * source.n_features >= mmap.PAGESIZE)
-
-
-def _stream(source: _Source, parts) -> list:
-    """``_fill``'s partitions of a packed file, each its headers and the file rows it owns.
-
-    Each subject that a partition owns is read once into a reused
-    one-subject buffer and checked there, and copied nowhere: a partition
-    reads its rows from the file again each time a batch or a scoring block
-    uses them.
-    """
-    records, offsets = source.records, _offsets(source.records)
-    out, owned = [], set()
-    for part in parts:
-        if part is _ALL:
-            part = [(i, None) for i in range(len(records))]
-        if part is None:
-            out.append(None)
-            continue
-        cut = [_cut_record(records[i], rows) for i, rows in part]
-        _check_records(cut)
-        file_rows = np.concatenate([offsets[i] + (np.arange(records[i][1]) if rows is None
-                                                  else rows) for i, rows in part])
-        out.append(_Streamed(cut, _PackedRows(*source.packed, source.n_features, file_rows),
-                             dict(source.metadata)))
-        owned.update(i for i, _ in part)
-    buffer = np.empty((max((records[i][1] for i in owned), default=0), source.n_features))
-    for i in sorted(owned):
-        sid, n_t, _, _ = records[i]
-        _check_subject(sid, source.rows(i, buffer[:n_t]))
-    return out
 
 
 def _take_all(dataset: MultiSubjectDataset, rows) -> MultiSubjectDataset:
@@ -943,18 +922,15 @@ def _load_parts(path, fmt: str, plan, center: bool = False):
     """``(source, datasets)``: a file's headers, and the partitions ``plan`` cuts from it.
 
     ``plan(records)`` sees only the subjects' headers and returns the parts
-    ``_fill`` copies, so its checks fail before any data is read.  Each
-    subject is then read once and checked.  A packed file with rows at
-    least a page wide, loaded without ``center``, gives streamed partitions
-    (``_stream``) that read their rows from the file as they are used;
-    otherwise the rows go straight into held partitions (centered first,
+    ``_fill`` cuts, so its checks fail before any data is read.  Each
+    subject is then read once and checked.  ``_streams`` picks the kind of
+    block: a packed file with rows at least a page wide, loaded without
+    ``center``, gives partitions that read their rows from the file as they
+    are used; otherwise the rows go straight into arrays (centered first,
     with ``center``).  Either way the file's data is never held beside them.
     """
     with _opened(path, fmt) as source:
-        parts = plan(source.records)
-        if _streams(source, center):
-            return source, _stream(source, parts)
-        return source, _fill(source, parts, center)
+        return source, _fill(source, plan(source.records), center, _streams(source, center))
 
 
 def load_dataset(path, fmt: str = "binary") -> MultiSubjectDataset:

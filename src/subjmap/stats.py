@@ -247,8 +247,9 @@ def group_difference_pipeline(model: Model, dataset, grid=None, k: int = 8,
     differences are attributable to those weights alone), extracts ``k``
     spatial sources from the stacked reconstructions, averages each
     subject's mixing rows, and tests group a vs group b per source.  Of
-    ``dataset`` it reads only ``subject_ids`` and ``groups()``, which a
-    file's headers (a ``datasets._Source``) give as well as its rows.
+    ``dataset`` it reads only ``subject_ids`` and ``groups()``, which any
+    dataset derives from its subjects' headers, whatever kind of block it
+    has, and so does a file's ``datasets._Source`` before any row is read.
     Returns (GroupDiffReport, ICAResult).
     """
     groups = dataset.groups()

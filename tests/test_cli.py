@@ -679,12 +679,12 @@ class TestStreamedPartitions:
 
         def recording(*args):
             source, parts = real(*args)
-            kinds.extend(type(part) for part in parts if part is not None)
+            kinds.extend(type(part.block) for part in parts if part is not None)
             return source, parts
         with monkeypatch.context() as patched:
             patched.setattr(cli, "_load_parts", recording)
             assert main([*argv, str(tmp_path / "streamed")]) == 0
-        assert kinds and set(kinds) == {datasets._Streamed}
+        assert kinds and set(kinds) == {datasets._PackedRows}
         with monkeypatch.context() as patched:
             patched.setattr(cli, "_load_parts", _held_load_parts)
             assert main([*argv, str(tmp_path / "held")]) == 0
@@ -736,11 +736,11 @@ class TestStreamedPartitions:
         cut = lambda records: [_split_plan("first_second_half")[0](records, 0)[0]]
         _wide_file(tmp_path / "narrow.smds", n_features=WIDE - 1)
         _wide_file(tmp_path / "wide.smds")
-        for name, center, kind in [("narrow", False, MultiSubjectDataset),
-                                   ("wide", True, MultiSubjectDataset),
-                                   ("wide", False, datasets._Streamed)]:
+        for name, center, kind in [("narrow", False, np.ndarray),
+                                   ("wide", True, np.ndarray),
+                                   ("wide", False, datasets._PackedRows)]:
             section = {"path": f"{name}.smds", "format": "binary", "center": center}
-            assert type(cli._load_parts_of(section, tmp_path, cut)[1][0]) is kind
+            assert type(cli._load_parts_of(section, tmp_path, cut)[1][0].block) is kind
 
     def test_load_and_train_trace_less_than_half_the_data(self, tmp_path):
         # every partition was a copy: the trace peaked above the whole 32 MiB block
@@ -896,7 +896,8 @@ class TestSweepCommand:
         out = tmp_path / "out"
         assert main(["sweep", "--config", cfg, "--out", str(out), "--workers", "1"]) == 0
         assert read_results(out)["metrics"]["n_errors"] == 1
-        rows = list(csv.DictReader((out / "sweep.csv").open()))
+        with (out / "sweep.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
         assert rows[0]["error"].startswith("ConfigError: grad_clip")
         assert rows[1]["error"] == ""
 

@@ -13,7 +13,7 @@ from subjmap.datasets import (
     MultiSubjectDataset,
     SubjectData,
     _ALL,
-    _Streamed,
+    _PackedRows,
     _load_parts,
     _same_rows,
     _split_plan,
@@ -800,8 +800,10 @@ class TestStreamedLoads:
             if held is None:
                 assert got is None
                 continue
-            assert type(got) is _Streamed
+            assert type(got) is MultiSubjectDataset and type(got.block) is _PackedRows
             assert got.subject_ids == held.subject_ids and got.metadata == held.metadata
+            assert got.n_subjects == held.n_subjects
+            assert got.groups().tolist() == held.groups().tolist()
             assert np.array_equal(got.offsets, held.offsets)
             assert got.labels.tobytes() == held.labels.tobytes()
             assert got.block.shape == held.block.shape and got.block.nbytes == held.block.nbytes
