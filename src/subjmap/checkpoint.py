@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import sys
 import zlib
+from dataclasses import asdict
 
 import numpy as np
 
@@ -45,7 +46,7 @@ def save_model(model: Model, path, config_hash: str = "") -> None:
 
     header = {
         "format_version": FORMAT_VERSION,
-        "spec": model.spec.to_dict(),
+        "spec": asdict(model.spec),
         "subject_ids": list(model.subject_ids),
         "init_seed": model.init_seed,
         "config_hash": config_hash,

@@ -9,6 +9,9 @@ same config and seed.  ``main`` deletes an earlier run's results.json before
 the command runs and writes the new one last, so an output directory holds a
 results.json exactly when its last run completed.
 
+The library returns data and writes no result file: ``_write_csv`` writes
+every result table and ``_write_json`` every JSON file.
+
 Before it parses its arguments, ``main`` sets glibc's allocator to keep the
 memory the process frees (no ``mmap``'d chunks, no heap trim) for the rest of
 the command, so a wide model's step arrays are not faulted in afresh every
@@ -21,6 +24,7 @@ Exit codes: 0 success, 1 config error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import csv
 import ctypes
 import itertools
 import json
@@ -63,6 +67,7 @@ from .models import ModelSpec, build_model
 from .stats import group_difference_pipeline
 from .training import (
     TrainConfig,
+    TrainHistory,
     canonical_digest,
     encode_dataset,
     evaluate_loss,
@@ -353,8 +358,26 @@ def _write_json(path: Path, obj, indent: int | None = 2) -> None:
         fh.write(text)
 
 
+def _write_csv(path: Path, header, rows) -> None:
+    """Write the ``header`` row, then ``rows``: a float as its repr, None as an empty field,
+    LF line ends, and a field quoted only where RFC 4180 needs it."""
+    with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_history(out_dir: Path, history: TrainHistory) -> None:
+    """``history.csv``, one row per epoch, and ``history.json``, the whole record."""
+    _write_csv(out_dir / "history.csv", ["epoch", "train_loss", "val_loss", "metric"],
+               zip(itertools.count(), history.train_losses, history.val_losses,
+                   history.val_metrics))
+    _write_json(out_dir / "history.json", asdict(history))
+
+
 def _write_results(out_dir: Path, command: str, config: dict, metrics: dict,
                    files: list[str], started: float) -> dict:
+    """Write ``resolved_config.json``, check every declared file, then write ``results.json``."""
     _write_json(out_dir / "resolved_config.json", config)
     payload = {
         "command": command,
@@ -364,10 +387,10 @@ def _write_results(out_dir: Path, command: str, config: dict, metrics: dict,
         "metrics": metrics,
         "files": sorted(set(files + ["resolved_config.json"])),
     }
-    _write_json(out_dir / "results.json", payload)
     for name in payload["files"]:
         if not (out_dir / name).exists():
             raise SubjmapError(f"declared output file missing: {name}")
+    _write_json(out_dir / "results.json", payload)
     return payload
 
 
@@ -385,10 +408,8 @@ def _cmd_simulate(config: dict, out_dir: Path, config_dir: Path, workers: int) -
                                          seed=root.derive("rotations").seed)
         if section["center"]:
             dataset = center_subjects(dataset)
-        with atomic_write(out_dir / "angles.csv", "w", encoding="utf-8") as fh:
-            fh.write("subject_id,angle\n")
-            for sid, angle in zip(dataset.subject_ids, truth.angles):
-                fh.write(f"{sid},{float(angle)!r}\n")
+        _write_csv(out_dir / "angles.csv", ["subject_id", "angle"],
+                   zip(dataset.subject_ids, truth.angles.tolist()))
         files.append("angles.csv")
         metrics = {
             "generator": "rotated_half_moons",
@@ -442,8 +463,7 @@ def _cmd_train(config: dict, out_dir: Path, config_dir: Path, workers: int) -> _
     model, history = train(model, train_set, val_set, train_cfg)
 
     checkpoint.save_model(model, out_dir / "model.ckpt", config_hash(config))
-    history.to_csv(out_dir / "history.csv")
-    _write_json(out_dir / "history.json", asdict(history))
+    _write_history(out_dir, history)
     metrics = dict(history.final_metrics)
     metrics["epochs_run"] = history.n_epochs
     metrics["best_epoch"] = history.best_epoch
@@ -488,13 +508,12 @@ def _cmd_sweep(config: dict, out_dir: Path, config_dir: Path, workers: int) -> _
     result = hyperparameter_sweep(spec, base_cfg, settings, config["sweep"]["seeds"],
                                   train_set, val_set, test_set,
                                   metric=config["sweep"]["metric"], workers=workers)
-    result.to_csv(out_dir / "sweep.csv")
-    winner = {k: (list(v) if isinstance(v, tuple) else v)
-              for k, v in settings[result.winner_index].items()}
+    keys = sorted({k for row in result.rows for k in row})
+    _write_csv(out_dir / "sweep.csv", keys, ([row.get(k) for k in keys] for row in result.rows))
     metrics = {
         "n_rows": len(result.rows),
         "n_errors": sum(1 for r in result.rows if r["error"]),
-        "winner_setting": winner,
+        "winner_setting": settings[result.winner_index],  # a tuple is written as a list
         "winner_mean_val": result.setting_means[result.winner_index],
         "winner_test_mean": result.winner_test_mean(),
     }
@@ -569,8 +588,7 @@ def _cmd_finetune(config: dict, out_dir: Path, config_dir: Path, workers: int) -
         **_recon_metrics(scored, heldout, "heldout_mse"),
     }
     checkpoint.save_model(model, out_dir / "model.ckpt", config_hash(config))
-    result.history.to_csv(out_dir / "history.csv")
-    _write_json(out_dir / "history.json", asdict(result.history))
+    _write_history(out_dir, result.history)
     return metrics, ["model.ckpt", "history.csv", "history.json"]
 
 
@@ -619,7 +637,7 @@ def _cmd_evaluate(config: dict, out_dir: Path, config_dir: Path, workers: int) -
         probe = probe_classify(encode_dataset(model, eval_set), eval_set.labels,
                                n_folds=section["probe_folds"],
                                seed=root.derive("probe").seed, label_name="timestep_label")
-        metrics["embedding_probe"] = probe.to_json()
+        metrics["embedding_probe"] = asdict(probe)
 
     if section["probe_subject_weights"]:
         rows = model.enc_map.params()[param]
@@ -627,30 +645,35 @@ def _cmd_evaluate(config: dict, out_dir: Path, config_dir: Path, workers: int) -
         order = model.index_of(source.subject_ids)
         probe = probe_classify(rows[order], groups, n_folds=section["probe_folds"],
                                seed=root.derive("probe_weights").seed, label_name="group")
-        metrics["subject_weight_probe"] = probe.to_json()
+        metrics["subject_weight_probe"] = asdict(probe)
 
     if section["subject_circle"]:
         coords = subject_weight_pca(model.enc_map.s)
         fit = circle_fit(coords)
-        metrics["circle"] = fit.to_json()
+        metrics["circle"] = asdict(fit)
         if section["angles_path"]:
             recovered = polar_angles(coords, fit.center)
             metrics["circle"]["angle_correlation"] = circular_correlation(recovered, true_angles)
-        with atomic_write(out_dir / "subject_pca.csv", "w", encoding="utf-8") as fh:
-            fh.write("subject_id,pc1,pc2\n")
-            for sid, (a, b) in zip(model.subject_ids, coords):
-                fh.write(f"{sid},{float(a)!r},{float(b)!r}\n")
+        _write_csv(out_dir / "subject_pca.csv", ["subject_id", "pc1", "pc2"],
+                   zip(model.subject_ids, *coords.T.tolist()))
         files.append("subject_pca.csv")
 
     return metrics, files
 
 
 def _read_angles(path: Path, subject_ids) -> list[float]:
-    """Each subject's angle from a ``subject_id,angle`` CSV with a header row."""
+    """Each subject's angle from a ``subject_id,angle`` CSV with a header row, as
+    ``_write_csv`` writes it (a quoted id is read whole)."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            records = list(csv.reader(fh))
+    except csv.Error as exc:
+        raise ParseError(f"{path} is not CSV: {exc}") from exc
     angle_of = {}
-    for row, line in enumerate(path.read_text(encoding="utf-8").splitlines()[1:], start=2):
+    for row, fields in enumerate(records[1:], start=2):
+        line = ",".join(fields)
         try:
-            sid, angle = line.split(",")
+            sid, angle = fields
             angle_of[sid] = float(angle)
         except ValueError as exc:
             raise ParseError(f"{path}: row {row} is not 'subject_id,angle': {line!r}") from exc
@@ -690,7 +713,11 @@ def _cmd_analyze(config: dict, out_dir: Path, config_dir: Path, workers: int) ->
         seed=SeededRng(config["seed"]).derive("ica").seed,
         max_iter=section["max_iter"], tol=section["tol"])
 
-    report.to_csv(out_dir / "report.csv")
+    _write_csv(out_dir / "report.csv",
+               ["source_id", "t", "p", "p_adj", "reject", "group_mean_a", "group_mean_b"],
+               zip(itertools.count(), report.t_stats.tolist(), report.p_values.tolist(),
+                   report.p_adjusted.tolist(), report.rejected.astype(int).tolist(),
+                   report.group_means_a.tolist(), report.group_means_b.tolist()))
     # one "subject" per source, one timestep per map: reuses the packed format
     source_maps = MultiSubjectDataset(
         [SubjectData(f"source_{i:02d}", ica.sources[i:i + 1], None, None)

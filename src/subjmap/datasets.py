@@ -269,6 +269,12 @@ def stacked(dataset, model=None):
 
 # --- generators -------------------------------------------------------------
 
+def _numbered_ids(prefix: str, n: int) -> list[str]:
+    """``n`` subject ids: ``prefix`` and the index, zero-padded to the widest index or 3 digits."""
+    width = max(3, len(str(n - 1)))
+    return [f"{prefix}{i:0{width}d}" for i in range(n)]
+
+
 def _at_least(key: str, value, low) -> None:
     """A generator argument below its floor is a ConfigError naming its config key."""
     if value < low:
@@ -324,11 +330,8 @@ def rotate_subjects(samples, labels, n_subjects: int, seed: int, angles=None):
     if angles.shape[0] != n_subjects:
         raise ShapeError(f"{angles.shape[0]} angles for {n_subjects} subjects")
 
-    width = max(3, len(str(n_subjects - 1)))
-    subjects = [
-        SubjectData(f"s{i:0{width}d}", base @ rotation_matrix(theta).T, y.copy())
-        for i, theta in enumerate(angles)
-    ]
+    subjects = [SubjectData(sid, base @ rotation_matrix(theta).T, y.copy())
+                for sid, theta in zip(_numbered_ids("s", n_subjects), angles)]
     meta = {"n_features": 2, "generator": "rotated_half_moons", "seed": int(seed)}
     return MultiSubjectDataset(subjects, meta), RotationGroundTruth(angles=angles)
 
@@ -676,11 +679,11 @@ def synth_group_dataset(n_subjects: int, n_timesteps: int, n_features: int, late
 
     mixed = latents @ basis_u  # T x d, shared across subjects
     noise_rng = root.derive("noise")
-    width = max(3, len(str(n_subjects - 1)))
     meta = {"n_features": n_features, "generator": "synth_group", "seed": int(seed),
             "group_effect": float(group_effect), "noise_level": float(noise_level)}
     dataset = MultiSubjectDataset._empty(
-        [(f"g{i:0{width}d}", n_timesteps, None, int(groups[i])) for i in range(n_subjects)],
+        [(sid, n_timesteps, None, int(group))
+         for sid, group in zip(_numbered_ids("g", n_subjects), groups)],
         n_features, meta)
     for i, rec in enumerate(dataset.subjects):
         np.matmul(mixed * scalings[i], basis_v.T, out=rec.data)

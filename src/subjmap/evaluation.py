@@ -28,10 +28,6 @@ class ProbeResult:
     n_folds: int
     label_name: str
 
-    def to_json(self) -> dict:
-        return {"fold_accuracies": list(self.fold_accuracies), "mean": self.mean,
-                "std": self.std, "n_folds": self.n_folds, "label_name": self.label_name}
-
 
 def _stratified_folds(labels: np.ndarray, n_folds: int, seed: int) -> np.ndarray:
     """Deterministic stratified fold id per sample (round-robin within class)."""
@@ -121,10 +117,6 @@ class CircleFit:
     center: tuple[float, float]
     radius: float
     residual_ratio: float  # RMS radial residual / radius
-
-    def to_json(self) -> dict:
-        return {"center": list(self.center), "radius": self.radius,
-                "residual_ratio": self.residual_ratio}
 
 
 def circle_fit(coords) -> CircleFit:

@@ -37,10 +37,11 @@ dataset's own storage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .datasets import _numbered_ids
 from .errors import ConfigError, MissingLabels, ShapeError, UnknownSubject
 from .linalg import SeededRng, is_count
 from .maps import VARIANTS, DecomposedMap, GroupMap, SubjectMap, glorot_uniform
@@ -85,11 +86,6 @@ class ModelSpec:
                 raise ConfigError("classifier latent_size must equal n_classes (logit width)")
         if self.beta < 0:
             raise ConfigError("beta must be non-negative")
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["trunk_widths"] = list(self.trunk_widths)
-        return d
 
 
 class DenseLayer:
@@ -205,8 +201,7 @@ def _make_trunk(widths: list[int], rng: SeededRng) -> list[DenseLayer]:
 def build_model(spec: ModelSpec, seed: int, subject_ids=None) -> Model:
     """Construct a model with deterministic Glorot/orthonormal initialization."""
     if subject_ids is None:
-        width = max(3, len(str(spec.n_subjects - 1)))
-        subject_ids = tuple(f"s{i:0{width}d}" for i in range(spec.n_subjects))
+        subject_ids = tuple(_numbered_ids("s", spec.n_subjects))  # rotate_subjects's ids
     else:
         subject_ids = tuple(subject_ids)
         if len(subject_ids) != spec.n_subjects:

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import atomic_write
 from .errors import ConfigError, ConvergenceError, GroupCountError, InvalidP, ShapeError
 from .linalg import SeededRng, as_matrix, pin_signs, svd_small
 from .models import Model, latent_traversal
@@ -220,14 +219,6 @@ class GroupDiffReport:
     @property
     def n_rejected(self) -> int:
         return int(self.rejected.sum())
-
-    def to_csv(self, path) -> None:
-        with atomic_write(path, "w", encoding="utf-8") as fh:
-            fh.write("source_id,t,p,p_adj,reject,group_mean_a,group_mean_b\n")
-            for i in range(self.t_stats.size):
-                fh.write(f"{i},{float(self.t_stats[i])!r},{float(self.p_values[i])!r},"
-                         f"{float(self.p_adjusted[i])!r},{int(self.rejected[i])},"
-                         f"{float(self.group_means_a[i])!r},{float(self.group_means_b[i])!r}\n")
 
 
 def subject_mixing_means(result: ICAResult, rows_per_subject: int, n_subjects: int) -> np.ndarray:

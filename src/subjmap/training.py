@@ -41,7 +41,6 @@ caller cuts the window.
 
 from __future__ import annotations
 
-import csv
 import ctypes
 import hashlib
 import json
@@ -54,7 +53,7 @@ from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
-from .datasets import MultiSubjectDataset, atomic_write, stacked
+from .datasets import MultiSubjectDataset, stacked
 from .errors import (ConfigError, DivergenceError, DuplicateSubject, EmptySubset, MissingLabels,
                      NoSubjectWeights, ShapeError, SweepFailed)
 from .linalg import SeededRng, is_count, qr_orthonormalize
@@ -124,14 +123,6 @@ class TrainHistory:
     @property
     def n_epochs(self) -> int:
         return len(self.train_losses)
-
-    def to_csv(self, path) -> None:
-        with atomic_write(path, "w", encoding="utf-8") as fh:
-            fh.write("epoch,train_loss,val_loss,metric\n")
-            for i in range(self.n_epochs):
-                metric = self.val_metrics[i]
-                fh.write(f"{i},{self.train_losses[i]!r},{self.val_losses[i]!r},"
-                         f"{'' if metric is None else repr(metric)}\n")
 
 
 class Sgd:
@@ -593,15 +584,6 @@ class SweepResult:
         vals = [r["test_metric"] for r in self.winner_rows()
                 if r["error"] is None and not math.isnan(r["test_metric"])]
         return float(np.mean(vals)) if vals else math.nan
-
-    def to_csv(self, path) -> None:
-        keys = sorted({k for r in self.rows for k in r})
-        with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(keys)
-            for row in self.rows:
-                writer.writerow(["" if row.get(k) is None else row.get(k, "")
-                                 for k in keys])
 
 
 def usable_cpus() -> int:

@@ -53,6 +53,18 @@ class TestParamcount:
         counts = read_results(tmp_path / "out")["metrics"]["counts"]
         assert counts["subject"] == 3_613_491_200
 
+    def test_missing_declared_file_leaves_no_results(self, tmp_path, monkeypatch, capsys):
+        # results.json used to be written before the declared files were checked
+        real = cli._COMMANDS["paramcount"]
+        monkeypatch.setitem(cli._COMMANDS, "paramcount",
+                            lambda *args: (real(*args)[0], ["missing.txt"]))
+        cfg = write_config(tmp_path / "c.json", {
+            "paramcount": {"input_size": 10, "hidden_size": 2, "n_subjects": 3}})
+        out = tmp_path / "out"
+        assert main(["paramcount", "--config", cfg, "--out", str(out)]) == 2
+        assert "declared output file missing: missing.txt" in capsys.readouterr().err
+        assert (out / "resolved_config.json").exists() and not (out / "results.json").exists()
+
 
 class TestConfigStrictness:
     def test_unknown_key_names_offender_and_exits_one(self, tmp_path, capsys):
@@ -1054,6 +1066,12 @@ class TestEvaluateAnalyzeFinetune:
 
     def test_full_pipeline_commands(self, tmp_path):
         data, _ = synth_group_dataset(12, 60, 16, 4, 1.5, seed=8)
+        # ids a CSV field must quote: subject_pca.csv used to split "g,0" in two
+        data.subjects[0].subject_id, data.subjects[1].subject_id = "g,0", 'g"1'
+        angles_path = tmp_path / "angles.csv"
+        with open(angles_path, "w", newline="") as fh:
+            csv.writer(fh).writerows([("subject_id", "angle"),
+                                      *((sid, 0.5 * i) for i, sid in enumerate(data.subject_ids))])
         data_path = tmp_path / "data.smds"
         save_dataset(data, data_path)
 
@@ -1082,7 +1100,7 @@ class TestEvaluateAnalyzeFinetune:
             "eval": {"recon": True,
                      "baseline_checkpoint": str(group_dir / "model.ckpt"),
                      "probe_subject_weights": True, "probe_folds": 4,
-                     "subject_circle": True},
+                     "subject_circle": True, "angles_path": str(angles_path)},
         }
         cfge = write_config(tmp_path / "eval.json", eval_cfg)
         eval_dir = tmp_path / "eval"
@@ -1090,8 +1108,11 @@ class TestEvaluateAnalyzeFinetune:
         metrics = read_results(eval_dir)["metrics"]
         assert "test_mse" in metrics and "improvement_pct" in metrics
         assert "subject_weight_probe" in metrics
-        assert "circle" in metrics
-        assert (eval_dir / "subject_pca.csv").exists()
+        assert "angle_correlation" in metrics["circle"]
+        with open(eval_dir / "subject_pca.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["subject_id", "pc1", "pc2"] and {len(row) for row in rows} == {3}
+        assert [row[0] for row in rows[1:]] == list(data.subject_ids)
 
         analyze_cfg = {
             "seed": 4,
@@ -1177,6 +1198,7 @@ class TestEvaluateAnalyzeFinetune:
         (["s000,abc"], "row 2"),
         (["s000,0.5", "s001,nan"], "row 3"),
         (["s000,0.5"], "'s001'"),
+        (['"' + "s" * 200_000 + '",0.5'], "is not CSV: field larger than field limit"),
     ])
     def test_bad_angles_file_is_parse_error(self, tmp_path, capsys, rows, named):
         # each used to end in a raw ValueError or KeyError

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -236,7 +237,7 @@ class TestSpecValidation:
         spec = ModelSpec(variant="subject", objective="vae", input_size=6,
                          first_layer_width=4, latent_size=2, n_subjects=5,
                          trunk_widths=(8, 4), beta=0.5)
-        assert ModelSpec(**spec.to_dict()) == spec
+        assert ModelSpec(**asdict(spec)) == spec
 
     def test_build_model_deterministic(self):
         spec = ModelSpec(variant="decomposed", objective="autoencoder", input_size=6,

@@ -1,9 +1,13 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from subjmap.datasets import MultiSubjectDataset, SubjectData, synth_group_dataset, split
+from subjmap import cli
+from subjmap.checkpoint import save_model
+from subjmap.datasets import (MultiSubjectDataset, SubjectData, save_dataset, split,
+                              synth_group_dataset)
 from subjmap.errors import ConfigError, GroupCountError, InvalidP, ShapeError
 from subjmap.linalg import SeededRng, qr_orthonormalize
 from subjmap import stats
@@ -274,10 +278,13 @@ class TestPipeline:
 
     def test_report_csv(self, tmp_path):
         data, _ = synth_group_dataset(20, 60, 24, 4, 1.0, seed=51)
-        model = self.make_trained(data, seed=8)
-        report, _ = group_difference_pipeline(model, data, k=4, q=0.05, seed=9)
-        path = tmp_path / "report.csv"
-        report.to_csv(path)
-        lines = path.read_text().splitlines()
+        save_dataset(data, tmp_path / "data.smds")
+        save_model(self.make_trained(data, seed=8), tmp_path / "model.ckpt")
+        (tmp_path / "analyze.json").write_text(json.dumps({
+            "seed": 9, "data": {"path": "data.smds"}, "checkpoint": "model.ckpt",
+            "analysis": {"k": 4, "q": 0.05}}))
+        assert cli.main(["analyze", "--config", str(tmp_path / "analyze.json"),
+                         "--out", str(tmp_path / "out")]) == 0
+        lines = (tmp_path / "out" / "report.csv").read_text().splitlines()
         assert lines[0] == "source_id,t,p,p_adj,reject,group_mean_a,group_mean_b"
         assert len(lines) == 5

@@ -12,6 +12,7 @@ import pytest
 from subjmap.datasets import (MultiSubjectDataset, SubjectData, synth_group_dataset, stacked,
                               _take_all)
 from subjmap import training
+from subjmap.cli import _write_csv, _write_history
 from subjmap.errors import (ConfigError, DivergenceError, EmptySubset, MissingLabels,
                             NoSubjectWeights, ShapeError, SweepFailed)
 from subjmap.linalg import SeededRng
@@ -21,7 +22,6 @@ from subjmap.models import DenseLayer
 from subjmap.training import (
     Adam,
     Sgd,
-    SweepResult,
     TrainConfig,
     add_subjects,
     encode_dataset,
@@ -127,9 +127,8 @@ class TestTrainLoop:
         data = toy_dataset(labelled=False)
         model = build_model(toy_spec(), seed=1, subject_ids=data.subject_ids)
         _, h = train(model, data, data, TrainConfig(lr=0.01, epochs=3, batch_size=16, seed=0))
-        path = tmp_path / "history.csv"
-        h.to_csv(path)
-        lines = path.read_text().splitlines()
+        _write_history(tmp_path, h)
+        lines = (tmp_path / "history.csv").read_text().splitlines()
         assert lines[0] == "epoch,train_loss,val_loss,metric"
         assert len(lines) == 1 + h.n_epochs
 
@@ -582,7 +581,8 @@ def _one_cap_sweeps(settings, seeds, config, data):
 
 
 def _csv_bytes(rows, path):
-    SweepResult(rows, [], 0, "val_accuracy").to_csv(path)
+    keys = sorted(rows[0])
+    _write_csv(path, keys, ([row[k] for k in keys] for row in rows))
     return path.read_bytes()
 
 
