@@ -50,7 +50,7 @@ from .datasets import (
     half_moons,
     rotate_subjects,
     save_dataset,
-    synth_group_dataset,
+    save_synth_group,
 )
 from .errors import ConfigError, ParseError, SubjmapError
 from .evaluation import (
@@ -411,6 +411,7 @@ def _cmd_simulate(config: dict, out_dir: Path, config_dir: Path, workers: int) -
         _write_csv(out_dir / "angles.csv", ["subject_id", "angle"],
                    zip(dataset.subject_ids, truth.angles.tolist()))
         files.append("angles.csv")
+        save_dataset(dataset, out_dir / "data.smds")
         metrics = {
             "generator": "rotated_half_moons",
             "n_subjects": dataset.n_subjects,
@@ -418,11 +419,12 @@ def _cmd_simulate(config: dict, out_dir: Path, config_dir: Path, workers: int) -
             "class_counts": np.bincount(dataset.subjects[0].labels).tolist(),
         }
     elif section["generator"] == "synth_group":
-        dataset, truth = synth_group_dataset(
-            section["n_subjects"], section["n_timesteps"], section["n_features"],
-            section["latent_dim"], section["group_effect"], seed=root.derive("synth").seed,
-            noise_level=section["noise_level"], subject_scale=section["subject_scale"],
-            trajectory_rank=section["trajectory_rank"])
+        # data.smds first, so a non-finite subject leaves neither file
+        truth = save_synth_group(
+            out_dir / "data.smds", section["n_subjects"], section["n_timesteps"],
+            section["n_features"], section["latent_dim"], section["group_effect"],
+            seed=root.derive("synth").seed, noise_level=section["noise_level"],
+            subject_scale=section["subject_scale"], trajectory_rank=section["trajectory_rank"])
         ground = {
             "direction": truth.direction.tolist(),
             "direction_voxels": truth.direction_voxels.tolist(),
@@ -433,14 +435,13 @@ def _cmd_simulate(config: dict, out_dir: Path, config_dir: Path, workers: int) -
         files.append("ground_truth.json")
         metrics = {
             "generator": "synth_group",
-            "n_subjects": dataset.n_subjects,
+            "n_subjects": section["n_subjects"],
             "n_timesteps": section["n_timesteps"],
             "n_features": section["n_features"],
             "group_effect": section["group_effect"],
         }
     else:
         raise ConfigError(f"unknown generator {section['generator']!r}")
-    save_dataset(dataset, out_dir / "data.smds")
     return metrics, files
 
 
@@ -502,9 +503,6 @@ def _cmd_sweep(config: dict, out_dir: Path, config_dir: Path, workers: int) -> _
     keys = sorted(axes)
     settings = [dict(zip(keys, combo))
                 for combo in itertools.product(*(axes[k] for k in keys))]
-    for setting in settings:
-        if "trunk_widths" in setting:
-            setting["trunk_widths"] = tuple(setting["trunk_widths"])
     result = hyperparameter_sweep(spec, base_cfg, settings, config["sweep"]["seeds"],
                                   train_set, val_set, test_set,
                                   metric=config["sweep"]["metric"], workers=workers)
@@ -513,7 +511,7 @@ def _cmd_sweep(config: dict, out_dir: Path, config_dir: Path, workers: int) -> _
     metrics = {
         "n_rows": len(result.rows),
         "n_errors": sum(1 for r in result.rows if r["error"]),
-        "winner_setting": settings[result.winner_index],  # a tuple is written as a list
+        "winner_setting": settings[result.winner_index],
         "winner_mean_val": result.setting_means[result.winner_index],
         "winner_test_mean": result.winner_test_mean(),
     }

@@ -8,7 +8,10 @@ subject sees the same underlying trajectory through its own linear lens.
 study: shared smooth latent trajectories are mixed into voxel space through
 shared orthonormal bases with per-subject scaling vectors, and a known group
 offset is planted in scaling space so recovery can be checked against ground
-truth.
+truth.  One core (``_planted_effect``) makes its subjects one at a time, each
+in rows its consumer gives: ``synth_group_dataset`` gives each subject's view
+of a held block, and ``save_synth_group`` one reused buffer that it writes to
+a packed file before the next subject is made.  Both make the same bits.
 
 A dataset keeps its subjects' headers and one ``block`` of all their rows.
 Held in memory, the block is one C-contiguous float64 array and each
@@ -49,7 +52,8 @@ header ``{"format_version", "n_features", "subjects": [{"subject_id",
 "group", "timesteps", "labelled"}]}``, then every subject's rows as one
 C-contiguous little-endian float64 block, then the labelled subjects' int32
 labels as one block.  The header's sizes must account for the file's size
-exactly before any row is read.
+exactly before any row is read.  ``_write_packed`` writes every packed file,
+a held dataset's (``save_dataset``) and a streamed generator's alike.
 """
 
 from __future__ import annotations
@@ -633,21 +637,22 @@ class SynthGroundTruth:
     groups: np.ndarray            # M ints in {0, 1}
 
 
-def synth_group_dataset(n_subjects: int, n_timesteps: int, n_features: int, latent_dim: int,
-                        group_effect: float, seed: int, *,
-                        noise_level: float = 0.05, subject_scale: float = 0.3,
-                        trajectory_rank: int = 2):
-    """Multi-subject dataset with a known group offset planted in scaling space.
+# elements of noise drawn at once: 512 KiB of float64 rows
+_NOISE_BLOCK_ELEMENTS = 2 ** 16
 
-    X_i = ((Z @ U) * s_i) @ V.T + noise, with Z a shared smooth trajectory,
-    U/V shared orthonormal bases and s_i = 1 + individual variation
-    +- (group_effect / 2) along a fixed unit direction.  Groups alternate
-    with subject index so any contiguous subset stays balanced.
 
-    Z is a smooth random walk of intrinsic rank ``trajectory_rank`` expressed
-    in all ``latent_dim`` style dimensions: the walk lives on a low-dim
-    manifold while subjects reweight a richer set of spatial patterns, so a
-    shared-map model cannot absorb subject differences into its latent code.
+def _planted_effect(n_subjects: int, n_timesteps: int, n_features: int, latent_dim: int,
+                    group_effect: float, seed: int, *, noise_level: float = 0.05,
+                    subject_scale: float = 0.3, trajectory_rank: int = 2):
+    """``(records, truth, fill)`` of ``synth_group_dataset``'s arguments.
+
+    The arguments are checked and the shared pieces (walk, bases, scalings)
+    drawn here.  ``fill(rows_of)`` then makes each subject's T x N rows in
+    subject order: the signal goes straight into ``rows_of(i)``, the noise
+    is drawn into one scratch buffer of at most ``_NOISE_BLOCK_ELEMENTS``
+    and added chunk by chunk, and the rows are checked and yielded.  The
+    chunks take the noise stream in the order one T x N draw per subject
+    would, so any ``rows_of`` gets the same rows bit for bit.
     """
     if n_subjects < 2 or n_subjects % 2:
         raise ConfigError(f"n_subjects must be even and positive for balanced groups, "
@@ -678,23 +683,74 @@ def synth_group_dataset(n_subjects: int, n_timesteps: int, n_features: int, late
     scalings += np.where(groups[:, None] == 1, 0.5, -0.5) * group_effect * direction
 
     mixed = latents @ basis_u  # T x d, shared across subjects
-    noise_rng = root.derive("noise")
-    meta = {"n_features": n_features, "generator": "synth_group", "seed": int(seed),
-            "group_effect": float(group_effect), "noise_level": float(noise_level)}
-    dataset = MultiSubjectDataset._empty(
-        [(sid, n_timesteps, None, int(group))
-         for sid, group in zip(_numbered_ids("g", n_subjects), groups)],
-        n_features, meta)
-    for i, rec in enumerate(dataset.subjects):
-        np.matmul(mixed * scalings[i], basis_v.T, out=rec.data)
-        if noise_level > 0:
-            rec.data += noise_level * noise_rng.normal((n_timesteps, n_features))
-    dataset._check_finite()
-
+    records = [(sid, n_timesteps, None, int(group))
+               for sid, group in zip(_numbered_ids("g", n_subjects), groups)]
     truth = SynthGroundTruth(scalings=scalings, direction=direction,
                              direction_voxels=basis_v @ direction, basis_u=basis_u,
                              basis_v=basis_v, latents=latents, groups=groups)
+
+    def fill(rows_of):
+        noise_rng = root.derive("noise")
+        chunk = max(1, _NOISE_BLOCK_ELEMENTS // n_features)
+        scratch = np.empty((min(chunk, n_timesteps), n_features))
+        for i, (sid, _, _, _) in enumerate(records):
+            rows = rows_of(i)
+            np.matmul(mixed * scalings[i], basis_v.T, out=rows)
+            if noise_level > 0:
+                for start in range(0, n_timesteps, chunk):
+                    noise = noise_rng.fill_normal(scratch[:min(chunk, n_timesteps - start)])
+                    noise *= noise_level
+                    rows[start:start + chunk] += noise
+            _check_subject(sid, rows)
+            yield rows
+    return records, truth, fill
+
+
+def synth_group_dataset(n_subjects: int, n_timesteps: int, n_features: int, latent_dim: int,
+                        group_effect: float, seed: int, *,
+                        noise_level: float = 0.05, subject_scale: float = 0.3,
+                        trajectory_rank: int = 2):
+    """Multi-subject dataset with a known group offset planted in scaling space.
+
+    X_i = ((Z @ U) * s_i) @ V.T + noise, with Z a shared smooth trajectory,
+    U/V shared orthonormal bases and s_i = 1 + individual variation
+    +- (group_effect / 2) along a fixed unit direction.  Groups alternate
+    with subject index so any contiguous subset stays balanced.
+
+    Z is a smooth random walk of intrinsic rank ``trajectory_rank`` expressed
+    in all ``latent_dim`` style dimensions: the walk lives on a low-dim
+    manifold while subjects reweight a richer set of spatial patterns, so a
+    shared-map model cannot absorb subject differences into its latent code.
+
+    Each subject is made in its own rows of the block, so the generator
+    holds the block and at most 512 KiB of noise beside it;
+    ``save_synth_group`` writes the same rows to a file without the block.
+    """
+    records, truth, fill = _planted_effect(
+        n_subjects, n_timesteps, n_features, latent_dim, group_effect, seed,
+        noise_level=noise_level, subject_scale=subject_scale, trajectory_rank=trajectory_rank)
+    meta = {"n_features": n_features, "generator": "synth_group", "seed": int(seed),
+            "group_effect": float(group_effect), "noise_level": float(noise_level)}
+    dataset = MultiSubjectDataset._empty(records, n_features, meta)
+    for _ in fill(lambda i: dataset.subjects[i].data):
+        pass  # each subject is made in its view of the block
     return dataset, truth
+
+
+def save_synth_group(path, *args, **kwargs) -> SynthGroundTruth:
+    """Write ``synth_group_dataset(*args, **kwargs)``'s dataset to ``path``; return its truth.
+
+    The file holds the bytes ``save_dataset`` writes for that dataset, but
+    each subject is made in one reused T x N buffer and written before the
+    next is made, so memory follows one subject, not the dataset.  A
+    non-finite subject raises NonFiniteError and leaves no file.
+    """
+    records, truth, fill = _planted_effect(*args, **kwargs)
+    n_features = truth.basis_v.shape[0]
+    buffer = np.empty((records[0][1], n_features))
+    _write_packed(path, records, n_features, (np.ascontiguousarray(rows, dtype="<f8")
+                                              for rows in fill(lambda i: buffer)))
+    return truth
 
 
 # --- serialization -----------------------------------------------------------
@@ -750,6 +806,21 @@ def _read_framed(fh, magic: bytes, what: str) -> tuple[dict, int, int]:
     return header, end + (-end % 8), size
 
 
+def _write_packed(path, records, n_features: int, blocks) -> None:
+    """Write a packed dataset: the header of ``records``, then ``blocks``.
+
+    ``blocks`` (an iterable, taken only once the header is written) is every
+    subject's rows in record order, then the labelled subjects' labels.
+    """
+    header = {"format_version": FORMAT_VERSION, "n_features": n_features,
+              "subjects": [{"subject_id": sid, "group": None if group is None else int(group),
+                            "timesteps": n_t, "labelled": labels is not None}
+                           for sid, n_t, labels, group in records]}
+    for entry in header["subjects"]:  # write no file the loader would reject
+        _subject_entry(entry, f"dataset to save as {path}")
+    _write_framed(path, MAGIC, header, blocks)
+
+
 def save_dataset(dataset: MultiSubjectDataset, path) -> None:
     labels = []
     for rec in dataset.subjects:
@@ -758,14 +829,7 @@ def save_dataset(dataset: MultiSubjectDataset, path) -> None:
             if not np.array_equal(labels[-1], rec.labels):
                 raise LabelOutOfRange(f"subject {rec.subject_id!r} has a label outside the "
                                       f"int32 range of the packed format")
-    header = {"format_version": FORMAT_VERSION, "n_features": dataset.n_features,
-              "subjects": [{"subject_id": rec.subject_id,
-                            "group": None if rec.group is None else int(rec.group),
-                            "timesteps": rec.n_timesteps, "labelled": rec.labels is not None}
-                           for rec in dataset.subjects]}
-    for entry in header["subjects"]:  # write no file the loader would reject
-        _subject_entry(entry, f"dataset to save as {path}")
-    _write_framed(path, MAGIC, header,
+    _write_packed(path, _records(dataset.subjects), dataset.n_features,
                   [np.ascontiguousarray(rec.data, dtype="<f8") for rec in dataset.subjects]
                   + labels)
 

@@ -61,6 +61,16 @@ class SeededRng:
     def normal(self, size=None, scale: float = 1.0) -> np.ndarray:
         return self._gen.normal(0.0, scale, size)
 
+    def fill_normal(self, out: np.ndarray) -> np.ndarray:
+        """Fill ``out`` (C-contiguous float64) with the draws ``normal(out.shape)`` returns.
+
+        Both take the stream in C order, so consecutive fills of row chunks
+        draw what one ``normal`` call over all the rows would.  The values
+        differ only in the sign of a zero draw, which ``normal``'s ``0.0 +``
+        makes positive.
+        """
+        return self._gen.standard_normal(out=out)
+
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None) -> np.ndarray:
         return self._gen.uniform(low, high, size)
 

@@ -416,6 +416,19 @@ class TestSimulate:
         ds = load_dataset(out / "data.smds")
         assert ds.groups().tolist() == [0, 1, 0, 1, 0, 1]
 
+    def test_non_finite_subject_leaves_no_file(self, tmp_path, capsys):
+        # each subject is written as it is made: the first bad one still ends the
+        # run before data.smds or ground_truth.json exists
+        cfg = write_config(tmp_path / "c.json", {
+            "data": {"generator": "synth_group", "n_subjects": 4, "n_timesteps": 20,
+                     "n_features": 8, "latent_dim": 3, "noise_level": 1e308}})
+        out = tmp_path / "out"
+        with np.errstate(over="ignore"):
+            assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "runtime error: NonFiniteError: subject 'g000' data contains non-finite entries")
+        assert not out.exists() or not any(out.iterdir())  # no temp file either
+
 
 def _analyze_config(tmp_path, analysis):
     """An analyze config over 4 subjects of width 12 and an untrained 2-latent model."""
@@ -912,6 +925,18 @@ class TestSweepCommand:
             rows = list(csv.DictReader(fh))
         assert rows[0]["error"].startswith("ConfigError: grad_clip")
         assert rows[1]["error"] == ""
+
+    def test_list_valued_setting_is_written_as_json(self, tmp_path, synth_file):
+        # a trunk_widths value [6, 4] was written as Python's repr "(6, 4)"
+        payload = train_config(synth_file, epochs=1)
+        payload["sweep"] = {"axes": {"trunk_widths": [[6, 4], [5]]}, "seeds": [1]}
+        cfg = write_config(tmp_path / "c.json", payload)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--workers", "1"]) == 0
+        with open(out / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [json.loads(row["trunk_widths"]) for row in rows] == [[6, 4], [5]]
+        assert read_results(out)["metrics"]["winner_setting"]["trunk_widths"] in ([6, 4], [5])
 
     def test_autoencoder_default_metric_picks_lowest_val_loss(self, tmp_path, synth_file):
         # the default used to be val_accuracy, which ranks an autoencoder's val

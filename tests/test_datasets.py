@@ -5,6 +5,7 @@ import os
 import pickle
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from subjmap.datasets import (
     stacked,
     synth_group_dataset,
 )
+from subjmap import cli
 from subjmap.cli import SCHEMAS
 from subjmap.errors import ConfigError, LabelOutOfRange, NonFiniteError, ParseError, ShapeError
 from subjmap.linalg import SeededRng
@@ -251,6 +253,105 @@ class TestSynthGroupDataset:
     def test_odd_subject_count_rejected(self):
         with pytest.raises(ConfigError, match="n_subjects must be even and positive"):
             synth_group_dataset(7, 5, 6, 2, 1.0, seed=0)
+
+
+def planted_reference(n_subjects, n_timesteps, n_features, latent_dim, group_effect, seed,
+                      noise_level=0.05, **kwargs):
+    """Oracle: the planted-effect rows, each subject's noise one T x N draw, scaled, then added.
+
+    The signal is ``((Z @ U) * s_i) @ V.T`` from the generator's ground truth.
+    """
+    _, truth = synth_group_dataset(n_subjects, n_timesteps, n_features, latent_dim,
+                                   group_effect, seed, noise_level=noise_level, **kwargs)
+    mixed = truth.latents @ truth.basis_u
+    noise_rng = SeededRng(seed).derive("noise")
+    subjects = []
+    for i, group in enumerate(truth.groups):
+        rows = (mixed * truth.scalings[i]) @ truth.basis_v.T
+        if noise_level > 0:
+            rows += noise_level * noise_rng.normal((n_timesteps, n_features))
+        subjects.append(SubjectData(f"g{i:03d}", rows, group=int(group)))
+    return MultiSubjectDataset(subjects)
+
+
+# (n_subjects, n_timesteps, n_features, latent_dim, group_effect, seed, keyword arguments):
+# the generator draws noise in chunks of 2**16 elements' rows
+PLANTED_CASES = [
+    (4, 150, 1000, 3, 1.0, 5, {}),                      # 65 rows a draw: 3 draws, the last of 20
+    (2, 3, 70000, 2, 2.0, 6, {}),                       # wider than a chunk: a draw per row
+    (4, 20, 8, 3, 1.0, 7, {"noise_level": 0.0}),        # no noise is drawn
+    (6, 9, 8, 3, 0.5, 8, {"subject_scale": 0.7, "trajectory_rank": 3}),
+]
+
+
+class TestPlantedEffectBits:
+    @pytest.mark.parametrize("case", PLANTED_CASES)
+    def test_block_equals_one_draw_per_subject(self, case):
+        *args, kwargs = case
+        data, _ = synth_group_dataset(*args, **kwargs)
+        want = planted_reference(*args, **kwargs)
+        assert data.block.tobytes() == want.block.tobytes()  # bit for bit, zeros' signs too
+
+    @pytest.mark.parametrize("case", PLANTED_CASES)
+    def test_simulate_writes_the_reference_file(self, tmp_path, case):
+        n_subjects, n_timesteps, n_features, latent_dim, group_effect, seed, kwargs = case
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"seed": seed, "data": {
+            "generator": "synth_group", "n_subjects": n_subjects, "n_timesteps": n_timesteps,
+            "n_features": n_features, "latent_dim": latent_dim, "group_effect": group_effect,
+            **kwargs}}))
+        self.check_simulate(tmp_path, ["--config", str(cfg)], seed)
+
+    def test_readme_config(self, tmp_path):
+        config = Path(__file__).resolve().parents[1] / "configs" / "simulate_synth_group.json"
+        self.check_simulate(tmp_path, ["--config", str(config)],
+                            json.loads(config.read_text())["seed"])
+
+    @staticmethod
+    def check_simulate(tmp_path, args, seed):
+        out = tmp_path / "out"
+        assert cli.main(["simulate", *args, "--out", str(out)]) == 0
+        data = json.loads((out / "resolved_config.json").read_text())["data"]
+        want = planted_reference(
+            data["n_subjects"], data["n_timesteps"], data["n_features"], data["latent_dim"],
+            data["group_effect"], SeededRng(seed).derive("synth").seed,
+            noise_level=data["noise_level"], subject_scale=data["subject_scale"],
+            trajectory_rank=data["trajectory_rank"])
+        save_dataset(want, tmp_path / "want.smds")
+        assert (out / "data.smds").read_bytes() == (tmp_path / "want.smds").read_bytes()
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPlantedEffectMemory:
+    # 16 subjects x 32 rows x 8192 features: a 32 MiB block, 2 MiB a subject
+    SIZE = (16, 32, 8192)
+    SUBJECT = 32 * 8192 * 8
+
+    def test_generator_makes_no_subject_sized_temporary(self):
+        # each subject's noise came as two fresh T x N arrays (a draw and its
+        # scaled copy) beside the block
+        (data, _), peak = _traced_peak(synth_group_dataset, *self.SIZE, 3, 1.0, 4)
+        assert peak < data.block.nbytes + self.SUBJECT
+
+    def test_simulate_holds_one_subject(self, tmp_path):
+        # simulate held the whole block to save it (35.1 MiB traced at this size)
+        n_subjects, n_timesteps, n_features = self.SIZE
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"seed": 4, "data": {
+            "generator": "synth_group", "n_subjects": n_subjects, "n_timesteps": n_timesteps,
+            "n_features": n_features, "latent_dim": 3, "group_effect": 1.0}}))
+        argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        code, peak = _traced_peak(cli.main, argv)
+        assert code == 0
+        assert peak < 3 * self.SUBJECT
 
 
 class TestSerialization:

@@ -7,11 +7,13 @@ Imports ``subjmap`` from ``TREE/src`` and the workloads from
 them) writes its seed-0 inputs into ``OUT/<workload>`` and runs each command
 of its round once through ``subjmap.cli.main``.  Each workload runs in a
 process of its own: with more than one name, the runner starts itself once
-per name.  Prints one line per command with its exit code, the result of the
-workload's check on its output and the workload process's peak RSS once the
-command has returned (``ru_maxrss``: a workload's commands share its
-process, so it is the largest of this and every earlier command of the
-workload).  Exits 0 when every command exits 0 and passes its check, 1
+per name.  Prints the workload process's peak RSS once its inputs are
+written (``<workload> setup: peak RSS ... MiB``), then one line per command
+with its exit code, the result of the workload's check on its output and the
+peak RSS once the command has returned (``ru_maxrss``: a workload's set-up
+and commands share its process, so it is the largest of this and every
+earlier step of the workload; the set-up line shows the set-up's share).
+Exits 0 when every command exits 0 and passes its check, 1
 otherwise and 2 on a usage error.
 
 Two trees' outputs are byte-identical when ``tools/compare_outputs.py``
@@ -64,7 +66,9 @@ def main(argv=None) -> int:
     for name in names:
         work = out / name
         work.mkdir(parents=True, exist_ok=True)
-        for op in SETUPS[name](SEED, work):
+        ops = SETUPS[name](SEED, work)
+        print(f"{name} setup: peak RSS {peak_rss_mib():.1f} MiB", flush=True)
+        for op in ops:
             with contextlib.redirect_stdout(io.StringIO()):
                 code = cli_main(op.argv(work))
             problems = op.check(work / "out" / op.name)[0] if code == 0 else ["not checked"]

@@ -12,6 +12,8 @@ from compare_outputs import differences
 
 ROOT = Path(__file__).resolve().parents[1]
 RUNNER = ROOT / "tools" / "run_workloads.py"
+# a workload's set-up line, or one of its commands' lines
+_LINE = r"(\w+) (?:setup:|\w+: exit 0, check ok,) peak RSS (\d+\.\d) MiB"
 
 
 def test_two_rounds_of_group_study_are_identical(tmp_path):
@@ -20,13 +22,13 @@ def test_two_rounds_of_group_study_are_identical(tmp_path):
                                "group_study"], capture_output=True, text=True, timeout=600)
         assert done.returncode == 0, done.stdout + done.stderr
         lines = done.stdout.splitlines()
-        assert len(lines) == 6
+        assert len(lines) == 7
+        assert lines[0].startswith("group_study setup: ")
         peaks = []
         for line in lines:
-            match = re.fullmatch(r"group_study \w+: exit 0, check ok, peak RSS (\d+\.\d) MiB",
-                                 line)
-            assert match, line
-            peaks.append(float(match[1]))
+            match = re.fullmatch(_LINE, line)
+            assert match and match[1] == "group_study", line
+            peaks.append(float(match[2]))
         assert 0 < peaks[0] and peaks == sorted(peaks)  # the process's running maximum
     assert (tmp_path / "a" / "group_study" / "out" / "finetune" / "model.ckpt").is_file()
     assert differences(tmp_path / "a", tmp_path / "b") == []
@@ -41,10 +43,10 @@ def test_each_workload_reports_its_own_peak(tmp_path):
     assert done.returncode == 0, done.stdout + done.stderr
     peaks = {}
     for line in done.stdout.splitlines():
-        match = re.fullmatch(r"(\w+) \w+: exit 0, check ok, peak RSS (\d+\.\d) MiB", line)
+        match = re.fullmatch(_LINE, line)
         assert match, line
         peaks.setdefault(match[1], []).append(float(match[2]))
-    assert [len(peaks[name]) for name in ("wide_autoencoder", "group_study")] == [2, 6]
+    assert [len(peaks[name]) for name in ("wide_autoencoder", "group_study")] == [3, 7]
     assert max(peaks["group_study"]) < min(peaks["wide_autoencoder"])
 
 
